@@ -16,7 +16,7 @@
 //!    rank-ordered `O(n log n)` form. These pin down *what* the
 //!    distributed protocol must compute.
 //! 2. **Distributed engine** ([`world`], [`device`], [`discovery`],
-//!    [`st_protocol`]) — the slot-driven protocol: proximity-signal
+//!    [`runtime`], [`st_protocol`]) — the slot-driven protocol: proximity-signal
 //!    broadcasts through the collision medium, RSSI ranging, per-device
 //!    neighbour tables, convergecast/merge/flood rounds on the RACH1 /
 //!    RACH2 codec pair, and pulse-coupled synchronization along tree
@@ -43,6 +43,7 @@ pub mod ffa;
 pub mod outcome;
 pub mod ranking;
 pub mod reference;
+pub mod runtime;
 pub mod scenario;
 pub mod st_protocol;
 pub mod world;

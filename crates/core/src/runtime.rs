@@ -1,0 +1,952 @@
+//! The slot runtime shared by every discovery protocol.
+//!
+//! ST and the FST baseline differ only in protocol logic; everything
+//! else about a trial — the devices and their oscillators, the medium,
+//! the fire ring, churn, frame faults, the wake wheel and the run loop —
+//! is the same machinery, written once here. A protocol plugs in
+//! through the small [`Protocol`] hook trait; [`run`] drives it.
+//!
+//! ## Execution strategies
+//!
+//! `EV` selects the strategy at compile time:
+//!
+//! * `EV = false` — the **stepped** reference loop: every slot of the
+//!   horizon is materialized.
+//! * `EV = true` — the **event-driven** loop: a wheel of wake-up slots
+//!   (next oscillator fires, staggered transmissions, churn slots, plus
+//!   whatever the protocol schedules — phase boundaries, unicast
+//!   deliveries, handshake deadlines, beacon offsets, convergence
+//!   probes) decides which slots to materialize; the idle stretches in
+//!   between are fast-forwarded in O(1) per device via memoized phase
+//!   trajectories. [`EngineMode::Adaptive`] additionally cuts between
+//!   skip-ahead and per-slot windows on wake density.
+//!
+//! Both strategies share one loop and one slot body, so the modes are
+//! bit-identical (locked by `tests/engine_equivalence.rs`) under three
+//! rules the runtime owns:
+//!
+//! 1. **The wake set is a superset of every non-tick slot.** Any slot in
+//!    which anything beyond pure phase ticking happens is scheduled; a
+//!    spurious wake just materializes a slot in which nothing happens.
+//! 2. **Jitter draws keep their order and ranges.** Natural fires draw
+//!    `0..8` in device order during the tick, protocol frames are
+//!    handled next, and absorbed fires draw `1..8` in delivery order —
+//!    all from the one protocol stream.
+//! 3. **Frame faults apply after the decode decision.** A dropped frame
+//!    was on the air (medium counters unchanged) but never reaches the
+//!    protocol; a duplicate is handled twice. Fates are stateless keyed
+//!    draws, so delivery order and worker count cannot leak in.
+
+use rand::Rng;
+
+use ffd2d_chaos::{ChurnEvent, ChurnKind, FaultPlan, FrameFate};
+use ffd2d_osc::prc::Prc;
+use ffd2d_osc::predict::{Cursor, TrajectoryCache};
+use ffd2d_phy::frame::{FrameKind, ProximitySignal};
+use ffd2d_radio::units::Dbm;
+use ffd2d_sim::counters::Counters;
+use ffd2d_sim::deployment::DeviceId;
+use ffd2d_sim::event::{DensityWindow, SlotWheel};
+use ffd2d_sim::rng::{StreamId, StreamRng};
+use ffd2d_sim::time::{Slot, SlotDuration};
+use ffd2d_telemetry::Recorder;
+use ffd2d_trace::{FaultKind, ProtoPhase, TraceEvent, TraceSink};
+
+use crate::device::Device;
+use crate::discovery::NeighborTable;
+use crate::outcome::RunOutcome;
+use crate::scenario::EngineMode;
+use crate::world::{FastMedium, World};
+
+/// Firing transmissions are staggered uniformly over this many slots
+/// (RFA-style jitter); the offset is stamped into the frame's `age`
+/// field so receivers couple as if the pulse were instantaneous.
+const FIRE_JITTER: u64 = 8;
+/// Ring size of the pending-fire queue (must exceed `FIRE_JITTER`).
+const FIRE_RING: usize = 16;
+/// Convergence is probed at this slot interval while the protocol
+/// [probes](Protocol::probing).
+const SYNC_CHECK_INTERVAL: u64 = 16;
+
+/// Run one trial of protocol `P` in `world`.
+///
+/// An enabled sink consumes per-slot statistics, which requires
+/// materializing every slot — so a traced run always executes the
+/// stepped loop, whatever [`ScenarioConfig::engine`](crate::ScenarioConfig)
+/// says. A recorder does not force it: profiling the event-driven wheel
+/// is what the recorder is for. Outcomes are bit-identical either way.
+pub fn run<P: Protocol, S: TraceSink, R: Recorder>(
+    world: &World,
+    sink: &mut S,
+    rec: &mut R,
+) -> RunOutcome {
+    if !S::ENABLED && world.config().engine != EngineMode::Stepped {
+        // EventDriven and Adaptive share the wake machinery; the
+        // adaptive engine additionally flips between skip-ahead and
+        // per-slot execution at density-window boundaries.
+        SlotRuntime::<S, R, true>::new(world, sink, rec).run::<P>()
+    } else {
+        SlotRuntime::<S, R, false>::new(world, sink, rec).run::<P>()
+    }
+}
+
+/// A discovery protocol's logic, as hooks into the [`SlotRuntime`].
+///
+/// A materialized slot runs: due churn ([`on_leave`](Protocol::on_leave)
+/// / [`on_join`](Protocol::on_join), then
+/// [`after_churn`](Protocol::after_churn)) → [`step`](Protocol::step) →
+/// the broadcast (natural fires, [`extra_frames`](Protocol::extra_frames),
+/// the medium, [`on_frames`](Protocol::on_frames), absorbed fires) → the
+/// slot statistics → the convergence probe. Every hook that schedules
+/// work in a future slot must also push a wake for it when `EV` is set
+/// (contract 1 of the [module docs](self)).
+pub trait Protocol: Sized {
+    /// Trace phase the run starts in.
+    const START_PHASE: ProtoPhase;
+
+    /// Fresh protocol state for the runtime's world and devices,
+    /// pushing the wake of any boundary it schedules up front.
+    fn new<S: TraceSink, R: Recorder, const EV: bool>(rt: &mut SlotRuntime<'_, S, R, EV>) -> Self;
+
+    /// Timer key the slot being entered bills to.
+    fn slot_key(&self) -> &'static str {
+        "engine.slot.sync"
+    }
+
+    /// Does the current phase run the convergence probe (and chain its
+    /// wake grid)?
+    fn probing(&self) -> bool {
+        true
+    }
+
+    /// Does a decoded fire stamped `age` couple the receiver's
+    /// oscillator? (Otherwise it only refreshes the neighbour table.)
+    fn couples(_age: u8) -> bool {
+        true
+    }
+
+    /// The protocol's own work in a slot, before the broadcast.
+    fn step<S: TraceSink, R: Recorder, const EV: bool>(
+        &mut self,
+        _rt: &mut SlotRuntime<'_, S, R, EV>,
+        _slot: Slot,
+    ) {
+    }
+
+    /// Queue protocol frames for this slot's broadcast, after the due
+    /// staggered fires.
+    fn extra_frames<S: TraceSink, R: Recorder, const EV: bool>(
+        &mut self,
+        _rt: &mut SlotRuntime<'_, S, R, EV>,
+        _slot: Slot,
+        _out: &mut Vec<ProximitySignal>,
+    ) {
+    }
+
+    /// Decoded non-fire frames, `(receiver, frame)` in delivery order.
+    fn on_frames<S: TraceSink, R: Recorder, const EV: bool>(
+        &mut self,
+        _rt: &mut SlotRuntime<'_, S, R, EV>,
+        _slot: Slot,
+        _frames: Vec<(DeviceId, ProximitySignal)>,
+    ) {
+    }
+
+    /// Fragment count for the per-slot trace statistics.
+    fn fragments<S: TraceSink, R: Recorder, const EV: bool>(
+        &mut self,
+        rt: &mut SlotRuntime<'_, S, R, EV>,
+    ) -> u32 {
+        rt.devices.len() as u32
+    }
+
+    /// Protocol wakes to re-arm after materializing slot `s`.
+    fn after_slot<S: TraceSink, R: Recorder, const EV: bool>(
+        &mut self,
+        _rt: &mut SlotRuntime<'_, S, R, EV>,
+        _s: u64,
+    ) {
+    }
+
+    /// Device `d` just powered off (already inactive). Returns the
+    /// fragments its departure orphaned.
+    fn on_leave<S: TraceSink, R: Recorder, const EV: bool>(
+        &mut self,
+        _rt: &mut SlotRuntime<'_, S, R, EV>,
+        _d: DeviceId,
+    ) -> u32 {
+        0
+    }
+
+    /// Device `d` just powered back on (already active, with a fresh
+    /// neighbour table).
+    fn on_join<S: TraceSink, R: Recorder, const EV: bool>(
+        &mut self,
+        _rt: &mut SlotRuntime<'_, S, R, EV>,
+        _d: DeviceId,
+    ) {
+    }
+
+    /// The population changed in this slot.
+    fn after_churn<S: TraceSink, R: Recorder, const EV: bool>(
+        &mut self,
+        _rt: &mut SlotRuntime<'_, S, R, EV>,
+        _slot: Slot,
+    ) {
+    }
+
+    /// Fill the protocol-specific outcome fields.
+    fn finish(self, _out: &mut RunOutcome) {}
+}
+
+/// The per-trial slot machinery (see the [module docs](self)).
+pub struct SlotRuntime<'w, S: TraceSink, R: Recorder, const EV: bool> {
+    /// The world the trial runs in.
+    pub(crate) world: &'w World,
+    /// Protocol-event sink; all emission sites are gated on
+    /// `S::ENABLED`, so a `NullSink` runtime is the untraced runtime.
+    pub(crate) sink: &'w mut S,
+    /// Performance recorder; sites are no-ops (and clock reads vanish)
+    /// under `NullRecorder`.
+    rec: &'w mut R,
+    /// Every device, indexed by id.
+    pub devices: Vec<Device>,
+    medium: FastMedium,
+    /// Message tallies of the run.
+    pub(crate) counters: Counters,
+    prc: Prc,
+    /// The protocol stream: fire jitter and every protocol draw.
+    pub(crate) rng: StreamRng,
+    /// Pending staggered fire transmissions, ring-indexed by slot.
+    fire_queue: Vec<Vec<(DeviceId, u8)>>,
+    /// Scratch for the per-slot on-air transmission list (reused across
+    /// slots so busy slots allocate nothing).
+    pending_scratch: Vec<ProximitySignal>,
+    phases_scratch: Vec<f64>,
+    /// Convergence tolerance: all phases within one slot.
+    tol: f64,
+    /// Completeness denominator for per-slot stats (tracing only).
+    ground_truth_links: u64,
+    // --- Fault injection & churn (dormant when the plan is none) ---
+    /// Per-device liveness under churn (all-true without a churn plan).
+    pub(crate) active: Vec<bool>,
+    /// True iff the plan schedules churn. Gates every liveness check,
+    /// so plan-free runs take exactly the pre-chaos code paths.
+    pub(crate) churned: bool,
+    /// Churn schedule sorted by `(slot, device)`, with a cursor.
+    churn_events: Vec<ChurnEvent>,
+    next_churn: usize,
+    /// Per-device "period differs from nominal" flags (clock skew):
+    /// skewed devices never join the shared trajectory cache.
+    skewed: Vec<bool>,
+    /// Keyed-draw seed for frame fates ([`FaultPlan::frame_fate`]).
+    chaos_key: u64,
+    /// Slot of the plan's last discrete fault: convergence does not end
+    /// the run until a probe succeeds *after* this slot.
+    last_fault_slot: Option<u64>,
+    // --- Event-driven machinery (dormant when `EV` is false) ---
+    /// Candidate wake-up slots. Bare slot numbers, no payloads: the
+    /// two-tier wheel coalesces everything landing on one slot, and a
+    /// spurious wake just materializes a slot in which nothing happens,
+    /// so entries need no invalidation.
+    wake: SlotWheel,
+    /// All slots `< synced_next` are fully processed (device state
+    /// reflects every tick up to and including slot `synced_next - 1`).
+    synced_next: u64,
+    /// True when the run may cut between execution strategies
+    /// ([`EngineMode::Adaptive`]); the pure event-driven mode pins
+    /// `live_ev` to `true` forever.
+    adaptive: bool,
+    /// Current execution strategy: `true` ⇒ event-driven windows
+    /// (skip-ahead, cursor maintenance, touched tracking); `false` ⇒
+    /// stepped windows (every slot materialized, wake bookkeeping kept
+    /// but cursor/touched maintenance shed — that is the saving).
+    live_ev: bool,
+    /// Sliding-window wake density driving the cutover (adaptive only).
+    density: DensityWindow,
+    /// Did any oscillator fire naturally in the slot being processed?
+    /// Part of the density signal in stepped windows, where fire slots
+    /// are no longer predicted into the wheel.
+    fired_this_slot: bool,
+    /// Devices whose oscillator phase may have changed in the current
+    /// slot (fired, absorbed, coupled, rejoined); drained by
+    /// `post_schedule` to re-derive cursors and re-predict fires.
+    touched: Vec<DeviceId>,
+    /// Per-device position on a memoized phase trajectory (`None` ⇒
+    /// non-canonical phase, fast-forwarded by literal ticking). Mesh
+    /// coupling nudges most phases off the canonical reset values, so
+    /// FST leans on the literal fallback far more than ST does.
+    cursors: Vec<Option<Cursor>>,
+    /// Shared memoized phase ramps (all devices share one period).
+    traj: TrajectoryCache,
+}
+
+impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
+    fn new(world: &'w World, sink: &'w mut S, rec: &'w mut R) -> Self {
+        let cfg = world.config();
+        let n = world.n();
+        let seed = cfg.sim.seed;
+        let period = cfg.protocol.period_slots;
+        let faults = &cfg.faults;
+        let churn_events = faults.sorted_churn();
+        let mut phase_rng = StreamRng::new(seed, 0, StreamId::Phases);
+        let devices: Vec<Device> = (0..n as DeviceId)
+            .map(|id| {
+                let p = faults.period_for(id, period);
+                let phase = phase_rng.gen_range(0.0..1.0);
+                let service = world.services()[id as usize];
+                Device::new(id, n, phase, p, cfg.protocol.refractory_slots, service)
+            })
+            .collect();
+        SlotRuntime {
+            world,
+            sink,
+            rec,
+            skewed: (0..n as DeviceId)
+                .map(|id| faults.period_for(id, period) != period)
+                .collect(),
+            devices,
+            medium: FastMedium::new(n),
+            counters: Counters::new(),
+            prc: Prc::from_dissipation(cfg.protocol.dissipation, cfg.protocol.coupling),
+            rng: StreamRng::new(seed, 0, StreamId::Protocol),
+            fire_queue: vec![Vec::new(); FIRE_RING],
+            pending_scratch: Vec::new(),
+            phases_scratch: Vec::with_capacity(n),
+            tol: 1.0 / period as f64 + 1e-12,
+            ground_truth_links: 0,
+            active: faults.initial_active(n),
+            churned: !churn_events.is_empty(),
+            churn_events,
+            next_churn: 0,
+            chaos_key: FaultPlan::chaos_key(seed),
+            last_fault_slot: faults.last_fault_slot(),
+            wake: SlotWheel::new(),
+            synced_next: 0,
+            adaptive: cfg.engine == EngineMode::Adaptive,
+            live_ev: true,
+            density: DensityWindow::new(DensityWindow::DEFAULT_WINDOW),
+            fired_this_slot: false,
+            touched: Vec::new(),
+            // Initial phases are arbitrary random reals — never
+            // canonical — so every device starts on the literal-ticking
+            // fallback and joins a shared trajectory at its first reset.
+            cursors: vec![None; n],
+            traj: TrajectoryCache::new(period),
+        }
+    }
+
+    /// Schedule a wake-up slot, tallying scheduler pressure for an
+    /// enabled recorder (a no-op push otherwise). Wake-ups landing on
+    /// an already-scheduled slot coalesce inside the wheel.
+    #[inline]
+    pub(crate) fn push_wake(&mut self, s: u64) {
+        self.rec.add("engine.wakeups_scheduled", 1);
+        self.wake.push(s);
+    }
+
+    /// Flush the wheel's coalesce/stale tallies into the recorder.
+    fn flush_wheel_stats(&mut self) {
+        let (coalesced, stale) = self.wake.take_stats();
+        if coalesced > 0 {
+            self.rec.add("engine.coalesced_wakeups", coalesced);
+        }
+        if stale > 0 {
+            self.rec.add("engine.wakeups_stale", stale);
+        }
+    }
+
+    fn run<P: Protocol>(mut self) -> RunOutcome {
+        let mut proto = P::new(&mut self);
+        let t_run = self.rec.start();
+        // Completeness denominator for per-slot stats (constant over a
+        // static run; the graph is built lazily either way).
+        if S::ENABLED {
+            self.ground_truth_links = 2 * self.world.proximity_graph().m() as u64;
+            self.sink.event(&TraceEvent::PhaseEnter {
+                slot: 0,
+                phase: P::START_PHASE,
+            });
+        }
+        let mut convergence: Option<u64> = None;
+        let mut reconvergence: Option<u64> = None;
+        let mut last_slot = 0u64;
+        // Fault-free runs stop at the first successful convergence
+        // probe (the paper's metric). With scheduled faults the run
+        // keeps going until a probe succeeds *after* the last fault, so
+        // graceful degradation (re-convergence time) is observable.
+        let last_fault = self.last_fault_slot;
+        let max_slots = self.world.config().sim.max_slots.0;
+        if EV {
+            self.schedule_initial(&proto);
+        }
+        loop {
+            // Acquire the next slot under the current strategy:
+            // event-driven windows pop the wheel and skip ahead, stepped
+            // windows (and the stepped engine) materialize every slot —
+            // an adaptive run claims it to keep the wheel's clock in
+            // lockstep.
+            let (s, woke) = if EV && self.live_ev {
+                match self.next_wake(max_slots) {
+                    Some(s) => (s, true),
+                    None => break,
+                }
+            } else {
+                let s = self.synced_next;
+                if s >= max_slots {
+                    break;
+                }
+                (s, EV && self.claim_wake(s))
+            };
+            if EV {
+                self.advance_to(s);
+                self.fired_this_slot = false;
+            }
+            last_slot = s;
+            let probe = self.slot_body(&mut proto, Slot(s));
+            self.synced_next = s + 1;
+            if let Some(c) = probe {
+                convergence.get_or_insert(c);
+                match last_fault {
+                    None => break,
+                    Some(l) if c > l => {
+                        reconvergence = Some(c - l);
+                        break;
+                    }
+                    _ => {}
+                }
+            }
+            if EV {
+                self.post_schedule(&mut proto, s);
+                if self.adaptive {
+                    self.update_cutover(s, woke);
+                }
+            }
+        }
+
+        if S::ENABLED {
+            self.sink.event(&TraceEvent::RunEnd {
+                slot: last_slot,
+                converged: convergence.is_some(),
+            });
+            self.sink.finish();
+        }
+        self.rec.stop("engine.run_ns", t_run);
+
+        let sum = |f: fn(&Device) -> u64| self.devices.iter().map(f).sum();
+        let mut out = RunOutcome {
+            convergence_time: convergence.map(SlotDuration),
+            tree_edges: Vec::new(),
+            merge_rounds: 0,
+            discovered_links: sum(|d| d.table.discovered() as u64),
+            ground_truth_links: 2 * self.world.proximity_graph().m() as u64,
+            service_matches: sum(|d| d.table.service_matches(d.service).len() as u64),
+            n_devices: self.devices.len(),
+            reconvergence_time: reconvergence.map(SlotDuration),
+            orphaned_fragments: 0,
+            counters: self.counters,
+        };
+        proto.finish(&mut out);
+        out
+    }
+
+    /// Seed the wake queue: the first convergence probe, every device's
+    /// first natural fire (a device whose oscillator needs `k` ticks
+    /// fires in slot `k - 1`: slot bodies tick once each, starting at
+    /// slot 0) and every churn slot (joins/leaves happen at the top of
+    /// the slot body).
+    fn schedule_initial<P: Protocol>(&mut self, proto: &P) {
+        if proto.probing() {
+            self.push_wake(0);
+        }
+        for i in 0..self.devices.len() {
+            let k = u64::from(self.devices[i].osc.ticks_to_next_fire());
+            self.push_wake(k - 1);
+        }
+        for i in 0..self.churn_events.len() {
+            let at = self.churn_events[i].slot;
+            self.push_wake(at);
+        }
+    }
+
+    /// Pop the next slot to materialize. The wheel already coalesced
+    /// duplicates and dropped stale pushes, so every pop is a distinct,
+    /// strictly increasing slot; `None` ends the run (pops are ordered,
+    /// so once one reaches the horizon every remaining candidate is
+    /// past it too).
+    fn next_wake(&mut self, max_slots: u64) -> Option<u64> {
+        if R::ENABLED {
+            self.flush_wheel_stats();
+        }
+        let s = self.wake.pop()?;
+        debug_assert!(s >= self.synced_next, "wheel popped a processed slot");
+        if s >= max_slots {
+            return None;
+        }
+        self.rec.add("engine.wakeups_fired", 1);
+        if R::ENABLED {
+            self.rec
+                .observe("engine.wake_heap_depth", self.wake.pending() as u64);
+            self.rec
+                .observe("engine.wheel_occupancy", self.wake.in_window() as u64);
+        }
+        Some(s)
+    }
+
+    /// Stepped-window counterpart of [`next_wake`](Self::next_wake):
+    /// consume the wheel entry (if any) at exactly slot `s`, keeping
+    /// the wheel's clock in lockstep with the materialized slots.
+    /// Returns whether a wake was pending — the "would the event
+    /// engine have woken here?" half of the density signal.
+    fn claim_wake(&mut self, s: u64) -> bool {
+        if R::ENABLED {
+            self.flush_wheel_stats();
+        }
+        let woke = self.wake.claim(s);
+        if woke {
+            self.rec.add("engine.wakeups_fired", 1);
+            if R::ENABLED {
+                self.rec
+                    .observe("engine.wheel_occupancy", self.wake.in_window() as u64);
+            }
+        }
+        woke
+    }
+
+    /// Fast-forward every device through the skipped slots
+    /// `[synced_next, s)`. These are pure ticks by construction of the
+    /// wake set (a fire inside the window would have been scheduled as
+    /// a wake), so devices holding a trajectory cursor warp in O(1);
+    /// the rest tick literally.
+    fn advance_to(&mut self, s: u64) {
+        let ticks = s - self.synced_next;
+        if ticks == 0 {
+            return;
+        }
+        let mut warps = 0u64;
+        let mut literal = 0u64;
+        for i in 0..self.devices.len() {
+            // Departed devices are frozen: their oscillators stop with
+            // them, exactly as in the stepped loop's tick skip.
+            if self.churned && !self.active[i] {
+                continue;
+            }
+            let fast = match self.cursors[i] {
+                Some(c) => self.traj.advance(c, ticks),
+                None => None,
+            };
+            match fast {
+                Some((phase, moved)) => {
+                    self.devices[i].osc.warp(phase, ticks);
+                    self.cursors[i] = Some(moved);
+                    warps += 1;
+                }
+                None => {
+                    self.cursors[i] = None;
+                    let fires = self.devices[i].osc.advance_by(ticks);
+                    debug_assert_eq!(
+                        fires, 0,
+                        "device {i} fired inside a skipped window ending at slot {s}"
+                    );
+                    literal += 1;
+                }
+            }
+        }
+        self.synced_next = s;
+        if R::ENABLED {
+            self.rec.add("engine.slots_skipped", ticks);
+            self.rec.add("osc.cursor_warps", warps);
+            self.rec.add("osc.literal_advances", literal);
+        }
+    }
+
+    /// Re-arm the wake queue after materializing slot `s`: re-derive the
+    /// trajectory cursor of every device whose phase changed (from its
+    /// canonical reset phase) and re-predict its fire, chain the next
+    /// convergence probe, then add the protocol's own wakes.
+    fn post_schedule<P: Protocol>(&mut self, proto: &mut P, s: u64) {
+        while let Some(v) = self.touched.pop() {
+            let phase = self.devices[v as usize].osc.phase();
+            // The shared trajectory is tabulated for the nominal
+            // period; clock-skewed devices must tick literally.
+            let cur = if self.skewed[v as usize] {
+                None
+            } else {
+                self.traj.cursor_for_start(phase)
+            };
+            self.cursors[v as usize] = cur;
+            let k = match cur {
+                Some(c) => {
+                    self.rec.add("osc.cursor_derived", 1);
+                    u64::from(self.traj.ticks_to_fire(c))
+                }
+                None => {
+                    self.rec.add("osc.cursor_fallback", 1);
+                    u64::from(self.devices[v as usize].osc.ticks_to_next_fire())
+                }
+            };
+            self.push_wake(s + k);
+        }
+        // Each probe re-arms the next one on the grid.
+        if proto.probing() {
+            self.push_wake(s + (SYNC_CHECK_INTERVAL - s % SYNC_CHECK_INTERVAL));
+        }
+        proto.after_slot(self, s);
+    }
+
+    /// Feed the density tracker after materializing slot `s` and apply
+    /// the execution-strategy cutover it decides (adaptive mode only).
+    /// `woke` is the scheduler half of the busy signal: did a wheel
+    /// entry land on this slot?
+    fn update_cutover(&mut self, s: u64, woke: bool) {
+        let busy = woke || self.fired_this_slot;
+        let stepped = self.density.observe(s, busy);
+        if stepped != self.live_ev {
+            return;
+        }
+        self.rec.add("engine.cutover_transitions", 1);
+        self.live_ev = !stepped;
+        if self.live_ev {
+            self.reseed_event_wakes(s);
+        }
+    }
+
+    /// Entering an event-driven window from a stepped one: cursors and
+    /// per-device fire predictions went unmaintained, so drop every
+    /// cursor back to the literal-ticking fallback (the engine-start
+    /// state) and re-predict each live oscillator's next fire. Protocol,
+    /// jitter and probe wakes kept flowing into the wheel throughout the
+    /// stepped window, so they need no repair.
+    fn reseed_event_wakes(&mut self, s: u64) {
+        self.touched.clear();
+        for i in 0..self.devices.len() {
+            self.cursors[i] = None;
+            if self.churned && !self.active[i] {
+                continue;
+            }
+            let k = u64::from(self.devices[i].osc.ticks_to_next_fire());
+            self.push_wake(s + k);
+        }
+    }
+
+    /// Apply every scheduled churn event due at or before `slot`. In
+    /// event-driven mode every churn slot is pre-scheduled as a wake, so
+    /// both strategies apply each event in exactly its scheduled slot.
+    /// A rejoining device comes back amnesiac: fresh neighbour table.
+    fn apply_churn<P: Protocol>(&mut self, proto: &mut P, slot: Slot) {
+        let n = self.devices.len();
+        let mut churned: Vec<DeviceId> = Vec::new();
+        while self.next_churn < self.churn_events.len()
+            && self.churn_events[self.next_churn].slot <= slot.0
+        {
+            let ChurnEvent { device, kind, .. } = self.churn_events[self.next_churn];
+            self.next_churn += 1;
+            churned.push(device);
+            self.rec.add("chaos.churn_events", 1);
+            let d = device as usize;
+            match kind {
+                ChurnKind::Leave if self.active[d] => {
+                    self.active[d] = false;
+                    let orphaned = proto.on_leave(self, device);
+                    if S::ENABLED {
+                        self.sink.event(&TraceEvent::DeviceLeft {
+                            slot: slot.0,
+                            device,
+                            orphaned,
+                        });
+                    }
+                }
+                ChurnKind::Join if !self.active[d] => {
+                    self.active[d] = true;
+                    self.devices[d].table = NeighborTable::new(n);
+                    proto.on_join(self, device);
+                    if EV && self.live_ev {
+                        // Re-predict the thawed oscillator's next fire.
+                        // (Stepped windows materialize every slot, so the
+                        // tick catches it; the cutover reseed re-predicts
+                        // the whole population.)
+                        self.touched.push(device);
+                    }
+                    if S::ENABLED {
+                        self.sink.event(&TraceEvent::DeviceJoined {
+                            slot: slot.0,
+                            device,
+                        });
+                    }
+                }
+                _ => {}
+            }
+        }
+        if !churned.is_empty() {
+            // Population changed: stale exactly the churned devices'
+            // link-state cache rows; everyone else's stay hot.
+            self.medium.note_churn_of(&churned);
+            proto.after_churn(self, slot);
+        }
+    }
+
+    /// One materialized slot, wrapped in a scoped timer when a recorder
+    /// listens. The key comes from the protocol *at slot entry*, so a
+    /// phase transition inside the body bills to the phase that paid
+    /// for the work.
+    fn slot_body<P: Protocol>(&mut self, proto: &mut P, slot: Slot) -> Option<u64> {
+        if !R::ENABLED {
+            return self.slot_body_inner(proto, slot);
+        }
+        let key = proto.slot_key();
+        let t_slot = self.rec.start();
+        let probe = self.slot_body_inner(proto, slot);
+        self.rec.add("engine.slots_materialized", 1);
+        self.rec.stop(key, t_slot);
+        probe
+    }
+
+    /// One materialized slot — the body shared verbatim by both
+    /// strategies. Returns `Some(slot)` when convergence is declared.
+    fn slot_body_inner<P: Protocol>(&mut self, proto: &mut P, slot: Slot) -> Option<u64> {
+        let s = slot.0;
+        // Scheduled churn fires before anything else in the slot, so a
+        // join participates (and a leave is silent) from this slot on.
+        if self.next_churn < self.churn_events.len() {
+            self.apply_churn(proto, slot);
+        }
+        proto.step(self, slot);
+        self.broadcast(proto, slot);
+
+        // Per-slot population summary — the "slot tick" of the trace.
+        // O(n log n), gathered only when a sink listens.
+        if S::ENABLED {
+            let fragments = proto.fragments(self);
+            let phase_spread = self.phase_spread();
+            let discovered_links = self
+                .devices
+                .iter()
+                .map(|d| d.table.discovered() as u64)
+                .sum();
+            self.sink.event(&TraceEvent::SlotStats {
+                slot: s,
+                fragments,
+                phase_spread,
+                discovered_links,
+                ground_truth_links: self.ground_truth_links,
+            });
+        }
+
+        // Convergence: all live phases within one slot of each other.
+        if proto.probing()
+            && s.is_multiple_of(SYNC_CHECK_INTERVAL)
+            && !self.devices.is_empty()
+            && self.phase_spread() <= self.tol
+        {
+            if S::ENABLED {
+                self.sink.event(&TraceEvent::Converged { slot: s });
+            }
+            return Some(s);
+        }
+        None
+    }
+
+    /// Smallest covering arc of the population's phases, in turns.
+    /// Departed devices keep their frozen oscillators but are absent
+    /// from the air, so they are excluded from the convergence metric.
+    fn phase_spread(&mut self) -> f64 {
+        self.phases_scratch.clear();
+        let (churned, active) = (self.churned, &self.active);
+        self.phases_scratch.extend(
+            self.devices
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| !churned || active[*i])
+                .map(|(_, d)| d.osc.phase()),
+        );
+        ffd2d_osc::sync::phase_spread(&self.phases_scratch)
+    }
+
+    /// Queue a staggered fire transmission for a device whose firing
+    /// instant was `base_age` slots ago (0 for a natural threshold
+    /// crossing; the absorbing pulse's age for an absorption).
+    fn enqueue_fire(&mut self, id: DeviceId, slot: Slot, min_jitter: u64, base_age: u8) {
+        let j = self.rng.gen_range(min_jitter..FIRE_JITTER);
+        let at = (slot.0 + j) as usize % FIRE_RING;
+        self.fire_queue[at].push((id, base_age.saturating_add(j as u8)));
+        if EV && j > 0 {
+            // Jittered transmissions land in a future slot, which must
+            // be materialized for the ring take to find them (`j = 0`
+            // entries are taken later in the *current*, already
+            // materialized slot).
+            self.push_wake(slot.0 + j);
+        }
+    }
+
+    /// One slot of broadcast traffic: tick oscillators, transmit due
+    /// (staggered) fires plus the protocol's frames through the medium,
+    /// and couple decoded pulses with age compensation.
+    fn broadcast<P: Protocol>(&mut self, proto: &mut P, slot: Slot) {
+        let pathloss = self.world.channel_config().pathloss;
+        let tx_power = self.world.channel_config().tx_power;
+
+        // Natural fires from the slot tick. Cursor/touched maintenance
+        // only pays off when skip-ahead will use it — stepped windows
+        // of an adaptive run shed it (and reseed at the next cutover).
+        for i in 0..self.devices.len() {
+            if self.churned && !self.active[i] {
+                continue; // departed devices are frozen
+            }
+            if self.devices[i].osc.tick() {
+                if EV {
+                    self.fired_this_slot = true;
+                    if self.live_ev {
+                        self.touched.push(i as DeviceId);
+                    }
+                }
+                self.enqueue_fire(i as DeviceId, slot, 0, 0);
+            } else if EV && self.live_ev {
+                self.cursors[i] = self.cursors[i].map(Cursor::next);
+            }
+        }
+        // Due transmissions. The ring bucket and the transmission list
+        // are reusable scratch: taken here, returned below with their
+        // capacity intact, so steady-state slots allocate nothing.
+        let ring_at = slot.0 as usize % FIRE_RING;
+        let mut due = core::mem::take(&mut self.fire_queue[ring_at]);
+        let mut pending = core::mem::take(&mut self.pending_scratch);
+        pending.clear();
+        pending.extend(
+            due.iter()
+                // A device that left after staggering a fire never
+                // transmits it.
+                .filter(|&&(id, _)| !self.churned || self.active[id as usize])
+                .map(|&(id, age)| ProximitySignal {
+                    sender: id,
+                    service: self.devices[id as usize].service,
+                    kind: FrameKind::Fire {
+                        fragment: self.devices[id as usize].fragment,
+                        age,
+                    },
+                }),
+        );
+        due.clear();
+        self.fire_queue[ring_at] = due;
+        proto.extra_frames(self, slot, &mut pending);
+        if pending.is_empty() {
+            self.pending_scratch = pending;
+            return;
+        }
+
+        let mut absorbed: Vec<(DeviceId, u8)> = Vec::new();
+        let mut frames: Vec<(DeviceId, ProximitySignal)> = Vec::new();
+        let mut fault_drops = 0u64;
+        let mut fault_dups = 0u64;
+        {
+            let faults = &self.world.config().faults;
+            let has_frame_faults = faults.has_frame_faults();
+            let chaos_key = self.chaos_key;
+            let active_mask: Option<&[bool]> = if self.churned {
+                Some(&self.active)
+            } else {
+                None
+            };
+            let devices = &mut self.devices;
+            let prc = &self.prc;
+            let touched = &mut self.touched;
+            let live_ev = self.live_ev;
+            self.medium.resolve_instrumented(
+                self.world,
+                slot,
+                &pending,
+                active_mask,
+                &mut self.counters,
+                &mut *self.sink,
+                &mut *self.rec,
+                |receiver, sig, rx_dbm, sink| {
+                    // Frame faults apply here, after the decode decision
+                    // (contract 3 of the module docs).
+                    let mut copies = 1u32;
+                    if has_frame_faults {
+                        let fault = match faults.frame_fate(chaos_key, slot.0, sig.sender, receiver)
+                        {
+                            FrameFate::Deliver => None,
+                            FrameFate::Drop => {
+                                fault_drops += 1;
+                                copies = 0;
+                                Some(FaultKind::FrameDrop)
+                            }
+                            FrameFate::Duplicate => {
+                                fault_dups += 1;
+                                copies = 2;
+                                Some(FaultKind::FrameDup)
+                            }
+                        };
+                        if let Some(kind) = fault.filter(|_| S::ENABLED) {
+                            sink.event(&TraceEvent::FaultInjected {
+                                slot: slot.0,
+                                device: receiver,
+                                sender: sig.sender,
+                                kind,
+                            });
+                        }
+                    }
+                    for _ in 0..copies {
+                        let FrameKind::Fire { fragment, age } = sig.kind else {
+                            frames.push((receiver, *sig));
+                            continue;
+                        };
+                        let dev = &mut devices[receiver as usize];
+                        dev.table.observe_fire(
+                            sig.sender,
+                            Dbm(rx_dbm),
+                            sig.service,
+                            fragment,
+                            slot,
+                            &pathloss,
+                            tx_power,
+                        );
+                        if !P::couples(age) {
+                            continue;
+                        }
+                        let before = if S::ENABLED || (EV && live_ev) {
+                            dev.osc.phase()
+                        } else {
+                            0.0
+                        };
+                        let fired = dev.hear_fire_delayed(sig.sender, prc, age as u32);
+                        if S::ENABLED || (EV && live_ev) {
+                            let after = dev.osc.phase();
+                            if S::ENABLED && (after != before || fired) {
+                                sink.event(&TraceEvent::PhaseAdjust {
+                                    slot: slot.0,
+                                    device: receiver,
+                                    sender: sig.sender,
+                                    before,
+                                    after,
+                                    absorbed: fired,
+                                });
+                            }
+                            if EV && live_ev && (after != before || fired) {
+                                touched.push(receiver);
+                            }
+                        }
+                        if fired {
+                            absorbed.push((receiver, age));
+                        }
+                    }
+                },
+            );
+        }
+        self.counters.add_fault_dropped_frames(fault_drops);
+        self.counters.add_fault_dup_frames(fault_dups);
+        if fault_drops > 0 {
+            self.rec.add("chaos.frames_dropped", fault_drops);
+        }
+        if fault_dups > 0 {
+            self.rec.add("chaos.frames_duplicated", fault_dups);
+        }
+        proto.on_frames(self, slot, frames);
+        // Absorbed devices fire now; their transmissions stagger into
+        // the following slots.
+        for (id, age) in absorbed {
+            self.enqueue_fire(id, slot, 1, age);
+        }
+        self.pending_scratch = pending;
+    }
+}

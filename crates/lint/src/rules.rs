@@ -45,6 +45,7 @@ const COUNTER_HOMES: &[&str] = &["crates/sim/src/counters.rs"];
 /// Engine/medium hot paths where a panic is never an acceptable way to
 /// surface a bug mid-run.
 const PANIC_HOT_PATHS: &[&str] = &[
+    "crates/core/src/runtime.rs",
     "crates/core/src/st_protocol.rs",
     "crates/core/src/world.rs",
     "crates/baseline/src/fst.rs",
@@ -541,10 +542,9 @@ mod tests {
     #[test]
     fn panic_discipline_only_in_hot_paths() {
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-        assert_eq!(
-            rules_of(&check("crates/core/src/world.rs", src)),
-            ["panic-discipline"]
-        );
+        for hot in ["crates/core/src/world.rs", "crates/core/src/runtime.rs"] {
+            assert_eq!(rules_of(&check(hot, src)), ["panic-discipline"], "{hot}");
+        }
         assert!(check("crates/core/src/outcome.rs", src).is_empty());
         // unwrap_or is fine.
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap_or(0) }\n";

@@ -1,0 +1,135 @@
+//! Golden outcome pins.
+//!
+//! The equivalence suites compare engine modes, worker counts and cache
+//! settings *against each other*, so a change that shifts an RNG draw
+//! (or reorders a hook) identically in every mode passes all of them.
+//! These pins compare against recorded history instead: the FNV-1a
+//! digest of `format!("{:?}", RunOutcome)` for ST and FST on six fixed
+//! cells — {Table-I n = 60 clean, Table-I n = 60 under the `churn-heavy`
+//! preset, the `tests/chaos.rs`-style plan with drop, dup, churn, skew
+//! and droop} × {Stepped, Adaptive}.
+//!
+//! A digest mismatch means the simulator's observable behaviour
+//! changed. If that is intended, re-pin from the failure message, which
+//! prints every cell's current digest.
+
+use ffd2d::baseline::FstProtocol;
+use ffd2d::chaos::{ChurnEvent, ChurnKind, ClockSkew, FaultPlan, PowerDroop};
+use ffd2d::core::{EngineMode, RunOutcome, ScenarioConfig, StProtocol};
+use ffd2d::sim::time::SlotDuration;
+
+const N: usize = 60;
+const SEED: u64 = 0x60_1DE2;
+const CLEAN_HORIZON: u64 = 12_000;
+const FAULT_HORIZON: u64 = 9_000;
+
+/// FNV-1a, 64-bit (the digest `perfbench` checks its workloads with).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+fn digest(o: &RunOutcome) -> u64 {
+    fnv1a(format!("{o:?}").as_bytes())
+}
+
+/// Every fault class at once, as in `tests/chaos.rs`.
+fn spicy_plan(horizon: u64) -> FaultPlan {
+    FaultPlan {
+        drop_prob: 0.05,
+        dup_prob: 0.02,
+        churn: vec![
+            ChurnEvent {
+                slot: horizon / 3,
+                device: 3,
+                kind: ChurnKind::Leave,
+            },
+            ChurnEvent {
+                slot: horizon / 3 + 50,
+                device: 7,
+                kind: ChurnKind::Leave,
+            },
+            ChurnEvent {
+                slot: horizon * 2 / 3,
+                device: 3,
+                kind: ChurnKind::Join,
+            },
+        ],
+        skew: vec![ClockSkew {
+            device: 5,
+            extra_slots: 2,
+        }],
+        droop: vec![PowerDroop {
+            device: 1,
+            from_slot: horizon / 4,
+            until_slot: horizon / 2,
+            droop_db: 12.0,
+        }],
+    }
+}
+
+/// The three scenario cells, by name.
+fn cells() -> Vec<(&'static str, ScenarioConfig)> {
+    let base = |horizon| {
+        ScenarioConfig::table1(N)
+            .seeded(SEED)
+            .with_max_slots(SlotDuration(horizon))
+    };
+    let heavy = FaultPlan::resolve("churn-heavy", N, FAULT_HORIZON).expect("preset");
+    vec![
+        ("clean", base(CLEAN_HORIZON)),
+        ("churn-heavy", base(FAULT_HORIZON).with_faults(heavy)),
+        (
+            "spicy",
+            base(FAULT_HORIZON).with_faults(spicy_plan(FAULT_HORIZON)),
+        ),
+    ]
+}
+
+/// (cell, engine, protocol) → digest recorded before the slot machinery
+/// of the two engines was merged into one runtime.
+const PINS: &[(&str, &str, &str, u64)] = &[
+    ("clean", "Stepped", "ST", 0xdae63e98fc6b1f74),
+    ("clean", "Stepped", "FST", 0xc91bcdc13032d485),
+    ("clean", "Adaptive", "ST", 0xdae63e98fc6b1f74),
+    ("clean", "Adaptive", "FST", 0xc91bcdc13032d485),
+    ("churn-heavy", "Stepped", "ST", 0x91bfb69d01e0c5d8),
+    ("churn-heavy", "Stepped", "FST", 0x56d4cb26d8dbc857),
+    ("churn-heavy", "Adaptive", "ST", 0x91bfb69d01e0c5d8),
+    ("churn-heavy", "Adaptive", "FST", 0x56d4cb26d8dbc857),
+    ("spicy", "Stepped", "ST", 0xabef4a73e1d17582),
+    ("spicy", "Stepped", "FST", 0x9c8221fc6a59f3ad),
+    ("spicy", "Adaptive", "ST", 0xabef4a73e1d17582),
+    ("spicy", "Adaptive", "FST", 0x9c8221fc6a59f3ad),
+];
+
+#[test]
+fn outcomes_match_the_recorded_digests() {
+    let mut actual = Vec::new();
+    for (cell, cfg) in cells() {
+        for (engine, mode) in [
+            ("Stepped", EngineMode::Stepped),
+            ("Adaptive", EngineMode::Adaptive),
+        ] {
+            let cfg = cfg.clone().with_engine(mode);
+            actual.push((cell, engine, "ST", digest(&StProtocol::run(&cfg))));
+            actual.push((cell, engine, "FST", digest(&FstProtocol::run(&cfg))));
+        }
+    }
+    let listing: String = actual
+        .iter()
+        .map(|(c, e, p, d)| format!("    ({c:?}, {e:?}, {p:?}, 0x{d:016x}),\n"))
+        .collect();
+    assert_eq!(
+        actual.len(),
+        PINS.len(),
+        "cell matrix changed; current digests:\n{listing}"
+    );
+    for (got, pin) in actual.iter().zip(PINS) {
+        assert_eq!(
+            got, pin,
+            "outcome digest drifted; current digests:\n{listing}"
+        );
+    }
+}
