@@ -14,9 +14,10 @@
 //!   the sender and its service class.
 //!
 //! The implementation reuses the identical substrate as the ST engine
-//! (`ffd2d-core`'s [`World`], devices, fast medium, jittered
-//! transmissions with age stamps), so every difference in Figs. 3–4 is
-//! attributable to the protocol, not the plumbing.
+//! (`ffd2d-core`'s [`World`](ffd2d_core::world::World), devices, fast
+//! medium, jittered transmissions with age stamps), so every
+//! difference in Figs. 3–4 is attributable to the protocol, not the
+//! plumbing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -114,11 +114,11 @@ impl Device {
     /// Returns `true` if this device is absorbed (fires now).
     ///
     /// * `Mesh` — symmetric Mirollo–Strogatz pulse coupling through the
-    ///   PRC (the FST baseline's behaviour; convergence per [19]).
+    ///   PRC (the FST baseline's behaviour; convergence per \[19\]).
     /// * `TreeOnly` — master–slave alignment: a pulse from the tree
     ///   parent makes this device adopt the parent's timing exactly
     ///   (the fragment head is the timing reference, which is how the
-    ///   tree-sync argument of Chao et al. [17] is realised). Pulses
+    ///   tree-sync argument of Chao et al. \[17\] is realised). Pulses
     ///   from any other device are ignored.
     pub fn hear_fire_delayed(&mut self, sender: DeviceId, prc: &Prc, age: u32) -> bool {
         match self.coupling {

@@ -8,7 +8,7 @@
 //!
 //! The crate has three layers:
 //!
-//! 1. **Sequential reference** ([`reference`], [`ffa`], [`ranking`]) —
+//! 1. **Sequential reference** ([`reference`](mod@reference), [`ffa`], [`ranking`]) —
 //!    Algorithms 1–3 exactly as written: fragment merging over heavy
 //!    edges ([`reference::build_spanning_tree`]), the `H_Connect`
 //!    predicate, and the firefly metaheuristic (Algorithm 3 /

@@ -12,7 +12,7 @@
 //! * `O(log n)` global-best queries (last element),
 //!
 //! with every comparison counted so the complexity claim is measurable
-//! (see `ffd2d-bench`).
+//! (see the `complexity` experiment in `ffd2d-experiments`).
 
 /// A sorted index over firefly brightness.
 #[derive(Debug, Clone, Default)]

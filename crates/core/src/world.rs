@@ -264,9 +264,8 @@ impl World {
     /// Batched [`World::mean_rx_dbm`]: append the mean link gain
     /// `sender → r` for every `r` in `receivers` to `out`, in order, in
     /// one pass over positions. Delegates to the radio layer's
-    /// [`ffd2d_radio::channel::fill_mean_rx_dbm`] kernel — the same
-    /// code path [`Channel::mean_rx_power_batch`] uses — so element `j`
-    /// is bit-identical to `mean_rx_dbm(sender, receivers[j])`,
+    /// [`ffd2d_radio::channel::fill_mean_rx_dbm`] kernel, so element
+    /// `j` is bit-identical to `mean_rx_dbm(sender, receivers[j])`,
     /// including the `NEG_INFINITY` self-pair sentinel.
     pub fn fill_mean_rx_dbm(&self, sender: DeviceId, receivers: &[DeviceId], out: &mut Vec<f64>) {
         ffd2d_radio::channel::fill_mean_rx_dbm(
@@ -412,7 +411,7 @@ enum RowRef {
 /// contiguous chunks balanced by candidate-pair weight (transmissions ×
 /// occupants per cell, so one hot cell cannot serialize the slot), one
 /// scoped worker per chunk, each with its own
-/// persistent [`ShardScratch`]. A receiver lives in exactly one grid
+/// persistent `ShardScratch`. A receiver lives in exactly one grid
 /// cell, so its `(receiver, codec)` accumulators are written by exactly
 /// one shard, in the same cell-ascending / submission order the
 /// sequential loop uses — the accumulated `best`/`second`/`count` are

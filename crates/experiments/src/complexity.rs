@@ -5,8 +5,9 @@
 //! total), while keeping the fireflies rank-ordered reduces the search
 //! for a brighter firefly to `O(log n)`. This experiment counts the
 //! actual comparison work of both implementations across a population
-//! sweep, producing the asymptotic-separation figure; `ffd2d-bench`
-//! measures the same claim in wall time.
+//! sweep, producing the asymptotic-separation figure. Comparison counts
+//! are exact and host-independent, which is why the claim is measured
+//! in work rather than wall time.
 
 use ffd2d_core::ffa::{ffa_naive, ffa_ranked, FfaConfig};
 use ffd2d_metrics::{Figure, Series, Table};

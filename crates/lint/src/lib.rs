@@ -17,7 +17,7 @@
 //! | rule | invariant | guarded at runtime by |
 //! |------|-----------|----------------------|
 //! | `ordered-iteration` | no `HashMap`/`HashSet` whose iteration order can escape in deterministic crates | `engine_equivalence`, `medium_equivalence` |
-//! | `wall-clock` | `Instant::now`/`SystemTime` only in telemetry/bench/experiments | `telemetry` (outcome-neutrality) |
+//! | `wall-clock` | `Instant::now`/`SystemTime` only in telemetry/experiments/lint | `telemetry` (outcome-neutrality) |
 //! | `rng-discipline` | seed arithmetic and RNG construction live in `ffd2d_sim::rng`; draws route through a `StreamId` | `determinism`, `chaos` |
 //! | `counter-discipline` | `Counters` fields bump through the saturating helpers, never raw `+=` | `trace` (tally↔counter reconciliation) |
 //! | `panic-discipline` | no `unwrap()`/`expect(` in engine/medium hot paths | all suites (a panic is the loudest nondeterminism) |

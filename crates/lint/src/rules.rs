@@ -16,11 +16,11 @@ const DETERMINISTIC_CRATES: &[&str] = &["core", "sim", "phy", "osc", "graph", "r
 
 /// Crates allowed to read the wall clock: the telemetry layer itself
 /// (recorder-gated, provably outcome-neutral) and the offline harnesses.
-const WALL_CLOCK_EXEMPT: &[&str] = &["telemetry", "bench", "experiments", "lint"];
+const WALL_CLOCK_EXEMPT: &[&str] = &["telemetry", "experiments", "lint"];
 
 /// Crates exempt from RNG-stream discipline: offline harnesses that
 /// never run inside a simulated trial.
-const RNG_EXEMPT: &[&str] = &["bench", "experiments", "lint"];
+const RNG_EXEMPT: &[&str] = &["experiments", "lint"];
 
 /// The one sanctioned home of seed arithmetic and RNG construction.
 const RNG_HOME: &str = "crates/sim/src/rng.rs";
@@ -262,7 +262,7 @@ fn ordered_iteration(source: &SourceFile, out: &mut Vec<(&'static str, u32, Stri
 }
 
 /// Rule `wall-clock`: `Instant::now()` / any `SystemTime` use outside
-/// the telemetry/bench/experiments crates. Timing a deterministic path
+/// the telemetry/experiments/lint crates. Timing a deterministic path
 /// is fine only when recorder-gated and provably outcome-neutral —
 /// which an allow must assert.
 fn wall_clock(source: &SourceFile, out: &mut Vec<(&'static str, u32, String)>) {
@@ -460,6 +460,33 @@ mod tests {
 
     fn rules_of(findings: &[Finding]) -> Vec<&'static str> {
         findings.iter().map(|f| f.rule).collect()
+    }
+
+    #[test]
+    fn scope_tables_name_only_live_crates_and_files() {
+        // A deleted crate or file must not leave a silent exemption or
+        // an unguarded hot path behind.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .ancestors()
+            .nth(2)
+            .expect("workspace root");
+        for name in DETERMINISTIC_CRATES
+            .iter()
+            .chain(WALL_CLOCK_EXEMPT)
+            .chain(RNG_EXEMPT)
+        {
+            assert!(
+                root.join("crates").join(name).is_dir(),
+                "no crate directory crates/{name}"
+            );
+        }
+        for path in PANIC_HOT_PATHS
+            .iter()
+            .chain([&RNG_HOME])
+            .chain(COUNTER_HOMES)
+        {
+            assert!(root.join(path).is_file(), "no file {path}");
+        }
     }
 
     #[test]

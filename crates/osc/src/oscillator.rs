@@ -10,7 +10,7 @@
 //! cannot receive while it transmits, and the refractory period is also
 //! what prevents infinite same-slot echo cascades in the slotted
 //! setting. This matches the RFA-style practical firefly
-//! implementations the paper cites ([13], [14]).
+//! implementations the paper cites (\[13\], \[14\]).
 
 use serde::{Deserialize, Serialize};
 

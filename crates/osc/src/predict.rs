@@ -177,7 +177,7 @@ impl TrajectoryCache {
     }
 
     /// Ticks from `c` until the ramp fires (≥ 1 for any valid cursor) —
-    /// the memoized form of [`PhaseOscillator::ticks_to_next_fire`].
+    /// the memoized form of [`PhaseOscillator::ticks_to_next_fire`](crate::oscillator::PhaseOscillator::ticks_to_next_fire).
     pub fn ticks_to_fire(&mut self, c: Cursor) -> u32 {
         loop {
             let traj = &self.trajs[c.traj as usize];

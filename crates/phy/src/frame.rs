@@ -2,7 +2,7 @@
 //!
 //! A proximity signal is physically a RACH preamble plus a small payload
 //! (the paper's devices piggyback fragment/head information on their
-//! PSs, as MEMFIS [14] multiplexes sync words with data). This module
+//! PSs, as MEMFIS \[14\] multiplexes sync words with data). This module
 //! defines the frame vocabulary of Algorithms 1–3 and a compact wire
 //! format over [`bytes`] so frames can be serialised exactly as a real
 //! implementation would put them on the air.

@@ -17,14 +17,9 @@
 //! The resolver also tallies [`Counters`] so experiments can attribute
 //! losses (Fig. 4's message accounting and the collision ablations).
 
-use std::time::Instant;
-
-use ffd2d_parallel::{sharded_for_each, Parallelism};
 use ffd2d_sim::counters::Counters;
 use ffd2d_sim::deployment::DeviceId;
 use ffd2d_sim::time::Slot;
-use ffd2d_telemetry::{NullRecorder, Recorder};
-use ffd2d_trace::{BufferSink, NullSink, TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
 
 use crate::codec::RachCodec;
@@ -71,11 +66,6 @@ pub struct MediumConfig {
     /// Capture margin: the strongest same-codec signal decodes if it
     /// exceeds the runner-up by at least this many dB.
     pub capture_margin: Db,
-    /// Intra-slot sharding of the per-receiver loop. Every setting
-    /// produces bit-identical reports, counters and trace bytes (each
-    /// channel sample is a pure function of `(tx, rx, slot)`); the
-    /// knob only trades threads for wall clock.
-    pub parallelism: Parallelism,
 }
 
 impl Default for MediumConfig {
@@ -83,12 +73,15 @@ impl Default for MediumConfig {
         MediumConfig {
             // 6 dB is a conventional preamble capture threshold.
             capture_margin: Db(6.0),
-            parallelism: Parallelism::Off,
         }
     }
 }
 
-/// The per-slot shared-medium resolver.
+/// The per-slot shared-medium resolver: a serial, pair-at-a-time
+/// oracle. Every `(transmission, receiver)` pair is sampled through the
+/// full [`Channel`] stack, so the resolver is obviously correct rather
+/// than fast; the core crate's spatial-grid `FastMedium` is checked
+/// against it bit for bit.
 #[derive(Debug, Clone)]
 pub struct Medium {
     config: MediumConfig,
@@ -100,70 +93,10 @@ impl Default for Medium {
     }
 }
 
-/// Per-slot precomputation shared (read-only) by every receiver shard:
-/// the transmitting-sender set and the per-codec transmission lists,
-/// each built once instead of re-derived per receiver.
-struct PreparedSlot {
-    slot: Slot,
-    /// Senders transmitting this slot, sorted for membership tests.
-    senders: Vec<DeviceId>,
-    /// Transmissions partitioned by codec (indexed like
-    /// [`RachCodec::ALL`]), submission order preserved within a codec —
-    /// the same order the old per-receiver filter visited them in.
-    by_codec: [Vec<Transmission>; 2],
-    /// Sender ids parallel to `by_codec`, so the per-receiver loop can
-    /// hand a whole codec's senders to the batched mean-gain kernel
-    /// ([`Channel::mean_rx_power_batch`]) in one call.
-    senders_by_codec: [Vec<DeviceId>; 2],
-}
-
-impl PreparedSlot {
-    fn new(slot: Slot, transmissions: &[Transmission]) -> PreparedSlot {
-        let mut senders: Vec<DeviceId> = transmissions.iter().map(|t| t.sender()).collect();
-        senders.sort_unstable();
-        let mut by_codec: [Vec<Transmission>; 2] = [Vec::new(), Vec::new()];
-        let mut senders_by_codec: [Vec<DeviceId>; 2] = [Vec::new(), Vec::new()];
-        for &tx in transmissions {
-            // Indexing follows `RachCodec::ALL` order; a match can't miss
-            // a codec, so no fallible lookup in the per-slot hot path.
-            let ci = match tx.codec() {
-                RachCodec::Rach1 => 0,
-                RachCodec::Rach2 => 1,
-            };
-            by_codec[ci].push(tx);
-            senders_by_codec[ci].push(tx.sender());
-        }
-        PreparedSlot {
-            slot,
-            senders,
-            by_codec,
-            senders_by_codec,
-        }
-    }
-}
-
-/// One worker's private output in the sharded path: merged in shard
-/// (= receiver) order after the scope joins.
-#[derive(Default)]
-struct RxShard {
-    counters: Counters,
-    reports: Vec<DeliveryReport>,
-    events: BufferSink,
-    /// Wall-clock spent in this shard's decode loop; written only when
-    /// a telemetry recorder is enabled, read after the scope joins.
-    busy_ns: u64,
-}
-
 impl Medium {
     /// A medium with the given configuration.
     pub fn new(config: MediumConfig) -> Medium {
         Medium { config }
-    }
-
-    /// Builder: set the intra-slot [`Parallelism`] mode.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Medium {
-        self.config.parallelism = parallelism;
-        self
     }
 
     /// Resolve one slot.
@@ -180,286 +113,56 @@ impl Medium {
         receivers: &[DeviceId],
         counters: &mut Counters,
     ) -> Vec<DeliveryReport> {
-        self.resolve_traced(
-            channel,
-            slot,
-            transmissions,
-            receivers,
-            counters,
-            &mut NullSink,
-        )
-    }
-
-    /// [`Medium::resolve`] with per-event tracing: every transmission,
-    /// decode and collision is reported to `sink`, plus one aggregate
-    /// below-threshold count per slot. With a disabled sink this
-    /// monomorphizes to exactly the untraced resolver.
-    pub fn resolve_traced<S: TraceSink>(
-        &self,
-        channel: &Channel<'_>,
-        slot: Slot,
-        transmissions: &[Transmission],
-        receivers: &[DeviceId],
-        counters: &mut Counters,
-        sink: &mut S,
-    ) -> Vec<DeliveryReport> {
-        self.resolve_instrumented(
-            channel,
-            slot,
-            transmissions,
-            receivers,
-            counters,
-            sink,
-            &mut NullRecorder,
-        )
-    }
-
-    /// [`Medium::resolve_traced`] plus a telemetry [`Recorder`]: the
-    /// resolver times itself, counts work (transmissions, tx×rx pairs,
-    /// workers) and reports per-shard busy time so load imbalance is
-    /// visible. Telemetry reads the clock but never the channel or any
-    /// RNG, so reports, counters and trace bytes are bit-identical
-    /// whatever recorder is attached; a [`NullRecorder`] compiles every
-    /// site out, leaving exactly the untraced resolver.
-    #[allow(clippy::too_many_arguments)]
-    pub fn resolve_instrumented<S: TraceSink, R: Recorder>(
-        &self,
-        channel: &Channel<'_>,
-        slot: Slot,
-        transmissions: &[Transmission],
-        receivers: &[DeviceId],
-        counters: &mut Counters,
-        sink: &mut S,
-        rec: &mut R,
-    ) -> Vec<DeliveryReport> {
+        let mut reports = vec![DeliveryReport::default(); receivers.len()];
         if transmissions.is_empty() {
             // Nothing on the air: every report is empty, no counter
-            // moves and no channel sample is drawn. The early-out turns
-            // an idle slot from an O(receivers) scan over nothing into
-            // O(1) (the fast resolver in ffd2d-core has the same
-            // shortcut), which is what both engine modes lean on for
-            // idle slots.
-            return vec![DeliveryReport::default(); receivers.len()];
+            // moves and no channel sample is drawn (the fast resolver
+            // in ffd2d-core has the same shortcut).
+            return reports;
         }
-        let t_resolve = rec.start();
-        // Tally transmissions by codec.
         for tx in transmissions {
             match tx.codec() {
                 RachCodec::Rach1 => counters.add_rach1_tx(1),
                 RachCodec::Rach2 => counters.add_rach2_tx(1),
             }
-            if S::ENABLED {
-                sink.event(&TraceEvent::Tx {
-                    slot: slot.0,
-                    sender: tx.sender(),
-                    codec: tx.codec().trace_codec(),
-                    kind: tx.signal.kind.trace_label(),
-                });
-            }
         }
-
-        let prepared = PreparedSlot::new(slot, transmissions);
-        let workers = self
-            .config
-            .parallelism
-            .workers_for(transmissions.len() as u64 * receivers.len() as u64)
-            .min(receivers.len().max(1));
-
-        let mut reports: Vec<DeliveryReport> = Vec::with_capacity(receivers.len());
-        let below_threshold = if workers <= 1 {
-            let before = counters.rx_below_threshold;
-            self.resolve_receivers(channel, &prepared, receivers, counters, &mut reports, sink);
-            counters.rx_below_threshold - before
-        } else {
-            // Sharded path: contiguous receiver ranges, each worker
-            // tallying into private counters/reports/event buffers. Every
-            // channel sample is a pure function of `(tx, rx, slot)`, so
-            // per-receiver outcomes cannot depend on the sharding; the
-            // merge below concatenates in shard order — which is receiver
-            // order — making reports, counters and the event stream
-            // bit-identical to the sequential loop for any worker count.
-            let mut shards: Vec<RxShard> = Vec::new();
-            shards.resize_with(workers, RxShard::default);
-            sharded_for_each(receivers, &mut shards, |_, chunk, shard| {
-                let t0 = if R::ENABLED {
-                    // ffd2d-lint: allow(wall-clock) — recorder-gated shard timing; feeds telemetry only, never protocol state or RNG, and the NullRecorder build compiles it out entirely
-                    Some(Instant::now())
-                } else {
-                    None
-                };
-                if S::ENABLED {
-                    self.resolve_receivers(
-                        channel,
-                        &prepared,
-                        chunk,
-                        &mut shard.counters,
-                        &mut shard.reports,
-                        &mut shard.events,
-                    );
-                } else {
-                    self.resolve_receivers(
-                        channel,
-                        &prepared,
-                        chunk,
-                        &mut shard.counters,
-                        &mut shard.reports,
-                        &mut NullSink,
-                    );
-                }
-                if let Some(t0) = t0 {
-                    shard.busy_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                }
-            });
-            let mut below = 0u64;
-            for shard in &mut shards {
-                below += shard.counters.rx_below_threshold;
-                counters.merge(&shard.counters);
-                reports.append(&mut shard.reports);
-                if S::ENABLED {
-                    shard.events.flush_into(sink);
-                }
-            }
-            if R::ENABLED {
-                let mut busy_sum = 0u64;
-                let mut busy_max = 0u64;
-                for shard in &shards {
-                    rec.record_ns("medium.shard_busy_ns", shard.busy_ns);
-                    busy_sum = busy_sum.saturating_add(shard.busy_ns);
-                    busy_max = busy_max.max(shard.busy_ns);
-                }
-                if busy_sum > 0 {
-                    // Peak-to-mean shard busy time, in percent (100 =
-                    // perfectly balanced).
-                    let mean = (busy_sum / workers as u64).max(1);
-                    rec.observe("medium.shard_imbalance_pct", busy_max * 100 / mean);
-                }
-            }
-            below
-        };
-
-        if S::ENABLED && below_threshold > 0 {
-            sink.event(&TraceEvent::RxBelowThreshold {
-                slot: slot.0,
-                count: below_threshold,
-            });
-        }
-        if R::ENABLED {
-            rec.add("medium.slots_resolved", 1);
-            rec.add("medium.transmissions", transmissions.len() as u64);
-            rec.observe(
-                "medium.pairs_per_slot",
-                transmissions.len() as u64 * receivers.len() as u64,
-            );
-            rec.observe("medium.workers_per_slot", workers as u64);
-            rec.stop("medium.resolve_ns", t_resolve);
-        }
-        reports
-    }
-
-    /// The per-receiver decode loop over one contiguous receiver range:
-    /// appends one report per receiver and tallies receptions (including
-    /// `rx_below_threshold`; the caller emits the per-slot aggregate
-    /// event). Both the sequential path (full range, caller's sink) and
-    /// each parallel shard (sub-range, private buffer) run exactly this.
-    fn resolve_receivers<S: TraceSink>(
-        &self,
-        channel: &Channel<'_>,
-        prepared: &PreparedSlot,
-        receivers: &[DeviceId],
-        counters: &mut Counters,
-        reports: &mut Vec<DeliveryReport>,
-        sink: &mut S,
-    ) {
-        let slot = prepared.slot;
         let threshold = channel.config().detection_threshold;
-        // Scratch: audible same-codec signals at the current receiver,
-        // and the batched mean link gains feeding them.
+        // Scratch: audible same-codec signals at the current receiver.
         let mut audible: Vec<(f64, &Transmission)> = Vec::new();
-        let mut means: Vec<f64> = Vec::new();
-        for &rx in receivers {
-            let mut report = DeliveryReport::default();
-            if prepared.senders.binary_search(&rx).is_ok() {
+        for (&rx, report) in receivers.iter().zip(&mut reports) {
+            if transmissions.iter().any(|tx| tx.sender() == rx) {
                 // Half-duplex: a transmitting device hears nothing.
-                reports.push(report);
                 continue;
             }
-            for (ci, codec) in RachCodec::ALL.into_iter().enumerate() {
+            for codec in RachCodec::ALL {
                 audible.clear();
-                // Mean gains for the whole codec batch in one kernel
-                // pass (symmetric, so rx-side batching matches the
-                // tx→rx facade bit for bit); fading — the only per-slot
-                // term — is then added per transmission, which is
-                // exactly `channel.sample` split in two.
-                means.clear();
-                channel.mean_rx_power_batch(rx, &prepared.senders_by_codec[ci], &mut means);
-                for (tx, &mean) in prepared.by_codec[ci].iter().zip(&means) {
-                    let rx_power = channel.rx_power_from_mean(mean, tx.sender(), rx, slot);
+                for tx in transmissions.iter().filter(|tx| tx.codec() == codec) {
+                    let rx_power = channel.rx_power(tx.sender(), rx, slot);
                     if rx_power >= threshold {
                         audible.push((rx_power.get(), tx));
                     } else {
                         counters.add_rx_below_threshold(1);
                     }
                 }
-                match audible.len() {
-                    0 => {}
-                    1 => {
-                        counters.add_rx_ok(1);
-                        if S::ENABLED {
-                            sink.event(&TraceEvent::RxDecode {
-                                slot: slot.0,
-                                receiver: rx,
-                                sender: audible[0].1.sender(),
-                                codec: codec.trace_codec(),
-                                rx_dbm: audible[0].0,
-                            });
-                        }
-                        report.decoded.push(audible[0].1.signal);
-                    }
-                    _ => {
-                        // Capture check: strongest vs runner-up.
-                        // `unwrap_or(Equal)` is unreachable (powers are
-                        // finite dBm, never NaN) and, when both compare
-                        // paths exist, bit-identical to the panicking
-                        // sort for every non-NaN input.
-                        audible.sort_by(|a, b| {
-                            b.0.partial_cmp(&a.0).unwrap_or(core::cmp::Ordering::Equal)
-                        });
-                        let margin = audible[0].0 - audible[1].0;
-                        if margin >= self.config.capture_margin.get() {
-                            counters.add_rx_ok(1);
-                            counters.add_rx_collision((audible.len() - 1) as u64);
-                            if S::ENABLED {
-                                sink.event(&TraceEvent::RxDecode {
-                                    slot: slot.0,
-                                    receiver: rx,
-                                    sender: audible[0].1.sender(),
-                                    codec: codec.trace_codec(),
-                                    rx_dbm: audible[0].0,
-                                });
-                                sink.event(&TraceEvent::RxCollision {
-                                    slot: slot.0,
-                                    receiver: rx,
-                                    codec: codec.trace_codec(),
-                                    signals: (audible.len() - 1) as u32,
-                                });
-                            }
-                            report.decoded.push(audible[0].1.signal);
-                        } else {
-                            counters.add_rx_collision(audible.len() as u64);
-                            if S::ENABLED {
-                                sink.event(&TraceEvent::RxCollision {
-                                    slot: slot.0,
-                                    receiver: rx,
-                                    codec: codec.trace_codec(),
-                                    signals: audible.len() as u32,
-                                });
-                            }
-                        }
-                    }
+                if audible.is_empty() {
+                    continue;
+                }
+                // Capture check: strongest vs runner-up. `unwrap_or(Equal)`
+                // is unreachable (powers are finite dBm, never NaN); the
+                // stable sort keeps submission order among equal powers.
+                audible.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(core::cmp::Ordering::Equal));
+                let captured = audible.len() == 1
+                    || audible[0].0 - audible[1].0 >= self.config.capture_margin.get();
+                if captured {
+                    counters.add_rx_ok(1);
+                    counters.add_rx_collision((audible.len() - 1) as u64);
+                    report.decoded.push(audible[0].1.signal);
+                } else {
+                    counters.add_rx_collision(audible.len() as u64);
                 }
             }
-            reports.push(report);
         }
+        reports
     }
 }
 
@@ -589,45 +292,6 @@ mod tests {
         assert_eq!(reports.len(), 2);
         assert!(reports.iter().all(|r| r.decoded.is_empty()));
         assert_eq!(counters.total_tx(), 0);
-    }
-
-    #[test]
-    fn sharded_resolver_is_bit_identical_to_sequential() {
-        // 40 devices on a line, a mix of codecs and collisions; the
-        // sharded resolver must reproduce the sequential one exactly —
-        // reports, counters, and the event stream in the same order —
-        // for any worker count (Fixed pins bypass the Auto cutoff).
-        let dep = line_deployment(&(0..40).map(|i| i as f64 * 9.0).collect::<Vec<_>>());
-        let ch = Channel::new(&dep, ChannelConfig::ideal(), 1);
-        let receivers: Vec<u32> = (0..40).collect();
-        let txs = [
-            fire(0),
-            fire(13),
-            hconnect(25, 24),
-            fire(39),
-            hconnect(7, 8),
-        ];
-
-        let run = |parallelism: Parallelism| {
-            let medium = Medium::default().with_parallelism(parallelism);
-            let mut counters = Counters::new();
-            let mut events = BufferSink::new();
-            let reports =
-                medium.resolve_traced(&ch, Slot(3), &txs, &receivers, &mut counters, &mut events);
-            let decoded: Vec<Vec<ProximitySignal>> =
-                reports.into_iter().map(|r| r.decoded).collect();
-            (decoded, counters, events.events)
-        };
-
-        let baseline = run(Parallelism::Off);
-        assert!(baseline.1.rx_ok > 0, "vacuous scenario");
-        assert!(baseline.1.rx_collision > 0, "no collisions exercised");
-        for workers in [1usize, 2, 8, 64] {
-            let sharded = run(Parallelism::Fixed(workers));
-            assert_eq!(sharded.0, baseline.0, "reports, workers={workers}");
-            assert_eq!(sharded.1, baseline.1, "counters, workers={workers}");
-            assert_eq!(sharded.2, baseline.2, "events, workers={workers}");
-        }
     }
 
     #[test]

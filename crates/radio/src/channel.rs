@@ -127,9 +127,8 @@ impl ChannelConfig {
 /// half-duplex masking never reads the entry, the sentinel just keeps
 /// threshold pruning conservative if one leaks through.
 ///
-/// Both [`Channel::mean_rx_power_batch`] and the core `World`'s batch
-/// fill delegate here, so every consumer of cached mean gains shares
-/// one code path.
+/// The core `World`'s batch fill delegates here, so every consumer of
+/// cached mean gains shares one code path.
 pub fn fill_mean_rx_dbm(
     deployment: &Deployment,
     tx_power: Dbm,
@@ -202,41 +201,10 @@ impl<'a> Channel<'a> {
         self.config.tx_power - self.config.pathloss.loss(d) + self.shadowing.sample(a, b)
     }
 
-    /// Batched [`Channel::mean_rx_power`]: mean received power from
-    /// `sender` at each of `receivers`, appended to `out` as raw dBm in
-    /// one pass via [`fill_mean_rx_dbm`]. Element-wise bit-identical to
-    /// the pair-at-a-time facade; self-pairs yield `NEG_INFINITY`.
-    pub fn mean_rx_power_batch(
-        &self,
-        sender: DeviceId,
-        receivers: &[DeviceId],
-        out: &mut Vec<f64>,
-    ) {
-        fill_mean_rx_dbm(
-            self.deployment,
-            self.config.tx_power,
-            self.config.pathloss,
-            &self.shadowing,
-            sender,
-            receivers,
-            out,
-        );
-    }
-
     /// Instantaneous received power on link `a → b` at `slot`
     /// (eq. (9) plus block fading).
     pub fn rx_power(&self, a: DeviceId, b: DeviceId, slot: Slot) -> Dbm {
         self.mean_rx_power(a, b) + self.config.fading.gain(self.fading_seed, a, b, slot)
-    }
-
-    /// Instantaneous received power from a precomputed mean: adds the
-    /// per-slot block-fading draw to `mean_dbm`. When `mean_dbm` came
-    /// from [`Channel::mean_rx_power`] or the batched kernel, the
-    /// result is bit-identical to [`Channel::rx_power`] — fading is the
-    /// only per-slot term, so splitting mean from draw changes nothing.
-    #[inline]
-    pub fn rx_power_from_mean(&self, mean_dbm: f64, a: DeviceId, b: DeviceId, slot: Slot) -> Dbm {
-        Dbm(mean_dbm) + self.config.fading.gain(self.fading_seed, a, b, slot)
     }
 
     /// Sample a reception attempt on `a → b` at `slot`.
@@ -414,7 +382,15 @@ mod tests {
             let receivers: Vec<DeviceId> = (0..12).collect();
             for sender in 0..12u32 {
                 let mut batch = Vec::new();
-                ch.mean_rx_power_batch(sender, &receivers, &mut batch);
+                fill_mean_rx_dbm(
+                    &dep,
+                    ch.config.tx_power,
+                    ch.config.pathloss,
+                    &ch.shadowing,
+                    sender,
+                    &receivers,
+                    &mut batch,
+                );
                 assert_eq!(batch.len(), receivers.len());
                 for (&r, &m) in receivers.iter().zip(&batch) {
                     if r == sender {
@@ -428,21 +404,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn rx_power_from_batched_mean_matches_direct_sampling() {
-        let dep = two_devices(42.0);
-        let ch = Channel::new(&dep, ChannelConfig::default(), 7);
-        let mut means = Vec::new();
-        ch.mean_rx_power_batch(0, &[1], &mut means);
-        for slot in [0u64, 3, 19, 400] {
-            assert_eq!(
-                ch.rx_power_from_mean(means[0], 0, 1, Slot(slot)),
-                ch.rx_power(0, 1, Slot(slot)),
-                "slot {slot}"
-            );
         }
     }
 

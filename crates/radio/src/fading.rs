@@ -98,7 +98,7 @@ impl FadingModel {
     ///
     /// * `None` never deviates from 0 dB.
     /// * `Rayleigh` draws `−ln u` with `u ≥ 2⁻⁵³` (see
-    ///   [`crate::shadowing::to_unit_open`]), so the power gain is at
+    ///   `shadowing::to_unit_open`), so the power gain is at
     ///   most `53·ln 2` linear ⇒ `10·log10(53·ln 2) ≈ 15.65` dB.
     /// * `Rician` is bounded by setting both Gaussian components to the
     ///   extreme of [`max_abs_standard_normal`].

@@ -49,7 +49,7 @@ impl ShadowingField {
     }
 
     /// Provable upper bound on `|sample(a, b)|` in dB: σ times the
-    /// largest magnitude [`standard_normal`] can emit. Used to derive
+    /// largest magnitude `standard_normal` can emit. Used to derive
     /// worst-case audibility radii for spatial pruning — a pair farther
     /// apart than the radius implied by this bound can *never* close a
     /// link, for any seed.
@@ -73,7 +73,7 @@ impl ShadowingField {
 
 /// Provable upper bound on `|standard_normal(..)|` over *all* inputs.
 ///
-/// [`to_unit_open`] never returns below `2⁻⁵³`, so the Box–Muller radius
+/// `to_unit_open` never returns below `2⁻⁵³`, so the Box–Muller radius
 /// `sqrt(−2·ln a)` is at most `sqrt(2·53·ln 2) ≈ 8.5716`, and
 /// `|cos| ≤ 1`. The tiny additive slack absorbs the (sub-ulp) rounding
 /// of the square root. Unlike a statistical truncation margin, distances

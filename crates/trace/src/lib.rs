@@ -3,17 +3,18 @@
 //! The paper's evidence is aggregate (Fig. 3 convergence times, Fig. 4
 //! message counts); when a trial censors at the horizon the aggregates
 //! cannot say *why*. This crate is the instrumentation layer underneath
-//! every engine in the workspace: protocol engines and the shared-medium
-//! resolvers emit typed [`TraceEvent`]s into a [`TraceSink`] chosen by
-//! the caller.
+//! every engine in the workspace: protocol engines and the fast
+//! shared-medium resolver emit typed [`TraceEvent`]s into a
+//! [`TraceSink`] chosen by the caller.
 //!
 //! The design constraint is that tracing must cost **nothing when off**:
 //! engines are monomorphized over the sink type, and [`NullSink`]
 //! advertises [`TraceSink::ENABLED`]` = false`, so every emission site —
 //! including the event construction itself — compiles down to dead code
-//! the optimizer removes. The `trace_overhead` bench in `ffd2d-bench`
-//! pins the "within noise" claim, and the integration suite pins that a
-//! traced run's [`RunOutcome`-equivalent] observables are bit-identical
+//! the optimizer removes. The plain `run` entry points are exactly that
+//! disabled instantiation, so the perf harness (`perfbench/`) times the
+//! tracing-off path itself, and the integration suite pins that a
+//! traced run's `RunOutcome`-equivalent observables are bit-identical
 //! to the untraced path (sinks observe, they never perturb: no RNG
 //! draws, no protocol state).
 //!

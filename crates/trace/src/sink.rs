@@ -12,8 +12,8 @@
 //! With [`NullSink`] the branch is a compile-time `if false` — the
 //! event construction, any state gathered for it (fragment counts,
 //! phase spreads), and the call itself all vanish under monomorphization.
-//! That is the crate's zero-cost-off contract, pinned by the
-//! `trace_overhead` bench.
+//! That is the crate's zero-cost-off contract: the plain engine entry
+//! points are the `NullSink` instantiation.
 
 use std::collections::BTreeMap;
 

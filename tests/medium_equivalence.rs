@@ -213,56 +213,9 @@ fn equivalent_at_n500_sparse_shadowed() {
     assert_equivalent(&sparse_shadowed_cfg(500, 9), 9, 40);
 }
 
-/// Per-receiver decoded `(rx, sender)` pairs, one entry per
-/// (slot, receiver) in visit order.
-type DecodedByReceiver = Vec<Vec<(u32, u32)>>;
-
-/// Drive the reference resolver over `slots` slots under one
-/// parallelism setting, returning everything observable: reports,
-/// counters, and the traced JSONL bytes.
-fn run_reference_sharded(
-    cfg: &ScenarioConfig,
-    seed: u64,
-    slots: u64,
-    parallelism: Parallelism,
-) -> (DecodedByReceiver, Counters, Vec<u8>) {
-    let world = World::new(cfg);
-    let n = world.n() as u32;
-    let channel = world.reference_channel();
-    let medium = Medium::default().with_parallelism(parallelism);
-    let receivers: Vec<u32> = (0..n).collect();
-    let mut counters = Counters::new();
-    let mut sink = JsonlSink::new(Vec::new());
-    let mut decoded = Vec::new();
-    for slot in 0..slots {
-        let txs = schedule(n, seed, slot);
-        let transmissions: Vec<Transmission> = txs.iter().map(|&s| Transmission::new(s)).collect();
-        let reports = medium.resolve_traced(
-            &channel,
-            Slot(slot),
-            &transmissions,
-            &receivers,
-            &mut counters,
-            &mut sink,
-        );
-        // Keep the *exact* report order (no sort): sharding must not
-        // even permute within a receiver.
-        for (rx, report) in receivers.iter().zip(&reports) {
-            decoded.push(
-                report
-                    .decoded
-                    .iter()
-                    .map(|sig| (*rx, sig.sender))
-                    .collect::<Vec<_>>(),
-            );
-        }
-    }
-    assert!(sink.io_error().is_none());
-    (decoded, counters, sink.into_inner())
-}
-
-/// Drive the fast resolver likewise; deliveries keep order and carry
-/// the decoded power's exact bits.
+/// Drive the fast resolver over `slots` slots under one parallelism
+/// setting, returning everything observable: deliveries (in order, with
+/// the decoded power's exact bits), counters, and the traced JSONL bytes.
 fn run_fast_sharded(
     cfg: &ScenarioConfig,
     seed: u64,
@@ -291,27 +244,6 @@ fn run_fast_sharded(
     (delivered, counters, sink.into_inner())
 }
 
-/// Worker-count determinism, reference resolver: reports (in exact
-/// order), counters and traced JSONL bytes must not depend on the
-/// sharding. `Fixed` bypasses the auto-engagement threshold, so even
-/// the small-n run genuinely crosses the threaded path.
-fn assert_reference_sharding_neutral(cfg: &ScenarioConfig, seed: u64, slots: u64) {
-    let baseline = run_reference_sharded(cfg, seed, slots, Parallelism::Off);
-    assert!(baseline.1.rx_ok > 0, "vacuous run: nothing ever decoded");
-    for workers in [1usize, 2, 8] {
-        let sharded = run_reference_sharded(cfg, seed, slots, Parallelism::Fixed(workers));
-        assert_eq!(sharded.0, baseline.0, "reports diverged, {workers} workers");
-        assert_eq!(
-            sharded.1, baseline.1,
-            "counters diverged, {workers} workers"
-        );
-        assert_eq!(
-            sharded.2, baseline.2,
-            "trace bytes diverged, {workers} workers"
-        );
-    }
-}
-
 /// Worker-count determinism, fast resolver: deliveries (order and
 /// power bits), counters and traced JSONL bytes must not depend on the
 /// sharding of the touched-cell walk.
@@ -333,16 +265,6 @@ fn assert_fast_sharding_neutral(cfg: &ScenarioConfig, seed: u64, slots: u64) {
             "trace bytes diverged, {workers} workers"
         );
     }
-}
-
-#[test]
-fn reference_sharding_neutral_at_n50_table1() {
-    assert_reference_sharding_neutral(&table1_cfg(50, 0xCAFE), 0xCAFE, 60);
-}
-
-#[test]
-fn reference_sharding_neutral_at_n500_table1() {
-    assert_reference_sharding_neutral(&table1_cfg(500, 0xD00D), 0xD00D, 15);
 }
 
 #[test]
