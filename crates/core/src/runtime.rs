@@ -360,9 +360,10 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
         let mut proto = P::new(&mut self);
         let t_run = self.rec.start();
         // Completeness denominator for per-slot stats (constant over a
-        // static run; the graph is built lazily either way).
+        // static run): counted from the medium's cache, which is cold
+        // here, so every pair is computed once.
         if S::ENABLED {
-            self.ground_truth_links = 2 * self.world.proximity_graph().m() as u64;
+            self.ground_truth_links = self.medium.ground_truth_links(self.world);
             self.sink.event(&TraceEvent::PhaseEnter {
                 slot: 0,
                 phase: P::START_PHASE,
@@ -439,7 +440,7 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
             tree_edges: Vec::new(),
             merge_rounds: 0,
             discovered_links: sum(|d| d.table.discovered() as u64),
-            ground_truth_links: 2 * self.world.proximity_graph().m() as u64,
+            ground_truth_links: self.medium.ground_truth_links(self.world),
             service_matches: sum(|d| d.table.service_matches(d.service).len() as u64),
             n_devices: self.devices.len(),
             reconvergence_time: reconvergence.map(SlotDuration),

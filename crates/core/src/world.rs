@@ -14,7 +14,7 @@
 //! however, run populations of thousands of devices for tens of
 //! thousands of slots — the hot loop is `(transmissions × receivers)`
 //! per slot. [`FastMedium`] implements the *same*
-//! decode/collision/capture semantics with three optimisations:
+//! decode/collision/capture semantics with four optimisations:
 //!
 //! 1. **Spatial pruning.** Devices are bucketed into a
 //!    [`SpatialGrid`] whose cell side is the worst-case audibility
@@ -45,6 +45,16 @@
 //! 3. **Epoch-stamped accumulators.** Per-(receiver, codec) collision
 //!    state is slot-stamped, so a slot costs O(candidates) with zero
 //!    allocation, and delivery order is fixed by sorting touched keys.
+//! 4. **A fade lane per row.** Each (transmission, cell) row is
+//!    accumulated in two passes: a loop without branches fills
+//!    `mean[j] + fade` for every occupant, so the fading draws of
+//!    neighbouring pairs overlap, then the admit pass does the
+//!    half-duplex/liveness/threshold/capture bookkeeping over the lane.
+//!    The slot's fade state is hoisted once ([`FadingModel::at`]).
+//!
+//! The run's ground-truth link count is counted from the same cache
+//! ([`FastMedium::ground_truth_links`]) rather than by building the
+//! proximity graph.
 //!
 //! Counters are reconstructed exactly: a detected pair increments the
 //! accumulator, and the below-threshold tally is recovered as
@@ -66,7 +76,7 @@ use ffd2d_parallel::sharded_for_each_weighted;
 use ffd2d_phy::codec::{RachCodec, ServiceClass};
 use ffd2d_phy::frame::ProximitySignal;
 use ffd2d_radio::channel::{Channel, ChannelConfig};
-use ffd2d_radio::fading::FadingModel;
+use ffd2d_radio::fading::{FadingModel, SlotFade};
 use ffd2d_radio::pathloss::PathLoss;
 use ffd2d_radio::shadowing::ShadowingField;
 use ffd2d_radio::units::Dbm;
@@ -340,9 +350,10 @@ impl World {
 /// or probing. Rows are filled by the batched kernel
 /// ([`World::fill_mean_rx_dbm`]) the first time a sender's disc touches
 /// a cell within an epoch, then reused by every later slot; the whole
-/// store is flushed when the validity key (mobility epoch, churn
-/// generation) moves. Values are pure functions of positions, so a
-/// cached read is bit-identical to recomputation by construction.
+/// store is flushed when the mobility epoch moves, while churn stales
+/// only the churned senders' rows. Values are pure functions of
+/// positions, so a cached read is bit-identical to recomputation by
+/// construction.
 #[derive(Debug, Default)]
 struct GainCache {
     /// [`World::mobility_epoch`] the entries are valid for. `0` never
@@ -353,7 +364,7 @@ struct GainCache {
     valid_for: u64,
     /// `(sender << 32) | cell` → index into `rows`. Lookup-only (never
     /// iterated), so map order cannot leak into results.
-    // ffd2d-lint: allow(ordered-iteration) — lookup-only by construction: the only reads are `get` in row_for/publish; no iteration exists for hash order to escape through
+    // ffd2d-lint: allow(ordered-iteration) — lookup-only by construction: the only reads are `get` in `row`, publish and `ground_truth_links`; no iteration exists for hash order to escape through
     index: HashMap<u64, u32>,
     rows: Vec<Vec<f64>>,
     /// Per-row membership stamp, parallel to `rows`: the sender's
@@ -386,12 +397,15 @@ impl GainCache {
     }
 }
 
-/// Where an accumulation row lives: the shared epoch cache (read-only
-/// under sharding) or the shard's private fills from this slot.
+/// Where an accumulation row of mean gains lives: the shared epoch
+/// cache (read-only under sharding), the shard's private fills from
+/// this slot, or — under [`GainCacheMode::Off`] — the shard's
+/// throwaway scratch row.
 #[derive(Clone, Copy)]
-enum RowRef {
-    Shared(u32),
+enum RowRef<'a> {
+    Shared(&'a [f64]),
     Local(u32),
+    Scratch,
 }
 
 /// Epoch-stamped slot resolver with the same semantics as
@@ -453,13 +467,15 @@ pub struct FastMedium {
 /// the sequential path is just shard 0.
 #[derive(Debug, Clone)]
 struct ShardScratch {
-    /// Per `(receiver, codec)` accumulator epoch (slot-stamped).
-    stamp: Vec<u64>,
-    best: Vec<f64>,
-    second: Vec<f64>,
-    best_tx: Vec<u32>,
-    count: Vec<u32>,
-    touched: Vec<u32>,
+    /// Per-`(receiver, codec)` collision accumulators.
+    acc: KeyAcc,
+    /// The fade lane: `mean[j] + fade` for every occupant `j` of the
+    /// row being accumulated, filled by a branch-free pass before the
+    /// admit pass reads it.
+    faded: Vec<f64>,
+    /// Mean gains of the current row under [`GainCacheMode::Off`]:
+    /// filled per (transmission, cell) and never kept.
+    scratch_row: Vec<f64>,
     /// Gain-cache keys this shard filled this slot (drained into the
     /// shared store after the join).
     fill_keys: Vec<u64>,
@@ -469,8 +485,6 @@ struct ShardScratch {
     /// transmissions into one cell in one slot). Cleared on publish.
     // ffd2d-lint: allow(ordered-iteration) — lookup-only dedup map; publish drains the parallel `fill_keys`/`fill_rows` vectors (insertion order), never this map's iteration order
     fill_index: HashMap<u64, u32>,
-    /// Above-threshold (detected) pairs seen this slot.
-    detected: u64,
     // --- Telemetry (written only when the resolving recorder is
     // enabled; the disabled path never touches these) ---
     /// Wall-clock nanoseconds this shard spent accumulating this slot.
@@ -483,17 +497,35 @@ struct ShardScratch {
     fill_ns: u64,
 }
 
+/// Epoch-stamped per-`(receiver, codec)` collision accumulators of one
+/// shard, indexed `receiver * 2 + codec`.
+#[derive(Debug, Clone)]
+struct KeyAcc {
+    /// Per-key accumulator epoch (slot-stamped).
+    stamp: Vec<u64>,
+    best: Vec<f64>,
+    second: Vec<f64>,
+    best_tx: Vec<u32>,
+    count: Vec<u32>,
+    /// Keys first touched this slot, in touch order.
+    touched: Vec<u32>,
+    /// Above-threshold (detected) pairs seen this slot.
+    detected: u64,
+}
+
 /// Read-only per-slot inputs shared by every accumulation shard.
 struct SlotCtx<'a> {
     world: &'a World,
     transmissions: &'a [ProximitySignal],
-    slot: Slot,
     epoch: u64,
     /// Per-cell transmission batches (only cells stamped this epoch
     /// appear in the shard's cell list).
     cell_txs: &'a [Vec<u32>],
     /// Per-device transmit epoch (half-duplex tracking).
     tx_stamp: &'a [u64],
+    /// The slot's fading draw state (block key hoisted out of the
+    /// per-pair loop).
+    fade: SlotFade,
     threshold: f64,
     mean_floor: f64,
     /// Receiver liveness under churn; `None` = everyone listens (the
@@ -504,38 +536,30 @@ struct SlotCtx<'a> {
     droop: Option<&'a [f64]>,
     /// The shared epoch-keyed gain cache, read-only during
     /// accumulation; `None` disables caching
-    /// ([`crate::GainCacheMode::Off`]) and means are recomputed
-    /// per pair.
+    /// ([`crate::GainCacheMode::Off`]) and every row is recomputed
+    /// into the shard's scratch row.
     gains: Option<&'a GainCache>,
 }
 
-impl ShardScratch {
-    fn new(n: usize) -> ShardScratch {
-        ShardScratch {
+impl KeyAcc {
+    fn new(n: usize) -> KeyAcc {
+        KeyAcc {
             stamp: vec![0; n * 2],
             best: vec![f64::NEG_INFINITY; n * 2],
             second: vec![f64::NEG_INFINITY; n * 2],
             best_tx: vec![0; n * 2],
             count: vec![0; n * 2],
             touched: Vec::with_capacity(64),
-            fill_keys: Vec::new(),
-            fill_rows: Vec::new(),
-            // ffd2d-lint: allow(ordered-iteration) — see the field's proof comment: lookup-only dedup map
-            fill_index: HashMap::new(),
             detected: 0,
-            busy_ns: 0,
-            rows_hit: 0,
-            rows_filled: 0,
-            fill_ns: 0,
         }
     }
 
-    /// Admit one candidate pair given its mean link gain: floor prune,
-    /// fading draw, droop, threshold test, then the per-key
-    /// best/second/count accumulation. Shared verbatim by the cached
-    /// and direct paths, so the two cannot drift.
+    /// Admit one candidate pair given its mean link gain and its faded
+    /// power (`mean + fade`, from the lane): floor prune on the mean,
+    /// droop, threshold test, then the per-key best/second/count
+    /// accumulation.
     #[inline]
-    fn admit(&mut self, ctx: &SlotCtx<'_>, ti: u32, r: DeviceId, mean: f64) {
+    fn admit(&mut self, ctx: &SlotCtx<'_>, ti: u32, r: DeviceId, mean: f64, faded: f64) {
         if mean < ctx.mean_floor {
             // Provably below threshold for any fading draw; tallied by
             // the closed-form reconstruction. Droops only weaken a
@@ -544,12 +568,7 @@ impl ShardScratch {
             return;
         }
         let tx = &ctx.transmissions[ti as usize];
-        let mut p = mean
-            + ctx
-                .world
-                .fading
-                .gain(ctx.world.fading_seed, tx.sender, r, ctx.slot)
-                .get();
+        let mut p = faded;
         if let Some(droop) = ctx.droop {
             p -= droop[ti as usize];
         }
@@ -574,58 +593,37 @@ impl ShardScratch {
             self.second[k] = p;
         }
     }
+}
 
-    /// Accumulate one contiguous chunk of touched cells. Dispatches on
-    /// the world's caching mode; both paths produce bit-identical
-    /// per-key state (locked by `tests/gain_cache.rs`): for any one
-    /// `(receiver, codec)` key the transmissions are visited in
-    /// submission order either way, and `admit` is order-insensitive
-    /// across keys.
+impl ShardScratch {
+    fn new(n: usize) -> ShardScratch {
+        ShardScratch {
+            acc: KeyAcc::new(n),
+            faded: Vec::new(),
+            scratch_row: Vec::new(),
+            fill_keys: Vec::new(),
+            fill_rows: Vec::new(),
+            // ffd2d-lint: allow(ordered-iteration) — see the field's proof comment: lookup-only dedup map
+            fill_index: HashMap::new(),
+            busy_ns: 0,
+            rows_hit: 0,
+            rows_filled: 0,
+            fill_ns: 0,
+        }
+    }
+
+    /// Accumulate one contiguous chunk of touched cells, one
+    /// (transmission, cell) row at a time: resolve the row's mean gains
+    /// ([`ShardScratch::row`]), fill the fade lane with `mean[j] + fade`
+    /// in a loop with no branches, so the draws of neighbouring pairs
+    /// overlap, then admit each live receiver reading its lane entry.
+    /// Receivers ascend within a cell and each cell's transmissions
+    /// arrive in submission order, so every `(receiver, codec)` key sees
+    /// its transmissions in submission order whatever the caching mode
+    /// or worker count, and the lane holds the same f64 expression the
+    /// reference resolver evaluates per pair — per-key state is
+    /// bit-identical (locked by `tests/gain_cache.rs`).
     fn accumulate<const TELEM: bool>(&mut self, ctx: &SlotCtx<'_>, cells: &[u32]) {
-        match ctx.gains {
-            Some(gains) => self.accumulate_cached::<TELEM>(ctx, gains, cells),
-            None => self.accumulate_direct(ctx, cells),
-        }
-    }
-
-    /// Uncached accumulation: recompute the mean gain per candidate
-    /// pair. Receivers ascending within a cell, transmissions in
-    /// submission order — the original sequential visit order.
-    fn accumulate_direct(&mut self, ctx: &SlotCtx<'_>, cells: &[u32]) {
-        for &cell in cells {
-            let cell = cell as usize;
-            let txs_here = &ctx.cell_txs[cell];
-            for &r in ctx.world.grid.cell_items(cell) {
-                if ctx.tx_stamp[r as usize] == ctx.epoch {
-                    continue; // half-duplex: transmitting receivers are deaf
-                }
-                if let Some(active) = ctx.active {
-                    if !active[r as usize] {
-                        continue; // departed devices hear nothing
-                    }
-                }
-                for &ti in txs_here {
-                    let sender = ctx.transmissions[ti as usize].sender;
-                    let mean = ctx.world.mean_rx_dbm(sender, r);
-                    self.admit(ctx, ti, r, mean);
-                }
-            }
-        }
-    }
-
-    /// Cached accumulation: per transmission, resolve the `(sender,
-    /// cell)` row — shared cache first, then this slot's local fills,
-    /// else run the batched kernel once for the whole cell — and sweep
-    /// the cell's receivers reading `row[j]` by occupant index. The
-    /// tx-outer sweep visits each `(receiver, codec)` key's
-    /// transmissions in the same submission order as the
-    /// receiver-outer direct loop, so accumulated state is identical.
-    fn accumulate_cached<const TELEM: bool>(
-        &mut self,
-        ctx: &SlotCtx<'_>,
-        gains: &GainCache,
-        cells: &[u32],
-    ) {
         for &cell in cells {
             let cell = cell as usize;
             let txs_here = &ctx.cell_txs[cell];
@@ -635,38 +633,21 @@ impl ShardScratch {
             let items = ctx.world.grid.cell_items(cell);
             for &ti in txs_here {
                 let sender = ctx.transmissions[ti as usize].sender;
-                let key = ((sender as u64) << 32) | cell as u64;
-                // A shared row is served only while its membership
-                // stamp matches the sender's: churn stales exactly the
-                // churned senders' rows, which then refill below.
-                let shared = gains
-                    .index
-                    .get(&key)
-                    .copied()
-                    .filter(|&i| gains.row_gen[i as usize] == gains.sender_gen(sender));
-                let row = if let Some(i) = shared {
-                    if TELEM {
-                        self.rows_hit += 1;
-                    }
-                    RowRef::Shared(i)
-                } else if let Some(&i) = self.fill_index.get(&key) {
-                    RowRef::Local(i)
-                } else {
-                    // ffd2d-lint: allow(wall-clock) — telemetry-gated fill-kernel timing; compiled out under NullRecorder, feeds metrics only
-                    let t0 = TELEM.then(Instant::now);
-                    let mut filled = Vec::new();
-                    ctx.world.fill_mean_rx_dbm(sender, items, &mut filled);
-                    if let Some(t0) = t0 {
-                        self.rows_filled += 1;
-                        self.fill_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    }
-                    let i = self.fill_rows.len() as u32;
-                    self.fill_index.insert(key, i);
-                    self.fill_keys.push(key);
-                    self.fill_rows.push(filled);
-                    RowRef::Local(i)
+                let row = self.row::<TELEM>(ctx, sender, cell, items);
+                let mean: &[f64] = match row {
+                    RowRef::Shared(row) => row,
+                    RowRef::Local(i) => &self.fill_rows[i as usize],
+                    RowRef::Scratch => &self.scratch_row,
                 };
-                for (j, &r) in items.iter().enumerate() {
+                let fade = ctx.fade;
+                self.faded.clear();
+                self.faded.extend(
+                    items
+                        .iter()
+                        .zip(mean)
+                        .map(|(&r, &m)| m + fade.gain_db(sender, r)),
+                );
+                for ((&r, &m), &p) in items.iter().zip(mean).zip(&self.faded) {
                     if ctx.tx_stamp[r as usize] == ctx.epoch {
                         continue; // half-duplex: transmitting receivers are deaf
                     }
@@ -675,14 +656,57 @@ impl ShardScratch {
                             continue; // departed devices hear nothing
                         }
                     }
-                    let mean = match row {
-                        RowRef::Shared(i) => gains.rows[i as usize][j],
-                        RowRef::Local(i) => self.fill_rows[i as usize][j],
-                    };
-                    self.admit(ctx, ti, r, mean);
+                    self.acc.admit(ctx, ti, r, m, p);
                 }
             }
         }
+    }
+
+    /// The mean gains of `sender` over `items` (the occupants of
+    /// `cell`). Cached mode: the shared cache first, then this slot's
+    /// local fills, else one batched-kernel fill kept for publishing. A
+    /// shared row is served only while its membership stamp matches the
+    /// sender's: churn stales exactly the churned senders' rows, which
+    /// then refill. Under [`GainCacheMode::Off`] the kernel fills the
+    /// scratch row, which the next row overwrites.
+    fn row<'c, const TELEM: bool>(
+        &mut self,
+        ctx: &SlotCtx<'c>,
+        sender: DeviceId,
+        cell: usize,
+        items: &[DeviceId],
+    ) -> RowRef<'c> {
+        let Some(gains) = ctx.gains else {
+            self.scratch_row.clear();
+            ctx.world
+                .fill_mean_rx_dbm(sender, items, &mut self.scratch_row);
+            return RowRef::Scratch;
+        };
+        let key = ((sender as u64) << 32) | cell as u64;
+        if let Some(&i) = gains.index.get(&key) {
+            if gains.row_gen[i as usize] == gains.sender_gen(sender) {
+                if TELEM {
+                    self.rows_hit += 1;
+                }
+                return RowRef::Shared(&gains.rows[i as usize]);
+            }
+        }
+        if let Some(&i) = self.fill_index.get(&key) {
+            return RowRef::Local(i);
+        }
+        // ffd2d-lint: allow(wall-clock) — telemetry-gated fill-kernel timing; compiled out under NullRecorder, feeds metrics only
+        let t0 = TELEM.then(Instant::now);
+        let mut filled = Vec::new();
+        ctx.world.fill_mean_rx_dbm(sender, items, &mut filled);
+        if let Some(t0) = t0 {
+            self.rows_filled += 1;
+            self.fill_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        }
+        let i = self.fill_rows.len() as u32;
+        self.fill_index.insert(key, i);
+        self.fill_keys.push(key);
+        self.fill_rows.push(filled);
+        RowRef::Local(i)
     }
 }
 
@@ -740,6 +764,48 @@ impl FastMedium {
             }
             self.gains.device_gen[d] = gen;
         }
+    }
+
+    /// `2 ×` the edge count of `world`'s ground-truth proximity graph
+    /// ([`World::proximity_graph`]), counted without building it: every
+    /// pair `b > a` with `b` in a cell covering `a`'s mean-link disc,
+    /// within that radius by the grid's own inclusive test, whose mean
+    /// gain clears the threshold — `build_proximity_graph`'s predicate.
+    /// Means come from the warm gain-cache row `(a, cell)` while the
+    /// cache is valid for the world's mobility epoch; a row stale only
+    /// by churn still holds exact values, since churn moves no device.
+    /// Pairs without a row are computed with [`World::mean_rx_dbm`].
+    pub fn ground_truth_links(&self, world: &World) -> u64 {
+        let gains = (self.gains.valid_for == world.mobility_epoch()).then_some(&self.gains);
+        let grid = &world.grid;
+        let radius = world.mean_link_range_m;
+        let r2 = radius * radius;
+        let mut links = 0u64;
+        for a in 0..world.n() as DeviceId {
+            let p = world.deployment.position(a);
+            for cell in grid.cells_intersecting_disc(p.x, p.y, radius) {
+                let key = ((a as u64) << 32) | cell as u64;
+                let row = gains.and_then(|g| g.index.get(&key).map(|&i| &g.rows[i as usize]));
+                for (j, &b) in grid.cell_items(cell).iter().enumerate() {
+                    if b <= a {
+                        continue;
+                    }
+                    let (x, y) = grid.point(b);
+                    let (dx, dy) = (x - p.x, y - p.y);
+                    if dx * dx + dy * dy > r2 {
+                        continue;
+                    }
+                    let mean = match row {
+                        Some(row) => row[j],
+                        None => world.mean_rx_dbm(a, b),
+                    };
+                    if mean >= world.threshold_dbm {
+                        links += 1;
+                    }
+                }
+            }
+        }
+        2 * links
     }
 
     #[inline]
@@ -956,8 +1022,8 @@ impl FastMedium {
             self.shards.resize_with(workers, || ShardScratch::new(n));
         }
         for shard in &mut self.shards[..workers] {
-            shard.detected = 0;
-            shard.touched.clear();
+            shard.acc.detected = 0;
+            shard.acc.touched.clear();
             if R::ENABLED {
                 shard.busy_ns = 0;
                 shard.rows_hit = 0;
@@ -972,10 +1038,10 @@ impl FastMedium {
         let ctx = SlotCtx {
             world,
             transmissions,
-            slot,
             epoch,
             cell_txs: &self.cell_txs,
             tx_stamp: &self.tx_stamp,
+            fade: world.fading.at(world.fading_seed, slot),
             threshold,
             mean_floor,
             active,
@@ -1012,8 +1078,8 @@ impl FastMedium {
         let mut detected = 0u64;
         self.delivery.clear();
         for (si, shard) in self.shards[..workers].iter().enumerate() {
-            detected += shard.detected;
-            for &k in &shard.touched {
+            detected += shard.acc.detected;
+            for &k in &shard.acc.touched {
                 self.delivery.push((k, si as u32));
             }
         }
@@ -1080,7 +1146,7 @@ impl FastMedium {
         for i in 0..self.delivery.len() {
             let (k32, si) = self.delivery[i];
             let k = k32 as usize;
-            let shard = &self.shards[si as usize];
+            let shard = &self.shards[si as usize].acc;
             let receiver = (k / 2) as DeviceId;
             let n_signals = shard.count[k];
             let decoded = if n_signals == 1 {
@@ -1536,6 +1602,69 @@ mod tests {
         let (h6, m6) = resolve(&mut fast, &w, 6);
         assert_eq!(m6, 0, "non-sender churn leaves every row valid");
         assert_eq!(h6, m0);
+    }
+
+    #[test]
+    fn ground_truth_links_counts_the_proximity_graph_in_every_cache_state() {
+        use crate::GainCacheMode;
+        let check = |w: &World, fast: &FastMedium, state: &str| {
+            let expected = 2 * w.proximity_graph().m() as u64;
+            assert!(expected > 0, "{state}: scenario must have links");
+            assert_eq!(fast.ground_truth_links(w), expected, "{state}");
+        };
+        let resolve = |fast: &mut FastMedium, w: &World, slot: u64, txs: &[ProximitySignal]| {
+            fast.resolve(w, Slot(slot), txs, &mut Counters::new(), |_, _, _| {});
+        };
+        let n = 48u32;
+        let every: Vec<ProximitySignal> = (0..n).map(fire).collect();
+
+        // Table-I cell: cold, partly warm, fully warm, then churned.
+        let w = World::new(&small_cfg(n as usize, 37));
+        let mut fast = FastMedium::new(n as usize);
+        check(&w, &fast, "cold");
+        resolve(&mut fast, &w, 0, &[fire(3), fire(20), fire(41)]);
+        check(&w, &fast, "partly warm");
+        resolve(&mut fast, &w, 1, &every);
+        check(&w, &fast, "fully warm");
+        fast.note_churn_of(&[3, 20, 47]);
+        check(&w, &fast, "stale by churn");
+        fast.note_churn();
+        check(&w, &fast, "stale by coarse churn");
+
+        // No cache at all.
+        let off = World::new(&small_cfg(n as usize, 37).with_gain_cache(GainCacheMode::Off));
+        let mut fast = FastMedium::new(n as usize);
+        resolve(&mut fast, &off, 0, &every);
+        check(&off, &fast, "GainCacheMode::Off");
+
+        // Multi-cell sparse arena, where the grid prunes.
+        let mut cfg = small_cfg(60, 23).ideal_channel();
+        cfg.sim.area_width = Meters(2000.0);
+        cfg.sim.area_height = Meters(2000.0);
+        let mut w = World::new(&cfg);
+        assert!(w.spatial_grid().cols() >= 20);
+        let mut fast = FastMedium::new(60);
+        let every: Vec<ProximitySignal> = (0..60).map(fire).collect();
+        resolve(&mut fast, &w, 0, &every);
+        check(&w, &fast, "sparse arena, warm");
+
+        // Positions moved: the warm rows belong to a past epoch.
+        let moved: Vec<Position> = w
+            .deployment()
+            .positions()
+            .iter()
+            .map(|p| Position::new(p.x * 0.1, p.y * 0.1))
+            .collect();
+        let before = 2 * w.proximity_graph().m() as u64;
+        w.update_positions(&moved);
+        check(&w, &fast, "after update_positions");
+        assert_ne!(
+            fast.ground_truth_links(&w),
+            before,
+            "the move must change the graph"
+        );
+        resolve(&mut fast, &w, 1, &every);
+        check(&w, &fast, "warm in the new epoch");
     }
 
     #[test]

@@ -63,34 +63,27 @@ impl FadingModel {
         }
     }
 
+    /// The per-slot draw state for `seed` at `slot`: everything in a
+    /// fade key that does not depend on the link (the coherence block
+    /// and its key term) is computed here once, so a caller that draws
+    /// many links in one slot pays the block divide once, not per pair.
+    #[inline]
+    pub fn at(&self, seed: u64, slot: Slot) -> SlotFade {
+        SlotFade {
+            model: *self,
+            seed,
+            block_term: self.block(slot).wrapping_mul(0x2545_F491_4F6C_DD1D),
+        }
+    }
+
     /// Instantaneous fading gain for link `{a, b}` at `slot`, in dB.
     ///
     /// Unit mean in the *linear* domain (so fading does not change the
     /// average link budget, only its fluctuation), symmetric in the link
-    /// endpoints.
+    /// endpoints. Delegates to [`SlotFade::gain_db`], the one draw
+    /// implementation.
     pub fn gain(&self, seed: u64, a: DeviceId, b: DeviceId, slot: Slot) -> Db {
-        match *self {
-            FadingModel::None => Db::ZERO,
-            FadingModel::Rayleigh { .. } => {
-                let p = self.unit_exponential(seed, a, b, slot);
-                Db(10.0 * p.log10())
-            }
-            FadingModel::Rician { k, .. } => {
-                // h = sqrt(k/(k+1)) + CN(0, 1/(k+1)); power = |h|^2.
-                let (lo, hi) = ordered(a, b);
-                let block = self.block(slot);
-                let key = link_block_key(lo, hi, block);
-                // ffd2d-lint: allow(rng-discipline) — stateless keyed field sampler: a pure function of (seed, link, block) that consumes no stream, so evaluation order cannot matter; the tags separate the two quadrature components
-                let re = standard_normal(seed ^ 0x51C1_A0B4, key);
-                let im = standard_normal(seed ^ 0x1C1A_77EE, key ^ 0xABCD); // ffd2d-lint: allow(rng-discipline) — second quadrature tag of the draw above
-                let scatter = 1.0 / (k + 1.0);
-                let los = (k / (k + 1.0)).sqrt();
-                let h_re = los + re * (scatter / 2.0).sqrt();
-                let h_im = im * (scatter / 2.0).sqrt();
-                let p = (h_re * h_re + h_im * h_im).max(1e-12);
-                Db(10.0 * p.log10())
-            }
-        }
+        Db(self.at(seed, slot).gain_db(a, b))
     }
 
     /// Provable upper bound on [`FadingModel::gain`] in dB, over all
@@ -120,16 +113,48 @@ impl FadingModel {
             }
         }
     }
+}
 
-    /// Unit-mean exponential power draw for `(link, block)`.
-    fn unit_exponential(&self, seed: u64, a: DeviceId, b: DeviceId, slot: Slot) -> f64 {
-        let (lo, hi) = ordered(a, b);
-        let block = self.block(slot);
-        let key = link_block_key(lo, hi, block);
-        // ffd2d-lint: allow(rng-discipline) — stateless keyed field sampler (pure in (seed, link, block)); the constant domain-separates Rayleigh draws from the Rician quadratures
-        let u = to_unit_open(SplitMix64::mix(seed ^ 0xFAD1_4EED ^ key));
-        // Inverse-CDF of Exp(1); clamp to avoid -inf dB in the tail.
-        (-u.ln()).max(1e-12)
+/// [`FadingModel`] fixed to one seed and one slot (see
+/// [`FadingModel::at`]). A pure value: drawing from it consumes no
+/// stream, so it may be copied into any number of loops or workers.
+#[derive(Debug, Clone, Copy)]
+pub struct SlotFade {
+    model: FadingModel,
+    seed: u64,
+    /// `block × 0x2545_F491_4F6C_DD1D`, the link-independent key term.
+    block_term: u64,
+}
+
+impl SlotFade {
+    /// Fading gain of link `{a, b}` in this slot, in dB — bit-identical
+    /// to [`FadingModel::gain`] at the same seed and slot.
+    #[inline]
+    pub fn gain_db(&self, a: DeviceId, b: DeviceId) -> f64 {
+        match self.model {
+            FadingModel::None => 0.0,
+            FadingModel::Rayleigh { .. } => {
+                let key = link_block_key(a, b, self.block_term);
+                // ffd2d-lint: allow(rng-discipline) — stateless keyed field sampler (pure in (seed, link, block)); the constant domain-separates Rayleigh draws from the Rician quadratures
+                let u = to_unit_open(SplitMix64::mix(self.seed ^ 0xFAD1_4EED ^ key));
+                // Inverse-CDF of Exp(1); clamp to avoid -inf dB in the tail.
+                let p = (-u.ln()).max(1e-12);
+                10.0 * p.log10()
+            }
+            FadingModel::Rician { k, .. } => {
+                // h = sqrt(k/(k+1)) + CN(0, 1/(k+1)); power = |h|^2.
+                let key = link_block_key(a, b, self.block_term);
+                // ffd2d-lint: allow(rng-discipline) — stateless keyed field sampler: a pure function of (seed, link, block) that consumes no stream, so evaluation order cannot matter; the tags separate the two quadrature components
+                let re = standard_normal(self.seed ^ 0x51C1_A0B4, key);
+                let im = standard_normal(self.seed ^ 0x1C1A_77EE, key ^ 0xABCD); // ffd2d-lint: allow(rng-discipline) — second quadrature tag of the draw above
+                let scatter = 1.0 / (k + 1.0);
+                let los = (k / (k + 1.0)).sqrt();
+                let h_re = los + re * (scatter / 2.0).sqrt();
+                let h_im = im * (scatter / 2.0).sqrt();
+                let p = (h_re * h_re + h_im * h_im).max(1e-12);
+                10.0 * p.log10()
+            }
+        }
     }
 }
 
@@ -142,11 +167,14 @@ fn ordered(a: DeviceId, b: DeviceId) -> (DeviceId, DeviceId) {
     }
 }
 
+/// The fade key of link `{a, b}` in the block whose key term is
+/// `block_term` (see [`SlotFade`]); symmetric in the endpoints.
 #[inline]
-fn link_block_key(lo: DeviceId, hi: DeviceId, block: u64) -> u64 {
+fn link_block_key(a: DeviceId, b: DeviceId, block_term: u64) -> u64 {
+    let (lo, hi) = ordered(a, b);
     let link = ((lo as u64) << 32) | hi as u64;
-    // ffd2d-lint: allow(rng-discipline) — key derivation for the stateless field samplers above, not a stream seed; symmetric in the link by the caller's (lo, hi) ordering
-    SplitMix64::mix(link).wrapping_add(block.wrapping_mul(0x2545_F491_4F6C_DD1D))
+    // ffd2d-lint: allow(rng-discipline) — key derivation for the stateless field samplers above, not a stream seed; symmetric in the link by the (lo, hi) ordering
+    SplitMix64::mix(link).wrapping_add(block_term)
 }
 
 #[cfg(test)]
@@ -231,6 +259,77 @@ mod tests {
     fn different_links_decorrelated() {
         let f = FadingModel::umi_nlos();
         assert_ne!(f.gain(1, 0, 1, Slot(0)), f.gain(1, 0, 2, Slot(0)));
+    }
+
+    /// The draw as written before the per-slot state was hoisted: block
+    /// divide, ordering and key derivation all redone per call.
+    fn unhoisted_gain_db(f: FadingModel, seed: u64, a: DeviceId, b: DeviceId, slot: Slot) -> f64 {
+        let (lo, hi) = ordered(a, b);
+        let link = ((lo as u64) << 32) | hi as u64;
+        let key =
+            SplitMix64::mix(link).wrapping_add(f.block(slot).wrapping_mul(0x2545_F491_4F6C_DD1D));
+        match f {
+            FadingModel::None => 0.0,
+            FadingModel::Rayleigh { .. } => {
+                let u = to_unit_open(SplitMix64::mix(seed ^ 0xFAD1_4EED ^ key));
+                10.0 * (-u.ln()).max(1e-12).log10()
+            }
+            FadingModel::Rician { k, .. } => {
+                let re = standard_normal(seed ^ 0x51C1_A0B4, key);
+                let im = standard_normal(seed ^ 0x1C1A_77EE, key ^ 0xABCD);
+                let scatter = 1.0 / (k + 1.0);
+                let los = (k / (k + 1.0)).sqrt();
+                let h_re = los + re * (scatter / 2.0).sqrt();
+                let h_im = im * (scatter / 2.0).sqrt();
+                10.0 * (h_re * h_re + h_im * h_im).max(1e-12).log10()
+            }
+        }
+    }
+
+    #[test]
+    fn slot_fade_is_bit_identical_to_gain() {
+        let models = [
+            FadingModel::None,
+            FadingModel::Rayleigh { coherence_slots: 1 },
+            FadingModel::Rayleigh {
+                coherence_slots: 20,
+            },
+            FadingModel::Rician {
+                k: 3.0,
+                coherence_slots: 20,
+            },
+        ];
+        // Slots on both sides of block edges, plus the far end of time.
+        let slots = [0, 1, 19, 20, 21, 39, 40, 999, 1000, u64::MAX - 1, u64::MAX];
+        let links = [
+            (0, 1),
+            (1, 0),
+            (7, 1999),
+            (1999, 7),
+            (0, u32::MAX),
+            (u32::MAX, 0),
+        ];
+        for f in models {
+            for seed in [0, 0xFAD0 ^ 5, u64::MAX] {
+                for s in slots {
+                    let fade = f.at(seed, Slot(s));
+                    for (a, b) in links {
+                        let hoisted = fade.gain_db(a, b);
+                        assert_eq!(
+                            hoisted.to_bits(),
+                            f.gain(seed, a, b, Slot(s)).get().to_bits(),
+                            "{f:?} seed {seed} slot {s} link {a}->{b}"
+                        );
+                        assert_eq!(
+                            hoisted.to_bits(),
+                            unhoisted_gain_db(f, seed, a, b, Slot(s)).to_bits(),
+                            "{f:?} seed {seed} slot {s} link {a}->{b}: drifted from the per-call draw"
+                        );
+                        assert_eq!(hoisted.to_bits(), fade.gain_db(b, a).to_bits(), "symmetry");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
