@@ -30,44 +30,25 @@ pub struct FstProtocol;
 impl FstProtocol {
     /// Run one trial of the scenario.
     pub fn run(cfg: &ScenarioConfig) -> RunOutcome {
-        Self::run_traced(cfg, &mut NullSink)
-    }
-
-    /// Run one trial, reporting protocol events to `sink`. Tracing is
-    /// strictly observational (no randomness consumed, no state
-    /// touched): a traced run's outcome is bit-identical to an untraced
-    /// one, and a [`NullSink`] compiles the emission sites out.
-    pub fn run_traced<S: TraceSink>(cfg: &ScenarioConfig, sink: &mut S) -> RunOutcome {
-        Self::run_in_traced(&World::new(cfg), sink)
+        Self::run_in(&World::new(cfg))
     }
 
     /// Run one trial in a pre-built world (paired comparisons share the
     /// world with the ST engine).
     pub fn run_in(world: &World) -> RunOutcome {
-        Self::run_in_traced(world, &mut NullSink)
+        Self::run_in_instrumented(world, &mut NullSink, &mut NullRecorder)
     }
 
-    /// [`FstProtocol::run_in`] with protocol-event tracing. The mesh
-    /// baseline has no discovery or merge machinery, so the trace is one
-    /// long `Sync` phase of fire traffic and oscillator adjustments;
-    /// `SlotStats.fragments` stays at `n` (every device is its own
-    /// fragment — nothing ever merges). A traced run always executes
-    /// the stepped loop (see [`runtime::run`]).
-    pub fn run_in_traced<S: TraceSink>(world: &World, sink: &mut S) -> RunOutcome {
-        Self::run_in_instrumented(world, sink, &mut NullRecorder)
-    }
-
-    /// Run one trial with performance telemetry (and no protocol
-    /// trace). See [`FstProtocol::run_in_instrumented`].
-    pub fn run_instrumented<R: Recorder>(cfg: &ScenarioConfig, rec: &mut R) -> RunOutcome {
-        Self::run_in_instrumented(&World::new(cfg), &mut NullSink, rec)
-    }
-
-    /// [`FstProtocol::run_in_traced`] plus a telemetry [`Recorder`].
-    /// Telemetry is observational exactly like tracing: it consumes no
-    /// randomness and mutates no protocol state, so the outcome is
-    /// bit-identical whatever recorder is attached, and a
-    /// [`NullRecorder`] compiles every instrumentation site out.
+    /// [`FstProtocol::run_in`] observed: protocol events go to `sink`,
+    /// performance telemetry to `rec`; pass [`NullSink`] /
+    /// [`NullRecorder`] for the side not wanted. The mesh baseline has
+    /// no discovery or merge machinery, so the trace is one long `Sync`
+    /// phase of fire traffic and oscillator adjustments, and
+    /// `SlotStats.fragments` stays at `n` (nothing ever merges). Both
+    /// observers are strictly observational: the outcome is
+    /// bit-identical whatever is attached, and the disabled observers
+    /// compile every emission site out. An enabled sink runs the
+    /// stepped loop (see [`runtime::run`]).
     pub fn run_in_instrumented<S: TraceSink, R: Recorder>(
         world: &World,
         sink: &mut S,

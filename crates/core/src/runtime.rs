@@ -851,7 +851,7 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
             let prc = &self.prc;
             let touched = &mut self.touched;
             let live_ev = self.live_ev;
-            self.medium.resolve_instrumented(
+            self.medium.resolve(
                 self.world,
                 slot,
                 &pending,

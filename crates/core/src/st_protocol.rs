@@ -73,46 +73,28 @@ pub struct StProtocol;
 impl StProtocol {
     /// Run one trial of the scenario.
     pub fn run(cfg: &ScenarioConfig) -> RunOutcome {
-        Self::run_traced(cfg, &mut NullSink)
-    }
-
-    /// Run one trial, reporting protocol events to `sink`. Tracing is
-    /// strictly observational: it consumes no randomness and touches no
-    /// protocol state, so the outcome is bit-identical to an untraced
-    /// run (pinned by the `trace` integration tests), and with
-    /// [`NullSink`] the emission sites compile out entirely.
-    pub fn run_traced<S: TraceSink>(cfg: &ScenarioConfig, sink: &mut S) -> RunOutcome {
-        Self::run_in_traced(&World::new(cfg), sink)
+        Self::run_in(&World::new(cfg))
     }
 
     /// Run one trial in a pre-built world (lets callers share the world
     /// across protocol variants for paired comparisons).
     pub fn run_in(world: &World) -> RunOutcome {
-        Self::run_in_traced(world, &mut NullSink)
+        Self::run_in_instrumented(world, &mut NullSink, &mut NullRecorder)
     }
 
-    /// [`StProtocol::run_in`] with protocol-event tracing. A traced run
-    /// always executes the stepped loop (see [`runtime::run`]); the
-    /// JSONL logs are bit-identical between the modes either way,
-    /// locked down by `tests/engine_equivalence.rs`.
-    pub fn run_in_traced<S: TraceSink>(world: &World, sink: &mut S) -> RunOutcome {
-        Self::run_in_instrumented(world, sink, &mut NullRecorder)
-    }
-
-    /// Run one trial with performance telemetry: slot-loop stage
-    /// timers, calendar-queue statistics, medium resolution costs and
-    /// fault-application tallies land in `rec`.
-    pub fn run_instrumented<R: Recorder>(cfg: &ScenarioConfig, rec: &mut R) -> RunOutcome {
-        Self::run_in_instrumented(&World::new(cfg), &mut NullSink, rec)
-    }
-
-    /// [`StProtocol::run_in_traced`] with performance telemetry.
+    /// [`StProtocol::run_in`] observed: protocol events go to `sink` and
+    /// performance telemetry (slot-loop stage timers, calendar-queue
+    /// statistics, medium resolution costs, fault-application tallies)
+    /// to `rec`. Pass [`NullSink`] / [`NullRecorder`] for the side not
+    /// wanted; with both, this *is* [`StProtocol::run_in`]. An enabled
+    /// sink runs the stepped loop (see [`runtime::run`]); a recorder
+    /// does not change the loop.
     ///
-    /// Telemetry is strictly observational — the recorder consumes no
-    /// randomness and feeds nothing back into the protocol, so the
-    /// outcome (and any trace JSONL) is bit-identical to an unrecorded
-    /// run (locked by `tests/telemetry.rs`). Unlike tracing, recording
-    /// does **not** force the stepped engine.
+    /// Both observers are strictly observational — they consume no
+    /// randomness and feed nothing back into the protocol, so the
+    /// outcome (and any trace JSONL) is bit-identical whatever is
+    /// attached (locked by `tests/trace.rs` and `tests/telemetry.rs`),
+    /// and the disabled observers compile every emission site out.
     pub fn run_in_instrumented<S: TraceSink, R: Recorder>(
         world: &World,
         sink: &mut S,

@@ -84,8 +84,8 @@ use ffd2d_sim::counters::Counters;
 use ffd2d_sim::deployment::{Deployment, DeviceId, Meters, Position};
 use ffd2d_sim::rng::{StreamId, StreamRng};
 use ffd2d_sim::time::Slot;
-use ffd2d_telemetry::{NullRecorder, Recorder};
-use ffd2d_trace::{NullSink, TraceEvent, TraceSink};
+use ffd2d_telemetry::Recorder;
+use ffd2d_trace::{TraceEvent, TraceSink};
 
 use crate::scenario::{GainCacheMode, ScenarioConfig};
 
@@ -835,94 +835,35 @@ impl FastMedium {
     /// Resolve one slot: every decoded `(receiver, signal, rx_dbm)`
     /// triple is fed to `deliver` (the received power is what RSSI
     /// ranging consumes), and `counters` tallies transmissions and
-    /// reception outcomes. Every device is a potential receiver, as with
-    /// the reference resolver over the full receiver set.
-    pub fn resolve<F: FnMut(DeviceId, &ProximitySignal, f64)>(
-        &mut self,
-        world: &World,
-        slot: Slot,
-        transmissions: &[ProximitySignal],
-        counters: &mut Counters,
-        mut deliver: F,
-    ) {
-        self.resolve_traced(
-            world,
-            slot,
-            transmissions,
-            counters,
-            &mut NullSink,
-            |r, sig, p, _| deliver(r, sig, p),
-        )
-    }
-
-    /// [`FastMedium::resolve`] with per-event tracing: every
-    /// transmission, decode and collision is reported to `sink`, plus
-    /// one aggregate below-threshold count per slot (the fast path
-    /// reconstructs that tally in closed form and never visits the
-    /// individual inaudible pairs). The sink is also threaded into
-    /// `deliver` so callers can emit follow-on events (e.g. oscillator
-    /// adjustments) without a second borrow. With a disabled sink this
-    /// monomorphizes to exactly the untraced resolver.
-    pub fn resolve_traced<S, F>(
-        &mut self,
-        world: &World,
-        slot: Slot,
-        transmissions: &[ProximitySignal],
-        counters: &mut Counters,
-        sink: &mut S,
-        deliver: F,
-    ) where
-        S: TraceSink,
-        F: FnMut(DeviceId, &ProximitySignal, f64, &mut S),
-    {
-        self.resolve_masked(world, slot, transmissions, None, counters, sink, deliver)
-    }
-
-    /// [`FastMedium::resolve_traced`] under churn: receivers whose
-    /// `active` entry is `false` hear nothing (they left the arena), and
-    /// the closed-form below-threshold reconstruction counts only the
-    /// live population. Transmit-power droops from the world's
-    /// [`ScenarioConfig::faults`] plan are subtracted per transmission
-    /// before the threshold test. `active = None` and an empty droop
-    /// schedule reproduce the fault-free resolver bit for bit.
+    /// reception outcomes.
+    ///
+    /// * `active` — `None` makes every device a potential receiver, as
+    ///   with the reference resolver over the full receiver set. Under
+    ///   churn, receivers whose entry is `false` hear nothing (they left
+    ///   the arena) and the closed-form below-threshold reconstruction
+    ///   counts only the live population.
+    /// * Transmit-power droops from the world's
+    ///   [`ScenarioConfig::faults`] plan are subtracted per transmission
+    ///   before the threshold test; an empty droop schedule is the
+    ///   fault-free resolver bit for bit.
+    /// * `sink` gets every transmission, decode and collision, plus one
+    ///   aggregate below-threshold count per slot (the fast path never
+    ///   visits the individual inaudible pairs). It is also threaded
+    ///   into `deliver` so callers can emit follow-on events (e.g.
+    ///   oscillator adjustments) without a second borrow.
+    /// * An enabled `rec` gets the slot's resolution wall clock,
+    ///   candidate-pair count, per-shard busy time (plus a max-over-mean
+    ///   imbalance ratio when sharded) and epoch-cache row hit/fill
+    ///   tallies with the fill kernel's wall clock.
+    ///
+    /// Both observers are strictly observational — they draw no
+    /// randomness and feed nothing back into resolution, so counters,
+    /// deliveries and their order are bit-identical whatever is
+    /// attached, and [`NullSink`](ffd2d_trace::NullSink) /
+    /// [`NullRecorder`](ffd2d_telemetry::NullRecorder) compile every
+    /// emission site out.
     #[allow(clippy::too_many_arguments)]
-    pub fn resolve_masked<S, F>(
-        &mut self,
-        world: &World,
-        slot: Slot,
-        transmissions: &[ProximitySignal],
-        active: Option<&[bool]>,
-        counters: &mut Counters,
-        sink: &mut S,
-        deliver: F,
-    ) where
-        S: TraceSink,
-        F: FnMut(DeviceId, &ProximitySignal, f64, &mut S),
-    {
-        self.resolve_instrumented(
-            world,
-            slot,
-            transmissions,
-            active,
-            counters,
-            sink,
-            &mut NullRecorder,
-            deliver,
-        )
-    }
-
-    /// [`FastMedium::resolve_masked`] with performance telemetry: an
-    /// enabled [`Recorder`] gets the slot's resolution wall clock,
-    /// candidate-pair count, per-shard busy time (plus a max-over-mean
-    /// imbalance ratio when sharded) and epoch-cache row hit/fill
-    /// tallies with the fill kernel's wall clock.
-    /// Telemetry is strictly observational — it draws no randomness and
-    /// feeds nothing back into resolution, so counters, trace events,
-    /// deliveries and their order are bit-identical to an unrecorded
-    /// slot; with [`NullRecorder`] this monomorphizes to exactly
-    /// [`FastMedium::resolve_masked`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn resolve_instrumented<S, R, F>(
+    pub fn resolve<S, R, F>(
         &mut self,
         world: &World,
         slot: Slot,
@@ -1236,6 +1177,8 @@ mod tests {
     use ffd2d_phy::frame::FrameKind;
     use ffd2d_phy::medium::{Medium, Transmission};
     use ffd2d_sim::time::SlotDuration;
+    use ffd2d_telemetry::NullRecorder;
+    use ffd2d_trace::NullSink;
 
     fn small_cfg(n: usize, seed: u64) -> ScenarioConfig {
         ScenarioConfig::table1(n)
@@ -1280,10 +1223,19 @@ mod tests {
 
         let mut fast_counters = Counters::new();
         let mut fast_pairs: Vec<(u32, u32)> = Vec::new();
-        fast.resolve(w, Slot(slot), txs, &mut fast_counters, |r, sig, p| {
-            assert!(p >= w.threshold_dbm());
-            fast_pairs.push((r, sig.sender));
-        });
+        fast.resolve(
+            w,
+            Slot(slot),
+            txs,
+            None,
+            &mut fast_counters,
+            &mut NullSink,
+            &mut NullRecorder,
+            |r, sig, p, _| {
+                assert!(p >= w.threshold_dbm());
+                fast_pairs.push((r, sig.sender));
+            },
+        );
         fast_pairs.sort();
 
         assert_eq!(fast_pairs, ref_pairs, "decode pairs, slot {slot}");
@@ -1468,10 +1420,11 @@ mod tests {
     fn sharded_fast_medium_is_bit_identical_to_sequential() {
         // Same seeded world resolved under Off / Fixed{1, 2, 8, 64}:
         // delivered (receiver, sender, power-bits) triples, counters and
-        // the full trace-event stream must match exactly. Fixed(64) at
-        // n=48 exercises the clamp to the touched-cell count.
+        // the JSONL bytes of the full trace-event stream must match
+        // exactly. Fixed(64) at n=48 exercises the clamp to the
+        // touched-cell count.
         use ffd2d_parallel::Parallelism;
-        use ffd2d_trace::BufferSink;
+        use ffd2d_trace::JsonlSink;
         let base = small_cfg(48, 17);
         let txs: Vec<ProximitySignal> = (0..10).map(|k| fire(k * 5)).collect();
 
@@ -1480,23 +1433,26 @@ mod tests {
             let w = World::new(&cfg);
             let mut fast = FastMedium::new(48);
             let mut counters = Counters::new();
-            let mut sink = BufferSink::new();
+            let mut sink = JsonlSink::new(Vec::new());
             let mut delivered: Vec<(u32, u32, u64)> = Vec::new();
             for slot in [0u64, 2, 9, 30] {
-                fast.resolve_traced(
+                fast.resolve(
                     &w,
                     Slot(slot),
                     &txs,
+                    None,
                     &mut counters,
                     &mut sink,
+                    &mut NullRecorder,
                     |r, sig, p, _| delivered.push((r, sig.sender, p.to_bits())),
                 );
             }
-            (delivered, counters, sink.events)
+            (delivered, counters, sink.into_inner())
         };
 
         let baseline = run(Parallelism::Off);
         assert!(baseline.1.rx_ok > 0, "scenario must exercise decodes");
+        assert!(!baseline.2.is_empty(), "scenario must emit events");
         for workers in [1, 2, 8, 64] {
             let sharded = run(Parallelism::Fixed(workers));
             assert_eq!(sharded.0, baseline.0, "deliveries, {workers} workers");
@@ -1525,9 +1481,16 @@ mod tests {
             let mut counters = Counters::new();
             let mut delivered: Vec<(u32, u32, u64)> = Vec::new();
             for slot in 0..20u64 {
-                fast.resolve(&w, Slot(slot), &txs, &mut counters, |r, sig, p| {
-                    delivered.push((r, sig.sender, p.to_bits()))
-                });
+                fast.resolve(
+                    &w,
+                    Slot(slot),
+                    &txs,
+                    None,
+                    &mut counters,
+                    &mut NullSink,
+                    &mut NullRecorder,
+                    |r, sig, p, _| delivered.push((r, sig.sender, p.to_bits())),
+                );
             }
             (delivered, counters)
         };
@@ -1550,7 +1513,7 @@ mod tests {
         let resolve = |fast: &mut FastMedium, w: &World, slot: u64| {
             let mut rec = Telemetry::new();
             let mut counters = Counters::new();
-            fast.resolve_instrumented(
+            fast.resolve(
                 w,
                 Slot(slot),
                 &txs,
@@ -1613,7 +1576,16 @@ mod tests {
             assert_eq!(fast.ground_truth_links(w), expected, "{state}");
         };
         let resolve = |fast: &mut FastMedium, w: &World, slot: u64, txs: &[ProximitySignal]| {
-            fast.resolve(w, Slot(slot), txs, &mut Counters::new(), |_, _, _| {});
+            fast.resolve(
+                w,
+                Slot(slot),
+                txs,
+                None,
+                &mut Counters::new(),
+                &mut NullSink,
+                &mut NullRecorder,
+                |_, _, _, _| {},
+            );
         };
         let n = 48u32;
         let every: Vec<ProximitySignal> = (0..n).map(fire).collect();
@@ -1672,9 +1644,16 @@ mod tests {
         let w = World::new(&small_cfg(5, 1));
         let mut fast = FastMedium::new(5);
         let mut counters = Counters::new();
-        fast.resolve(&w, Slot(0), &[], &mut counters, |_, _, _| {
-            panic!("nothing to deliver")
-        });
+        fast.resolve(
+            &w,
+            Slot(0),
+            &[],
+            None,
+            &mut counters,
+            &mut NullSink,
+            &mut NullRecorder,
+            |_, _, _, _| panic!("nothing to deliver"),
+        );
         assert_eq!(counters.total_tx(), 0);
     }
 

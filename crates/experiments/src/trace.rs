@@ -21,8 +21,9 @@ use std::io::{self, BufWriter};
 use std::path::{Path, PathBuf};
 
 use ffd2d_baseline::FstProtocol;
-use ffd2d_core::{ScenarioConfig, StProtocol, World};
+use ffd2d_core::{RunOutcome, ScenarioConfig, StProtocol, World};
 use ffd2d_parallel::{SweepConfig, TrialCtx};
+use ffd2d_telemetry::NullRecorder;
 use ffd2d_trace::{JsonlSink, TeeSink, TimelineSink};
 
 use crate::sweep::SweepParams;
@@ -78,16 +79,13 @@ pub fn write_sweep_traces(params: &SweepParams, dir: &Path) -> io::Result<Vec<Pa
             .with_gain_cache(params.gain_cache)
             .with_faults(faults);
         let world = World::new(&scenario);
-        written.push(trace_one(dir, &format!("st_n{n}"), |sink| {
-            let mut timeline = TimelineSink::new();
-            StProtocol::run_in_traced(&world, &mut TeeSink(sink, &mut timeline));
-            timeline
-        })?);
-        written.push(trace_one(dir, &format!("fst_n{n}"), |sink| {
-            let mut timeline = TimelineSink::new();
-            FstProtocol::run_in_traced(&world, &mut TeeSink(sink, &mut timeline));
-            timeline
-        })?);
+        let protocols: [(&str, Replay); 2] = [
+            ("st", StProtocol::run_in_instrumented),
+            ("fst", FstProtocol::run_in_instrumented),
+        ];
+        for (protocol, run) in protocols {
+            written.push(trace_one(dir, &format!("{protocol}_n{n}"), &world, run)?);
+        }
     }
     Ok(written)
 }
@@ -98,24 +96,29 @@ pub fn write_sweep_traces(params: &SweepParams, dir: &Path) -> io::Result<Vec<Pa
 pub fn write_st_trace(scenario: &ScenarioConfig, dir: &Path, stem: &str) -> io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     std::fs::create_dir_all("results")?;
-    let world = World::new(scenario);
-    trace_one(dir, stem, |sink| {
-        let mut timeline = TimelineSink::new();
-        StProtocol::run_in_traced(&world, &mut TeeSink(sink, &mut timeline));
-        timeline
-    })
+    trace_one(
+        dir,
+        stem,
+        &World::new(scenario),
+        StProtocol::run_in_instrumented,
+    )
 }
 
-/// Run one traced trial: JSONL to `<dir>/{stem}.jsonl`, timeline CSV to
-/// `results/timeline_{stem}.csv`.
-fn trace_one(
-    dir: &Path,
-    stem: &str,
-    run: impl FnOnce(&mut JsonlSink<BufWriter<File>>) -> TimelineSink,
-) -> io::Result<PathBuf> {
+/// A traced replay's sink: the JSONL log teed into the per-slot timeline.
+type ReplaySink = TeeSink<JsonlSink<BufWriter<File>>, TimelineSink>;
+
+/// A protocol's `run_in_instrumented`, fixed to the replay sink.
+type Replay = fn(&World, &mut ReplaySink, &mut NullRecorder) -> RunOutcome;
+
+/// Run one traced trial of `world` through a protocol's
+/// `run_in_instrumented`: JSONL to `<dir>/{stem}.jsonl`, timeline CSV
+/// to `results/timeline_{stem}.csv`.
+fn trace_one(dir: &Path, stem: &str, world: &World, run: Replay) -> io::Result<PathBuf> {
     let jsonl_path = dir.join(format!("{stem}.jsonl"));
-    let mut jsonl = JsonlSink::new(BufWriter::new(File::create(&jsonl_path)?));
-    let timeline = run(&mut jsonl);
+    let jsonl = JsonlSink::new(BufWriter::new(File::create(&jsonl_path)?));
+    let mut sink = TeeSink(jsonl, TimelineSink::new());
+    run(world, &mut sink, &mut NullRecorder);
+    let TeeSink(jsonl, timeline) = sink;
     if let Some(e) = jsonl.io_error() {
         return Err(io::Error::new(
             e.kind(),

@@ -1,176 +1,18 @@
-//! Monotone discrete-event queues and wake-up scheduling.
-//!
-//! Protocol engines in this workspace are primarily *slot-stepped* (an
-//! LTE device wakes every subframe), but timers — oscillator firing
-//! deadlines, merge-handshake timeouts, convergence probes — are
-//! naturally expressed as scheduled events. [`EventQueue`] provides a
-//! classic calendar min-heap with two guarantees that matter for
-//! reproducibility:
-//!
-//! 1. **Monotonicity** — events cannot be scheduled before the time of
-//!    the last popped event (enforced with a debug assertion; simulation
-//!    causality bugs fail loudly in tests).
-//! 2. **Deterministic tie-breaking** — events scheduled for the same slot
-//!    pop in FIFO insertion order, independent of payload or allocation
-//!    addresses, so a trial replays identically.
+//! Wake-up scheduling for the event-driven engines.
 //!
 //! The event-driven protocol engines schedule *bare slot numbers* (no
 //! payloads — a wake just materializes a slot), where a plain heap is
 //! wasteful: in dense cells thousands of deadlines land on the same
 //! handful of slots, and every duplicate costs a push, a pop and a
-//! stale check. [`SlotWheel`] is the two-tier replacement: a
+//! stale check. [`SlotWheel`] is the two-tier scheduler: a
 //! near-horizon bitmap ring that *coalesces* all wake-ups targeting the
-//! same slot into one bit, backed by a far-horizon overflow heap, so a
+//! same slot into one bit, backed by a far-horizon overflow set, so a
 //! slot pops exactly once no matter how many deadlines target it.
 //! [`DensityWindow`] is the companion cutover policy for the adaptive
 //! engine mode: a sliding-window materialized-slot density estimate
 //! with hysteresis, a pure function of already-counted scheduler state.
 
-use core::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap};
-
-use crate::time::Slot;
-
-/// An event scheduled on an [`EventQueue`].
-#[derive(Debug, Clone)]
-pub struct ScheduledEvent<T> {
-    /// When the event fires.
-    pub at: Slot,
-    /// Monotone insertion sequence number (FIFO tie-break).
-    pub seq: u64,
-    /// User payload.
-    pub payload: T,
-}
-
-impl<T> PartialEq for ScheduledEvent<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<T> Eq for ScheduledEvent<T> {}
-
-impl<T> PartialOrd for ScheduledEvent<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<T> Ord for ScheduledEvent<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (then lowest
-        // sequence) event is at the top.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// A deterministic discrete-event queue.
-///
-/// ```
-/// use ffd2d_sim::{EventQueue, Slot};
-/// let mut q = EventQueue::new();
-/// q.schedule(Slot(5), 'b');
-/// q.schedule(Slot(2), 'a');
-/// q.schedule(Slot(5), 'c');
-/// let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-/// assert_eq!(order, vec!['a', 'b', 'c']); // FIFO within slot 5
-/// ```
-#[derive(Debug, Clone)]
-pub struct EventQueue<T> {
-    heap: BinaryHeap<ScheduledEvent<T>>,
-    next_seq: u64,
-    now: Slot,
-}
-
-impl<T> Default for EventQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> EventQueue<T> {
-    /// An empty queue positioned at [`Slot::ZERO`].
-    pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            now: Slot::ZERO,
-        }
-    }
-
-    /// An empty queue with pre-reserved capacity for `cap` events.
-    pub fn with_capacity(cap: usize) -> Self {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(cap),
-            next_seq: 0,
-            now: Slot::ZERO,
-        }
-    }
-
-    /// The virtual time of the most recently popped event (the current
-    /// simulation time from the queue's point of view).
-    #[inline]
-    pub fn now(&self) -> Slot {
-        self.now
-    }
-
-    /// Number of pending events.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are pending.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Schedule `payload` to fire at slot `at`.
-    ///
-    /// # Panics (debug builds)
-    ///
-    /// Panics if `at` is earlier than the time of the last popped event —
-    /// scheduling into the past is always a protocol bug.
-    pub fn schedule(&mut self, at: Slot, payload: T) {
-        debug_assert!(
-            at >= self.now,
-            "event scheduled into the past: at={at:?} now={:?}",
-            self.now
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(ScheduledEvent { at, seq, payload });
-    }
-
-    /// The firing time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<Slot> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// Pop the earliest event and advance the queue's clock to it.
-    pub fn pop(&mut self) -> Option<ScheduledEvent<T>> {
-        let ev = self.heap.pop()?;
-        self.now = ev.at;
-        Some(ev)
-    }
-
-    /// Pop the earliest event only if it fires at or before `t`.
-    pub fn pop_until(&mut self, t: Slot) -> Option<ScheduledEvent<T>> {
-        if self.peek_time()? <= t {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
-    /// Drop every pending event, keeping the clock position.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
+use std::collections::BTreeSet;
 
 /// A two-tier wake-up scheduler for bare slot numbers.
 ///
@@ -492,87 +334,6 @@ impl DensityWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule(Slot(30), 3);
-        q.schedule(Slot(10), 1);
-        q.schedule(Slot(20), 2);
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-        assert_eq!(order, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn fifo_within_a_slot() {
-        let mut q = EventQueue::new();
-        for i in 0..100 {
-            q.schedule(Slot(7), i);
-        }
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn clock_advances_on_pop() {
-        let mut q = EventQueue::new();
-        q.schedule(Slot(4), ());
-        assert_eq!(q.now(), Slot::ZERO);
-        q.pop();
-        assert_eq!(q.now(), Slot(4));
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "scheduled into the past")]
-    fn scheduling_into_the_past_panics() {
-        let mut q = EventQueue::new();
-        q.schedule(Slot(10), ());
-        q.pop();
-        q.schedule(Slot(5), ());
-    }
-
-    #[test]
-    fn pop_until_respects_horizon() {
-        let mut q = EventQueue::new();
-        q.schedule(Slot(5), 'x');
-        assert!(q.pop_until(Slot(4)).is_none());
-        assert_eq!(q.pop_until(Slot(5)).map(|e| e.payload), Some('x'));
-        assert!(q.pop_until(Slot(100)).is_none()); // empty now
-    }
-
-    #[test]
-    fn len_and_clear() {
-        let mut q = EventQueue::with_capacity(8);
-        assert!(q.is_empty());
-        q.schedule(Slot(1), ());
-        q.schedule(Slot(2), ());
-        assert_eq!(q.len(), 2);
-        q.clear();
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn peek_time_sees_earliest() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
-        q.schedule(Slot(9), ());
-        q.schedule(Slot(3), ());
-        assert_eq!(q.peek_time(), Some(Slot(3)));
-    }
-
-    #[test]
-    fn interleaved_schedule_and_pop() {
-        let mut q = EventQueue::new();
-        q.schedule(Slot(1), "a");
-        let e = q.pop().unwrap();
-        assert_eq!(e.payload, "a");
-        // Scheduling at the current time is allowed (same-slot cascades).
-        q.schedule(Slot(1), "b");
-        q.schedule(Slot(2), "c");
-        assert_eq!(q.pop().unwrap().payload, "b");
-        assert_eq!(q.pop().unwrap().payload, "c");
-    }
 
     #[test]
     fn wheel_coalesces_same_slot_wakes() {

@@ -14,10 +14,9 @@
 //!   so that every Monte-Carlo trial is exactly reproducible from a
 //!   `(seed, trial)` pair and independent streams can be handed to the
 //!   channel, the deployment and each device without correlation.
-//! * [`event`] — a monotone event queue ([`event::EventQueue`]) with
-//!   deterministic FIFO tie-breaking for simultaneous events, plus the
-//!   coalescing two-tier wake-up scheduler ([`event::SlotWheel`]) and
-//!   the adaptive-engine cutover policy ([`event::DensityWindow`]).
+//! * [`event`] — the coalescing two-tier wake-up scheduler
+//!   ([`event::SlotWheel`]) and the adaptive-engine cutover policy
+//!   ([`event::DensityWindow`]).
 //! * [`deployment`] — placement of devices on the plane (uniform random,
 //!   grid, clustered) in a configurable area.
 //! * [`mobility`] — random-waypoint motion on the slot grid (the
@@ -28,8 +27,8 @@
 //!   harness to reproduce the paper's Fig. 4 (message-exchange counts).
 //!
 //! The kernel is deliberately protocol-agnostic: protocol crates
-//! (`ffd2d-core`, `ffd2d-baseline`) drive a slot loop and use the event
-//! queue for timers, while the PHY crate (`ffd2d-phy`) models the shared
+//! (`ffd2d-core`, `ffd2d-baseline`) drive a slot loop and use the wake
+//! wheel for timers, while the PHY crate (`ffd2d-phy`) models the shared
 //! medium.
 //!
 //! ## Example
@@ -41,12 +40,6 @@
 //! let mut rng = StreamRng::for_trial(42, 7);
 //! let deployment = Deployment::uniform(50, Meters(100.0), Meters(100.0), &mut rng);
 //! assert_eq!(deployment.len(), 50);
-//!
-//! // Slot-based virtual time.
-//! let mut queue: EventQueue<&'static str> = EventQueue::new();
-//! queue.schedule(Slot(3), "fire");
-//! queue.schedule(Slot(1), "tick");
-//! assert_eq!(queue.pop().map(|e| (e.at, e.payload)), Some((Slot(1), "tick")));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -63,7 +56,7 @@ pub mod time;
 pub use config::SimConfig;
 pub use counters::Counters;
 pub use deployment::{Deployment, Meters, Position};
-pub use event::{DensityWindow, EventQueue, ScheduledEvent, SlotWheel};
+pub use event::{DensityWindow, SlotWheel};
 pub use mobility::{MobilityField, WaypointConfig};
 pub use rng::StreamRng;
 pub use time::{Slot, SlotDuration, SLOT_MILLIS};
@@ -73,7 +66,7 @@ pub mod prelude {
     pub use crate::config::SimConfig;
     pub use crate::counters::Counters;
     pub use crate::deployment::{Deployment, Meters, Position};
-    pub use crate::event::{DensityWindow, EventQueue, ScheduledEvent, SlotWheel};
+    pub use crate::event::{DensityWindow, SlotWheel};
     pub use crate::rng::{SplitMix64, StreamRng, Xoshiro256StarStar};
     pub use crate::time::{Slot, SlotDuration, SLOT_MILLIS};
 }

@@ -3,7 +3,6 @@
 use proptest::prelude::*;
 
 use ffd2d_sim::deployment::{Deployment, Meters, Position};
-use ffd2d_sim::event::EventQueue;
 use ffd2d_sim::rng::{SplitMix64, StreamRng, Xoshiro256StarStar};
 use ffd2d_sim::time::{Slot, SlotDuration};
 use rand::{RngCore, SeedableRng};
@@ -16,27 +15,6 @@ proptest! {
         prop_assert_eq!(t - Slot(a), SlotDuration(d));
         prop_assert_eq!(t - SlotDuration(d), Slot(a));
         prop_assert_eq!(t.saturating_since(Slot(a)), SlotDuration(d));
-    }
-
-    /// The event queue pops in (time, insertion) order for arbitrary
-    /// schedules.
-    #[test]
-    fn event_queue_is_a_stable_priority_queue(times in proptest::collection::vec(0u64..100, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(Slot(t), i);
-        }
-        let mut popped: Vec<(u64, usize)> = Vec::new();
-        while let Some(e) = q.pop() {
-            popped.push((e.at.0, e.payload));
-        }
-        prop_assert_eq!(popped.len(), times.len());
-        for w in popped.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0, "time order violated");
-            if w[0].0 == w[1].0 {
-                prop_assert!(w[0].1 < w[1].1, "FIFO violated within a slot");
-            }
-        }
     }
 
     /// SplitMix64's stateless mix is a bijection-quality avalanche:

@@ -41,5 +41,5 @@ pub mod timeline;
 
 pub use event::{Codec, FaultKind, FrameLabel, ProtoPhase, RejectReason, TraceEvent};
 pub use jsonl::{encode_event, parse_event, JsonlSink};
-pub use sink::{BufferSink, CountingSink, NullSink, TeeSink, TraceSink};
+pub use sink::{CountingSink, NullSink, TeeSink, TraceSink};
 pub use timeline::{TimelineRow, TimelineSink};

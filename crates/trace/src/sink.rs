@@ -64,8 +64,8 @@ impl TraceSink for NullSink {
     fn event(&mut self, _ev: &TraceEvent) {}
 }
 
-/// Tallies events per kind — the cheapest enabled sink, used by tests,
-/// smoke checks, and the overhead bench's "tracing on" arm.
+/// Tallies events per kind — the cheapest enabled sink, used by tests
+/// and smoke checks.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CountingSink {
     /// Event tallies keyed by [`TraceEvent::tag`] (BTreeMap for
@@ -94,43 +94,6 @@ impl TraceSink for CountingSink {
     #[inline]
     fn event(&mut self, ev: &TraceEvent) {
         *self.counts.entry(ev.tag()).or_insert(0) += 1;
-    }
-}
-
-/// Buffers events in memory, in arrival order.
-///
-/// The intra-run parallel medium hands one `BufferSink` to each shard:
-/// workers record their receivers' events privately, then the caller
-/// [`BufferSink::flush_into`]s the buffers in shard order — which is
-/// receiver order, because shards are contiguous receiver ranges — so
-/// the merged stream is byte-identical to the sequential resolver's.
-/// Events are plain `Copy` data (see [`TraceEvent`]), so buffering
-/// never borrows from the run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BufferSink {
-    /// Buffered events, in the order they were emitted.
-    pub events: Vec<TraceEvent>,
-}
-
-impl BufferSink {
-    /// An empty buffer.
-    pub fn new() -> BufferSink {
-        BufferSink::default()
-    }
-
-    /// Replay every buffered event into `sink`, in order, and clear the
-    /// buffer (the allocation is kept for reuse).
-    pub fn flush_into<S: TraceSink>(&mut self, sink: &mut S) {
-        for ev in self.events.drain(..) {
-            sink.event(&ev);
-        }
-    }
-}
-
-impl TraceSink for BufferSink {
-    #[inline]
-    fn event(&mut self, ev: &TraceEvent) {
-        self.events.push(*ev);
     }
 }
 
@@ -185,26 +148,6 @@ mod tests {
         assert_eq!(s.count("run_end"), 1);
         assert_eq!(s.count("tx"), 0);
         assert_eq!(s.total(), 3);
-    }
-
-    #[test]
-    fn buffer_sink_replays_in_order_and_clears() {
-        let mut buf = BufferSink::new();
-        buf.event(&TraceEvent::Converged { slot: 1 });
-        buf.event(&TraceEvent::Converged { slot: 2 });
-        buf.event(&TraceEvent::RunEnd {
-            slot: 2,
-            converged: true,
-        });
-        assert_eq!(buf.events.len(), 3);
-        let mut out = CountingSink::new();
-        buf.flush_into(&mut out);
-        assert_eq!(out.count("converged"), 2);
-        assert_eq!(out.count("run_end"), 1);
-        assert!(buf.events.is_empty(), "flush clears the buffer");
-        const {
-            assert!(BufferSink::ENABLED);
-        }
     }
 
     #[test]

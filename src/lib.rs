@@ -61,3 +61,10 @@ pub use ffd2d_radio as radio;
 pub use ffd2d_sim as sim;
 pub use ffd2d_telemetry as telemetry;
 pub use ffd2d_trace as trace;
+
+/// Compiles every `rust` block of the README as a doctest, so a stale
+/// example fails `cargo test`. The blocks are `no_run`: they are
+/// type-checked, not executed.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

@@ -22,8 +22,9 @@
 
 use ffd2d::baseline::FstProtocol;
 use ffd2d::chaos::{ChurnEvent, ChurnKind, ClockSkew, FaultPlan, PowerDroop};
-use ffd2d::core::{EngineMode, Parallelism, RunOutcome, ScenarioConfig, StProtocol};
+use ffd2d::core::{EngineMode, Parallelism, RunOutcome, ScenarioConfig, StProtocol, World};
 use ffd2d::sim::time::SlotDuration;
+use ffd2d::telemetry::NullRecorder;
 use ffd2d::trace::JsonlSink;
 
 fn cfg(n: usize, seed: u64, horizon: u64) -> ScenarioConfig {
@@ -34,14 +35,14 @@ fn cfg(n: usize, seed: u64, horizon: u64) -> ScenarioConfig {
 
 fn st_traced(cfg: &ScenarioConfig) -> (RunOutcome, Vec<u8>) {
     let mut sink = JsonlSink::new(Vec::new());
-    let out = StProtocol::run_traced(cfg, &mut sink);
+    let out = StProtocol::run_in_instrumented(&World::new(cfg), &mut sink, &mut NullRecorder);
     assert!(sink.io_error().is_none());
     (out, sink.into_inner())
 }
 
 fn fst_traced(cfg: &ScenarioConfig) -> (RunOutcome, Vec<u8>) {
     let mut sink = JsonlSink::new(Vec::new());
-    let out = FstProtocol::run_traced(cfg, &mut sink);
+    let out = FstProtocol::run_in_instrumented(&World::new(cfg), &mut sink, &mut NullRecorder);
     assert!(sink.io_error().is_none());
     (out, sink.into_inner())
 }

@@ -31,10 +31,11 @@
 //! configured mode must not leak into the log bytes).
 
 use ffd2d::baseline::FstProtocol;
-use ffd2d::core::{EngineMode, Parallelism, ScenarioConfig, StProtocol};
+use ffd2d::core::{EngineMode, Parallelism, RunOutcome, ScenarioConfig, StProtocol, World};
 use ffd2d::radio::fading::FadingModel;
 use ffd2d::sim::deployment::Meters;
 use ffd2d::sim::time::SlotDuration;
+use ffd2d::telemetry::NullRecorder;
 use ffd2d::trace::JsonlSink;
 
 /// Table-I channel in the paper arena (dense, heavy shadowing+fading).
@@ -62,6 +63,19 @@ fn sparse_shadowed_cfg(n: usize, seed: u64, horizon: u64) -> ScenarioConfig {
     cfg
 }
 
+/// A protocol's name, its plain `run`, and its `run_in_instrumented`
+/// fixed to an in-memory JSONL sink.
+type EntryPoints = (
+    &'static str,
+    fn(&ScenarioConfig) -> RunOutcome,
+    fn(&World, &mut JsonlSink<Vec<u8>>, &mut NullRecorder) -> RunOutcome,
+);
+
+const PROTOCOLS: [EntryPoints; 2] = [
+    ("ST", StProtocol::run, StProtocol::run_in_instrumented),
+    ("FST", FstProtocol::run, FstProtocol::run_in_instrumented),
+];
+
 /// Assert stepped ≡ event-driven ≡ adaptive for both protocols on
 /// `cfg`: bit-identical `RunOutcome`s and byte-identical JSONL traces.
 fn assert_engines_agree(label: &str, cfg: &ScenarioConfig) {
@@ -69,54 +83,36 @@ fn assert_engines_agree(label: &str, cfg: &ScenarioConfig) {
     let event = cfg.clone().with_engine(EngineMode::EventDriven);
     let adaptive = cfg.clone().with_engine(EngineMode::Adaptive);
 
-    let st_stepped = StProtocol::run(&stepped);
-    let fst_stepped = FstProtocol::run(&stepped);
-    for (mode, alt) in [("event", &event), ("adaptive", &adaptive)] {
-        let st_alt = StProtocol::run(alt);
-        assert_eq!(st_stepped, st_alt, "ST outcomes diverged ({mode}): {label}");
-        let fst_alt = FstProtocol::run(alt);
-        assert_eq!(
-            fst_stepped, fst_alt,
-            "FST outcomes diverged ({mode}): {label}"
-        );
-    }
-
-    // Same seed ⇒ byte-identical JSONL logs, whichever mode the config
-    // asks for, and tracing must not perturb the untraced outcome.
-    let st_trace = |cfg: &ScenarioConfig| {
-        let mut sink = JsonlSink::new(Vec::new());
-        let out = StProtocol::run_traced(cfg, &mut sink);
-        assert!(sink.io_error().is_none());
-        (out, sink.into_inner())
-    };
-    let (out_s, log_s) = st_trace(&stepped);
-    assert_eq!(out_s, st_stepped, "tracing perturbed the ST run: {label}");
-    assert!(!log_s.is_empty(), "empty ST trace: {label}");
-    for (mode, alt) in [("event", &event), ("adaptive", &adaptive)] {
-        let (out_a, log_a) = st_trace(alt);
-        assert_eq!(
-            out_a, st_stepped,
-            "tracing perturbed the ST run ({mode}): {label}"
-        );
-        assert_eq!(log_s, log_a, "ST JSONL bytes diverged ({mode}): {label}");
-    }
-
-    let fst_trace = |cfg: &ScenarioConfig| {
-        let mut sink = JsonlSink::new(Vec::new());
-        let out = FstProtocol::run_traced(cfg, &mut sink);
-        assert!(sink.io_error().is_none());
-        (out, sink.into_inner())
-    };
-    let (fout_s, flog_s) = fst_trace(&stepped);
-    assert_eq!(fout_s, fst_stepped, "tracing perturbed FST: {label}");
-    assert!(!flog_s.is_empty(), "empty FST trace: {label}");
-    for (mode, alt) in [("event", &event), ("adaptive", &adaptive)] {
-        let (fout_a, flog_a) = fst_trace(alt);
-        assert_eq!(
-            fout_a, fst_stepped,
-            "tracing perturbed FST ({mode}): {label}"
-        );
-        assert_eq!(flog_s, flog_a, "FST JSONL bytes diverged ({mode}): {label}");
+    for (name, run, run_observed) in PROTOCOLS {
+        // Same seed ⇒ byte-identical JSONL logs, whichever mode the
+        // config asks for, and tracing must not perturb the untraced
+        // outcome.
+        let trace = |cfg: &ScenarioConfig| {
+            let mut sink = JsonlSink::new(Vec::new());
+            let out = run_observed(&World::new(cfg), &mut sink, &mut NullRecorder);
+            assert!(sink.io_error().is_none());
+            (out, sink.into_inner())
+        };
+        let reference = run(&stepped);
+        let (out_s, log_s) = trace(&stepped);
+        assert_eq!(out_s, reference, "tracing perturbed {name}: {label}");
+        assert!(!log_s.is_empty(), "empty {name} trace: {label}");
+        for (mode, alt) in [("event", &event), ("adaptive", &adaptive)] {
+            assert_eq!(
+                reference,
+                run(alt),
+                "{name} outcomes diverged ({mode}): {label}"
+            );
+            let (out_a, log_a) = trace(alt);
+            assert_eq!(
+                out_a, reference,
+                "tracing perturbed {name} ({mode}): {label}"
+            );
+            assert_eq!(
+                log_s, log_a,
+                "{name} JSONL bytes diverged ({mode}): {label}"
+            );
+        }
     }
 }
 
@@ -181,10 +177,12 @@ fn assert_parallelism_neutral(label: &str, cfg: &ScenarioConfig) {
         let st = StProtocol::run(&cfg);
         let fst = FstProtocol::run(&cfg);
         let mut st_sink = JsonlSink::new(Vec::new());
-        let st_traced = StProtocol::run_traced(&cfg, &mut st_sink);
+        let st_traced =
+            StProtocol::run_in_instrumented(&World::new(&cfg), &mut st_sink, &mut NullRecorder);
         assert!(st_sink.io_error().is_none());
         let mut fst_sink = JsonlSink::new(Vec::new());
-        let fst_traced = FstProtocol::run_traced(&cfg, &mut fst_sink);
+        let fst_traced =
+            FstProtocol::run_in_instrumented(&World::new(&cfg), &mut fst_sink, &mut NullRecorder);
         assert!(fst_sink.io_error().is_none());
         assert_eq!(st, st_traced, "tracing perturbed ST: {label}");
         assert_eq!(fst, fst_traced, "tracing perturbed FST: {label}");

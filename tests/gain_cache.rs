@@ -29,7 +29,8 @@ use ffd2d::phy::frame::{FrameKind, ProximitySignal};
 use ffd2d::sim::counters::Counters;
 use ffd2d::sim::deployment::{Meters, Position};
 use ffd2d::sim::time::{Slot, SlotDuration};
-use ffd2d::trace::JsonlSink;
+use ffd2d::telemetry::NullRecorder;
+use ffd2d::trace::{JsonlSink, NullSink};
 use proptest::prelude::*;
 
 /// Table-I arena under a churn-heavy plan: joins and leaves force the
@@ -51,10 +52,12 @@ fn assert_cache_neutral(label: &str, cfg: &ScenarioConfig) {
         let st = StProtocol::run(&cfg);
         let fst = FstProtocol::run(&cfg);
         let mut st_sink = JsonlSink::new(Vec::new());
-        let st_traced = StProtocol::run_traced(&cfg, &mut st_sink);
+        let st_traced =
+            StProtocol::run_in_instrumented(&World::new(&cfg), &mut st_sink, &mut NullRecorder);
         assert!(st_sink.io_error().is_none());
         let mut fst_sink = JsonlSink::new(Vec::new());
-        let fst_traced = FstProtocol::run_traced(&cfg, &mut fst_sink);
+        let fst_traced =
+            FstProtocol::run_in_instrumented(&World::new(&cfg), &mut fst_sink, &mut NullRecorder);
         assert!(fst_sink.io_error().is_none());
         assert_eq!(st, st_traced, "tracing perturbed ST: {label}");
         assert_eq!(fst, fst_traced, "tracing perturbed FST: {label}");
@@ -99,7 +102,7 @@ fn narrow_churn_invalidation_keeps_the_cache_hot() {
     let cfg = churny_cfg(96, 0xC0FFEE, 8_000);
     let world = World::new(&cfg);
     let mut rec = ffd2d::telemetry::Telemetry::new();
-    StProtocol::run_in_instrumented(&world, &mut ffd2d::trace::NullSink, &mut rec);
+    StProtocol::run_in_instrumented(&world, &mut NullSink, &mut rec);
     let churn = rec.counter("chaos.churn_events");
     assert!(churn > 0, "the churn-heavy plan must actually churn");
     let hits = rec.counter("medium.gain_cache_hits");
@@ -158,9 +161,16 @@ fn resolve_one(
     let mut counters = Counters::new();
     let mut deliveries = Vec::new();
     let txs = batch(world.n(), slot);
-    medium.resolve(world, Slot(slot), &txs, &mut counters, |r, sig, p| {
-        deliveries.push((r, sig.sender, p.to_bits()));
-    });
+    medium.resolve(
+        world,
+        Slot(slot),
+        &txs,
+        None,
+        &mut counters,
+        &mut NullSink,
+        &mut NullRecorder,
+        |r, sig, p, _| deliveries.push((r, sig.sender, p.to_bits())),
+    );
     (deliveries, counters)
 }
 

@@ -7,7 +7,10 @@
 //! digest of `format!("{:?}", RunOutcome)` for ST and FST on six fixed
 //! cells — {Table-I n = 60 clean, Table-I n = 60 under the `churn-heavy`
 //! preset, the `tests/chaos.rs`-style plan with drop, dup, churn, skew
-//! and droop} × {Stepped, Adaptive}.
+//! and droop} × {Stepped, Adaptive}. Every protocol entry point —
+//! `run(cfg)`, `run_in(&world)` and
+//! `run_in_instrumented(&world, &mut NullSink, &mut NullRecorder)` —
+//! must reproduce the same pins.
 //!
 //! A digest mismatch means the simulator's observable behaviour
 //! changed. If that is intended, re-pin from the failure message, which
@@ -15,8 +18,10 @@
 
 use ffd2d::baseline::FstProtocol;
 use ffd2d::chaos::{ChurnEvent, ChurnKind, ClockSkew, FaultPlan, PowerDroop};
-use ffd2d::core::{EngineMode, RunOutcome, ScenarioConfig, StProtocol};
+use ffd2d::core::{EngineMode, RunOutcome, ScenarioConfig, StProtocol, World};
 use ffd2d::sim::time::SlotDuration;
+use ffd2d::telemetry::NullRecorder;
+use ffd2d::trace::NullSink;
 
 const N: usize = 60;
 const SEED: u64 = 0x60_1DE2;
@@ -104,32 +109,53 @@ const PINS: &[(&str, &str, &str, u64)] = &[
     ("spicy", "Adaptive", "FST", 0x9c8221fc6a59f3ad),
 ];
 
+/// One protocol entry point, run for ST and FST on the same scenario.
+type EntryPoint = fn(&ScenarioConfig) -> (RunOutcome, RunOutcome);
+
+/// Every public protocol entry point, by name.
+const ENTRY_POINTS: [(&str, EntryPoint); 3] = [
+    ("run", |cfg| (StProtocol::run(cfg), FstProtocol::run(cfg))),
+    ("run_in", |cfg| {
+        let world = World::new(cfg);
+        (StProtocol::run_in(&world), FstProtocol::run_in(&world))
+    }),
+    ("run_in_instrumented", |cfg| {
+        let world = World::new(cfg);
+        (
+            StProtocol::run_in_instrumented(&world, &mut NullSink, &mut NullRecorder),
+            FstProtocol::run_in_instrumented(&world, &mut NullSink, &mut NullRecorder),
+        )
+    }),
+];
+
 #[test]
 fn outcomes_match_the_recorded_digests() {
-    let mut actual = Vec::new();
-    for (cell, cfg) in cells() {
-        for (engine, mode) in [
-            ("Stepped", EngineMode::Stepped),
-            ("Adaptive", EngineMode::Adaptive),
-        ] {
-            let cfg = cfg.clone().with_engine(mode);
-            actual.push((cell, engine, "ST", digest(&StProtocol::run(&cfg))));
-            actual.push((cell, engine, "FST", digest(&FstProtocol::run(&cfg))));
+    for (entry, run_both) in ENTRY_POINTS {
+        let mut actual = Vec::new();
+        for (cell, cfg) in cells() {
+            for (engine, mode) in [
+                ("Stepped", EngineMode::Stepped),
+                ("Adaptive", EngineMode::Adaptive),
+            ] {
+                let (st, fst) = run_both(&cfg.clone().with_engine(mode));
+                actual.push((cell, engine, "ST", digest(&st)));
+                actual.push((cell, engine, "FST", digest(&fst)));
+            }
         }
-    }
-    let listing: String = actual
-        .iter()
-        .map(|(c, e, p, d)| format!("    ({c:?}, {e:?}, {p:?}, 0x{d:016x}),\n"))
-        .collect();
-    assert_eq!(
-        actual.len(),
-        PINS.len(),
-        "cell matrix changed; current digests:\n{listing}"
-    );
-    for (got, pin) in actual.iter().zip(PINS) {
+        let listing: String = actual
+            .iter()
+            .map(|(c, e, p, d)| format!("    ({c:?}, {e:?}, {p:?}, 0x{d:016x}),\n"))
+            .collect();
         assert_eq!(
-            got, pin,
-            "outcome digest drifted; current digests:\n{listing}"
+            actual.len(),
+            PINS.len(),
+            "cell matrix changed; current digests via {entry}:\n{listing}"
         );
+        for (got, pin) in actual.iter().zip(PINS) {
+            assert_eq!(
+                got, pin,
+                "outcome digest drifted via {entry}; current digests:\n{listing}"
+            );
+        }
     }
 }

@@ -31,7 +31,8 @@ use ffd2d_radio::fading::FadingModel;
 use ffd2d_sim::counters::Counters;
 use ffd2d_sim::deployment::Meters;
 use ffd2d_sim::time::{Slot, SlotDuration};
-use ffd2d_trace::JsonlSink;
+use ffd2d_telemetry::NullRecorder;
+use ffd2d_trace::{JsonlSink, NullSink};
 
 /// Deterministic schedule: for each slot, a seed-derived subset of
 /// devices transmits, alternating between the two RACH codecs so both
@@ -105,10 +106,11 @@ fn assert_equivalent(cfg: &ScenarioConfig, seed: u64, slots: u64) {
             &world,
             Slot(slot),
             &txs,
+            None,
             &mut fast_counters,
-            |rx, sig, _p| {
-                got.push((rx, sig.sender));
-            },
+            &mut NullSink,
+            &mut NullRecorder,
+            |rx, sig, _p, _| got.push((rx, sig.sender)),
         );
         got.sort_unstable();
 
@@ -231,12 +233,14 @@ fn run_fast_sharded(
     let mut delivered = Vec::new();
     for slot in 0..slots {
         let txs = schedule(n, seed, slot);
-        fast.resolve_traced(
+        fast.resolve(
             &world,
             Slot(slot),
             &txs,
+            None,
             &mut counters,
             &mut sink,
+            &mut NullRecorder,
             |rx, sig, p, _| delivered.push((rx, sig.sender, p.to_bits())),
         );
     }
@@ -340,10 +344,11 @@ fn empty_slots_are_equivalent_and_move_no_counter() {
             &world,
             Slot(slot),
             &txs,
+            None,
             &mut fast_counters,
-            |rx, sig, _p| {
-                got.push((rx, sig.sender));
-            },
+            &mut NullSink,
+            &mut NullRecorder,
+            |rx, sig, _p, _| got.push((rx, sig.sender)),
         );
         got.sort_unstable();
         assert_eq!(got, expected, "decode reports diverged at slot {slot}");
@@ -387,8 +392,15 @@ fn half_duplex_transmitters_hear_nothing_in_both_media() {
 
     let mut fast = FastMedium::new(20);
     let mut fast_counters = Counters::new();
-    fast.resolve(&world, Slot(0), &txs, &mut fast_counters, |_, _, _| {
-        panic!("transmitting devices must be deaf")
-    });
+    fast.resolve(
+        &world,
+        Slot(0),
+        &txs,
+        None,
+        &mut fast_counters,
+        &mut NullSink,
+        &mut NullRecorder,
+        |_, _, _, _| panic!("transmitting devices must be deaf"),
+    );
     assert_eq!(fast_counters, ref_counters);
 }

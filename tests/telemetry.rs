@@ -14,10 +14,10 @@
 //!   to instrument are present with plausible magnitudes.
 
 use ffd2d::baseline::FstProtocol;
-use ffd2d::core::{EngineMode, Parallelism, ScenarioConfig, StProtocol};
+use ffd2d::core::{EngineMode, Parallelism, ScenarioConfig, StProtocol, World};
 use ffd2d::sim::time::SlotDuration;
 use ffd2d::telemetry::{NullRecorder, Telemetry};
-use ffd2d::trace::JsonlSink;
+use ffd2d::trace::{JsonlSink, NullSink};
 use proptest::prelude::*;
 
 fn scenario(n: usize, seed: u64) -> ScenarioConfig {
@@ -39,12 +39,13 @@ fn assert_outcome_neutral(cfg: &ScenarioConfig) {
                 .with_engine(engine)
                 .with_parallelism(Parallelism::Fixed(workers));
             let label = format!("{engine:?}, workers={workers}");
+            let world = World::new(&cfg);
 
             let plain = StProtocol::run(&cfg);
             let mut rec = Telemetry::new();
-            let recorded = StProtocol::run_instrumented(&cfg, &mut rec);
+            let recorded = StProtocol::run_in_instrumented(&world, &mut NullSink, &mut rec);
             assert_eq!(plain, recorded, "telemetry perturbed ST ({label})");
-            let null = StProtocol::run_instrumented(&cfg, &mut NullRecorder);
+            let null = StProtocol::run_in_instrumented(&world, &mut NullSink, &mut NullRecorder);
             assert_eq!(plain, null, "NullRecorder perturbed ST ({label})");
             assert!(
                 rec.counter("engine.slots_materialized") > 0,
@@ -53,9 +54,9 @@ fn assert_outcome_neutral(cfg: &ScenarioConfig) {
 
             let plain = FstProtocol::run(&cfg);
             let mut rec = Telemetry::new();
-            let recorded = FstProtocol::run_instrumented(&cfg, &mut rec);
+            let recorded = FstProtocol::run_in_instrumented(&world, &mut NullSink, &mut rec);
             assert_eq!(plain, recorded, "telemetry perturbed FST ({label})");
-            let null = FstProtocol::run_instrumented(&cfg, &mut NullRecorder);
+            let null = FstProtocol::run_in_instrumented(&world, &mut NullSink, &mut NullRecorder);
             assert_eq!(plain, null, "NullRecorder perturbed FST ({label})");
             assert!(
                 rec.counter("engine.slots_materialized") > 0,
@@ -96,13 +97,13 @@ proptest! {
         let mut rec = Telemetry::new();
         prop_assert_eq!(
             StProtocol::run(&cfg),
-            StProtocol::run_instrumented(&cfg, &mut rec),
+            StProtocol::run_in_instrumented(&World::new(&cfg), &mut NullSink, &mut rec),
             "ST, {:?}, seed {}", engine, seed
         );
         let mut rec = Telemetry::new();
         prop_assert_eq!(
             FstProtocol::run(&cfg),
-            FstProtocol::run_instrumented(&cfg, &mut rec),
+            FstProtocol::run_in_instrumented(&World::new(&cfg), &mut NullSink, &mut rec),
             "FST, {:?}, seed {}", engine, seed
         );
     }
@@ -119,7 +120,7 @@ fn trace_jsonl_is_byte_identical_with_recorder_attached() {
             let mut t = Telemetry::new();
             StProtocol::run_in_instrumented(&world, &mut sink, &mut t);
         } else {
-            StProtocol::run_in_traced(&world, &mut sink);
+            StProtocol::run_in_instrumented(&world, &mut sink, &mut NullRecorder);
         }
         assert!(sink.io_error().is_none());
         sink.into_inner()
@@ -132,7 +133,7 @@ fn trace_jsonl_is_byte_identical_with_recorder_attached() {
             let mut t = Telemetry::new();
             FstProtocol::run_in_instrumented(&world, &mut sink, &mut t);
         } else {
-            FstProtocol::run_in_traced(&world, &mut sink);
+            FstProtocol::run_in_instrumented(&world, &mut sink, &mut NullRecorder);
         }
         assert!(sink.io_error().is_none());
         sink.into_inner()
@@ -159,7 +160,7 @@ fn same_seed_reruns_have_identical_telemetry_structure() {
     let cfg = scenario(60, 7).with_parallelism(Parallelism::Fixed(4));
     let run = || {
         let mut rec = Telemetry::new();
-        StProtocol::run_instrumented(&cfg, &mut rec);
+        StProtocol::run_in_instrumented(&World::new(&cfg), &mut NullSink, &mut rec);
         rec
     };
     let (a, b) = (run(), run());
@@ -183,7 +184,7 @@ fn hot_path_keys_are_recorded_with_plausible_magnitudes() {
         .with_engine(EngineMode::EventDriven)
         .with_parallelism(Parallelism::Fixed(4));
     let mut rec = Telemetry::new();
-    let out = StProtocol::run_instrumented(&cfg, &mut rec);
+    let out = StProtocol::run_in_instrumented(&World::new(&cfg), &mut NullSink, &mut rec);
     assert!(out.converged());
 
     let materialized = rec.counter("engine.slots_materialized");

@@ -10,8 +10,9 @@
 //!   the events are a complete account of the medium's bookkeeping.
 
 use ffd2d::baseline::FstProtocol;
-use ffd2d::core::{ScenarioConfig, StProtocol};
+use ffd2d::core::{ScenarioConfig, StProtocol, World};
 use ffd2d::sim::time::SlotDuration;
+use ffd2d::telemetry::NullRecorder;
 use ffd2d::trace::{
     encode_event, parse_event, CountingSink, JsonlSink, NullSink, TeeSink, TimelineSink,
 };
@@ -24,7 +25,7 @@ fn scenario(n: usize, seed: u64) -> ScenarioConfig {
 
 fn st_jsonl(cfg: &ScenarioConfig) -> Vec<u8> {
     let mut sink = JsonlSink::new(Vec::new());
-    StProtocol::run_traced(cfg, &mut sink);
+    StProtocol::run_in_instrumented(&World::new(cfg), &mut sink, &mut NullRecorder);
     assert!(sink.io_error().is_none());
     sink.into_inner()
 }
@@ -33,10 +34,11 @@ fn st_jsonl(cfg: &ScenarioConfig) -> Vec<u8> {
 fn tracing_does_not_perturb_the_run() {
     for n in [50, 200] {
         let cfg = scenario(n, 11);
+        let world = World::new(&cfg);
         let untraced = StProtocol::run(&cfg);
-        let null = StProtocol::run_traced(&cfg, &mut NullSink);
+        let null = StProtocol::run_in_instrumented(&world, &mut NullSink, &mut NullRecorder);
         let mut counting = CountingSink::new();
-        let counted = StProtocol::run_traced(&cfg, &mut counting);
+        let counted = StProtocol::run_in_instrumented(&world, &mut counting, &mut NullRecorder);
         assert_eq!(untraced, null, "NullSink perturbed the ST run at n={n}");
         assert_eq!(
             untraced, counted,
@@ -45,7 +47,9 @@ fn tracing_does_not_perturb_the_run() {
         assert!(counting.total() > 0, "no events at n={n}");
 
         let fst_untraced = FstProtocol::run(&cfg);
-        let fst_counted = FstProtocol::run_traced(&cfg, &mut CountingSink::new());
+        let mut counting = CountingSink::new();
+        let fst_counted =
+            FstProtocol::run_in_instrumented(&world, &mut counting, &mut NullRecorder);
         assert_eq!(fst_untraced, fst_counted, "tracing perturbed FST at n={n}");
     }
 }
@@ -57,7 +61,7 @@ fn same_seed_gives_byte_identical_jsonl() {
 
     let fst = |cfg: &ScenarioConfig| {
         let mut sink = JsonlSink::new(Vec::new());
-        FstProtocol::run_traced(cfg, &mut sink);
+        FstProtocol::run_in_instrumented(&World::new(cfg), &mut sink, &mut NullRecorder);
         sink.into_inner()
     };
     assert_eq!(fst(&cfg), fst(&cfg));
@@ -83,7 +87,7 @@ fn jsonl_log_round_trips_losslessly() {
 fn timeline_tallies_match_run_counters() {
     let cfg = scenario(40, 9);
     let mut timeline = TimelineSink::new();
-    let out = StProtocol::run_traced(&cfg, &mut timeline);
+    let out = StProtocol::run_in_instrumented(&World::new(&cfg), &mut timeline, &mut NullRecorder);
     let rows = timeline.rows();
     assert!(!rows.is_empty());
 
@@ -109,7 +113,11 @@ fn tee_preserves_both_branches() {
     let cfg = scenario(25, 3);
     let mut jsonl = JsonlSink::new(Vec::new());
     let mut counting = CountingSink::new();
-    StProtocol::run_traced(&cfg, &mut TeeSink(&mut jsonl, &mut counting));
+    StProtocol::run_in_instrumented(
+        &World::new(&cfg),
+        &mut TeeSink(&mut jsonl, &mut counting),
+        &mut NullRecorder,
+    );
     assert_eq!(jsonl.events(), counting.total());
     assert_eq!(
         st_jsonl(&cfg),
