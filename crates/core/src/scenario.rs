@@ -64,8 +64,9 @@ impl ProtocolConfig {
         if self.refractory_slots >= self.period_slots {
             return Err("refractory must be shorter than the period".into());
         }
-        if self.dissipation <= 0.0 || self.coupling <= 0.0 {
-            return Err("PRC requires a > 0 and ε > 0 (Mirollo–Strogatz)".into());
+        let positive_finite = |x: f64| x > 0.0 && x.is_finite();
+        if !positive_finite(self.dissipation) || !positive_finite(self.coupling) {
+            return Err("PRC requires finite a > 0 and ε > 0 (Mirollo–Strogatz)".into());
         }
         if self.discovery_periods == 0 {
             return Err("need at least one discovery period".into());
@@ -124,15 +125,15 @@ impl EngineMode {
 ///
 /// Both modes produce **bit-identical** outcomes (locked down by
 /// `tests/gain_cache.rs`): mean link gains are pure functions of device
-/// positions, fading remains the only per-slot keyed draw, and the
-/// cache is flushed whenever the world's mobility epoch or the
-/// engine's churn generation moves — so the choice is purely about
+/// positions, which never change during a run, fading remains the only
+/// per-slot keyed draw, and a sender's rows are refilled whenever the
+/// engine reports churn of that sender — so the choice is purely about
 /// wall clock (and memory: the cache holds one `f64` per cached
 /// directed (sender, cell-occupant) pair).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum GainCacheMode {
-    /// Memoise mean link gains per (sender, grid cell) row, keyed by
-    /// the mobility epoch, reused across every slot of the epoch.
+    /// Memoise mean link gains per (sender, grid cell) row, computed
+    /// once and reused across every later slot of the run.
     #[default]
     Epoch,
     /// Recompute path loss + shadowing for every candidate pair, every
@@ -254,8 +255,9 @@ impl ScenarioConfig {
     pub fn validate(&self) -> Result<(), String> {
         self.sim.validate()?;
         self.protocol.validate()?;
-        if self.channel.shadowing_sigma_db < 0.0 {
-            return Err("shadowing sigma must be non-negative".into());
+        let sigma = self.channel.shadowing_sigma_db;
+        if !(sigma >= 0.0 && sigma.is_finite()) {
+            return Err("shadowing sigma must be non-negative and finite".into());
         }
         self.faults.validate(
             self.sim.n_devices,
@@ -269,6 +271,7 @@ impl ScenarioConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ffd2d_sim::deployment::Meters;
 
     #[test]
     fn table1_defaults() {
@@ -382,5 +385,26 @@ mod tests {
         let mut c = ScenarioConfig::table1(10);
         c.channel.shadowing_sigma_db = -1.0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_non_finite_floats() {
+        type Poke = fn(&mut ScenarioConfig, f64);
+        let fields: [(&str, Poke); 5] = [
+            ("area_width", |c, x| c.sim.area_width = Meters(x)),
+            ("area_height", |c, x| c.sim.area_height = Meters(x)),
+            ("dissipation", |c, x| c.protocol.dissipation = x),
+            ("coupling", |c, x| c.protocol.coupling = x),
+            ("shadowing_sigma_db", |c, x| {
+                c.channel.shadowing_sigma_db = x
+            }),
+        ];
+        for (name, poke) in fields {
+            for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut c = ScenarioConfig::table1(10);
+                poke(&mut c, x);
+                assert!(c.validate().is_err(), "{name} = {x} must be rejected");
+            }
+        }
     }
 }

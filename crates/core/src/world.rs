@@ -26,18 +26,16 @@
 //!    cell. Pairs outside the disc are *provably* inaudible, so —
 //!    unlike a statistical fade margin — pruning changes no decode
 //!    decision, for any seed.
-//! 2. **Epoch-keyed link-state cache.** There is no up-front `n × n`
+//! 2. **Run-long link-state cache.** There is no up-front `n × n`
 //!    gain matrix: mean link powers (path loss + shadowing) are pure
-//!    functions of device positions, so they are computed **once per
-//!    mobility epoch** by a batched kernel — one row per (sender, grid
-//!    cell), aligned with the cell's occupant list — and reused across
-//!    every subsequent slot of the epoch. Fading remains the only
-//!    per-slot keyed draw, so caching is provably bit-identical: no RNG
-//!    stream is touched. The cache is flushed when
-//!    [`World::mobility_epoch`] moves (re-bucketing); engine-reported
-//!    churn ([`FastMedium::note_churn_of`]) stales only the churned
-//!    senders' rows via per-row membership stamps, which refill in
-//!    place on next use. Memory is one `f64`
+//!    functions of device positions, and devices never move, so they
+//!    are computed **once per run** by a batched kernel — one row per
+//!    (sender, grid cell), aligned with the cell's occupant list — and
+//!    reused across every later slot. Fading remains the only per-slot
+//!    keyed draw, so caching is provably bit-identical: no RNG stream
+//!    is touched. Engine-reported churn ([`FastMedium::note_churn_of`])
+//!    stales only the churned senders' rows via per-row membership
+//!    stamps, which refill in place on next use. Memory is one `f64`
 //!    per cached directed (sender, cell-occupant) pair — proportional
 //!    to the audible-pair count actually exercised, not `n²` of the
 //!    whole arena (they coincide only when every device is audible to
@@ -81,7 +79,7 @@ use ffd2d_radio::pathloss::PathLoss;
 use ffd2d_radio::shadowing::ShadowingField;
 use ffd2d_radio::units::Dbm;
 use ffd2d_sim::counters::Counters;
-use ffd2d_sim::deployment::{Deployment, DeviceId, Meters, Position};
+use ffd2d_sim::deployment::{Deployment, DeviceId, Meters};
 use ffd2d_sim::rng::{StreamId, StreamRng};
 use ffd2d_sim::time::Slot;
 use ffd2d_telemetry::Recorder;
@@ -314,54 +312,20 @@ impl World {
             self.cfg.sim.seed,
         )
     }
-
-    /// Monotone mobility epoch: advances exactly when device positions
-    /// are (re-)bucketed into the spatial grid — at construction and on
-    /// every [`World::update_positions`]. Attached media key their
-    /// link-state caches on this value: mean link gains are pure
-    /// functions of positions, so entries are valid for precisely as
-    /// long as the epoch stands still.
-    #[inline]
-    pub fn mobility_epoch(&self) -> u64 {
-        self.grid.generation()
-    }
-
-    /// Move every device (e.g. to a `MobilityField` snapshot): clamps
-    /// into the arena, re-buckets the spatial grid in O(n) (which
-    /// advances [`World::mobility_epoch`], so attached [`FastMedium`]s
-    /// discard their cached link state) and drops the lazily-built
-    /// proximity graph.
-    ///
-    /// The shadowing field is positional only through the path loss (a
-    /// per-link draw, the standard correlated-shadowing simplification),
-    /// so mean powers after the move remain bit-identical to a fresh
-    /// `Channel` over the moved deployment.
-    pub fn update_positions(&mut self, positions: &[Position]) {
-        self.deployment.set_positions(positions);
-        self.grid.rebucket(&self.deployment.coords());
-        self.graph = OnceLock::new();
-    }
 }
 
-/// Mobility-epoch-keyed link-state cache: one row of mean link gains
+/// Run-long link-state cache: one row of mean link gains
 /// (dBm) per `(sender, grid cell)`, aligned element-for-element with
 /// `SpatialGrid::cell_items(cell)` so the accumulation inner loop reads
 /// `row[j]` by the receiver's position in its cell — no per-pair hashing
 /// or probing. Rows are filled by the batched kernel
 /// ([`World::fill_mean_rx_dbm`]) the first time a sender's disc touches
-/// a cell within an epoch, then reused by every later slot; the whole
-/// store is flushed when the mobility epoch moves, while churn stales
-/// only the churned senders' rows. Values are pure functions of
-/// positions, so a cached read is bit-identical to recomputation by
-/// construction.
+/// a cell, then reused by every later slot; churn stales only the
+/// churned senders' rows, via `device_gen`. Values are pure functions
+/// of positions, which never change, so a cached read is bit-identical
+/// to recomputation by construction.
 #[derive(Debug, Default)]
 struct GainCache {
-    /// [`World::mobility_epoch`] the entries are valid for. `0` never
-    /// matches a live world (its first bucketing already advanced the
-    /// epoch to 1), so a fresh cache syncs on first use. Position
-    /// changes re-bucket the grid, so they flush the whole store;
-    /// population churn is handled per sender via `device_gen`.
-    valid_for: u64,
     /// `(sender << 32) | cell` → index into `rows`. Lookup-only (never
     /// iterated), so map order cannot leak into results.
     // ffd2d-lint: allow(ordered-iteration) — lookup-only by construction: the only reads are `get` in `row`, publish and `ground_truth_links`; no iteration exists for hash order to escape through
@@ -380,16 +344,6 @@ struct GainCache {
 }
 
 impl GainCache {
-    /// Flush every entry and stamp the store valid for mobility epoch
-    /// `key`. Membership stamps persist — they are monotone and only
-    /// compared for equality, so surviving them is harmless.
-    fn reset(&mut self, key: u64) {
-        self.valid_for = key;
-        self.index.clear();
-        self.rows.clear();
-        self.row_gen.clear();
-    }
-
     /// The membership stamp rows by `sender` must carry to be served.
     #[inline]
     fn sender_gen(&self, sender: DeviceId) -> u64 {
@@ -397,7 +351,7 @@ impl GainCache {
     }
 }
 
-/// Where an accumulation row of mean gains lives: the shared epoch
+/// Where an accumulation row of mean gains lives: the shared run-long
 /// cache (read-only under sharding), the shard's private fills from
 /// this slot, or — under [`GainCacheMode::Off`] — the shard's
 /// throwaway scratch row.
@@ -415,8 +369,7 @@ enum RowRef<'a> {
 ///
 /// A `FastMedium` is bound to the [`World`] it first resolves against:
 /// its cached link state is keyed by device ids and grid cells and
-/// invalidated via [`World::mobility_epoch`]. Do not share one across
-/// worlds.
+/// never flushed. Do not share one across worlds.
 ///
 /// ## Intra-run parallelism
 ///
@@ -453,7 +406,7 @@ pub struct FastMedium {
     /// `(key, shard)` pairs gathered per slot for globally-ordered
     /// delivery (allocation reused).
     delivery: Vec<(u32, u32)>,
-    /// Shared epoch-keyed link-state cache (see [`GainCache`]): shards
+    /// Shared run-long link-state cache (see [`GainCache`]): shards
     /// read it concurrently, publish their fills after the join.
     gains: GainCache,
 }
@@ -489,7 +442,7 @@ struct ShardScratch {
     // enabled; the disabled path never touches these) ---
     /// Wall-clock nanoseconds this shard spent accumulating this slot.
     busy_ns: u64,
-    /// Rows served from the shared epoch cache this slot.
+    /// Rows served from the shared gain cache this slot.
     rows_hit: u64,
     /// Rows this shard had to fill this slot (batched-kernel runs).
     rows_filled: u64,
@@ -534,7 +487,7 @@ struct SlotCtx<'a> {
     /// Per-transmission power droop in dB (fault injection); `None`
     /// when no droop window is open this slot.
     droop: Option<&'a [f64]>,
-    /// The shared epoch-keyed gain cache, read-only during
+    /// The shared run-long gain cache, read-only during
     /// accumulation; `None` disables caching
     /// ([`crate::GainCacheMode::Off`]) and every row is recomputed
     /// into the shard's scratch row.
@@ -771,12 +724,12 @@ impl FastMedium {
     /// pair `b > a` with `b` in a cell covering `a`'s mean-link disc,
     /// within that radius by the grid's own inclusive test, whose mean
     /// gain clears the threshold — `build_proximity_graph`'s predicate.
-    /// Means come from the warm gain-cache row `(a, cell)` while the
-    /// cache is valid for the world's mobility epoch; a row stale only
-    /// by churn still holds exact values, since churn moves no device.
-    /// Pairs without a row are computed with [`World::mean_rx_dbm`].
+    /// Means come from the warm gain-cache row `(a, cell)` when there
+    /// is one; a row stale by churn still holds exact values, since
+    /// churn moves no device. Pairs without a row are computed with
+    /// [`World::mean_rx_dbm`].
     pub fn ground_truth_links(&self, world: &World) -> u64 {
-        let gains = (self.gains.valid_for == world.mobility_epoch()).then_some(&self.gains);
+        let gains = &self.gains;
         let grid = &world.grid;
         let radius = world.mean_link_range_m;
         let r2 = radius * radius;
@@ -785,7 +738,7 @@ impl FastMedium {
             let p = world.deployment.position(a);
             for cell in grid.cells_intersecting_disc(p.x, p.y, radius) {
                 let key = ((a as u64) << 32) | cell as u64;
-                let row = gains.and_then(|g| g.index.get(&key).map(|&i| &g.rows[i as usize]));
+                let row = gains.index.get(&key).map(|&i| &gains.rows[i as usize]);
                 for (j, &b) in grid.cell_items(cell).iter().enumerate() {
                     if b <= a {
                         continue;
@@ -816,19 +769,12 @@ impl FastMedium {
         }
     }
 
-    /// Size scratch state to `world` and flush the link-state cache if
-    /// the world re-bucketed (mobility epoch) since the last slot.
-    /// Churn does not flush here: it only advances the churned senders'
-    /// membership stamps, leaving everyone else's rows hot.
+    /// Size the per-cell scratch tables to `world`'s grid.
     fn sync_with(&mut self, world: &World) {
         let cells = world.grid.cell_count();
         if self.cell_stamp.len() != cells {
             self.cell_stamp = vec![0; cells];
             self.cell_txs = vec![Vec::new(); cells];
-        }
-        let key = world.mobility_epoch();
-        if self.gains.valid_for != key {
-            self.gains.reset(key);
         }
     }
 
@@ -853,7 +799,7 @@ impl FastMedium {
     ///   oscillator adjustments) without a second borrow.
     /// * An enabled `rec` gets the slot's resolution wall clock,
     ///   candidate-pair count, per-shard busy time (plus a max-over-mean
-    ///   imbalance ratio when sharded) and epoch-cache row hit/fill
+    ///   imbalance ratio when sharded) and gain-cache row hit/fill
     ///   tallies with the fill kernel's wall clock.
     ///
     /// Both observers are strictly observational — they draw no
@@ -1154,7 +1100,7 @@ impl FastMedium {
             }
             if cached {
                 // Row granularity: a hit serves a whole (sender, cell)
-                // row from the epoch cache; a miss runs the batched
+                // row from the gain cache; a miss runs the batched
                 // fill kernel once. Absent entirely under
                 // `GainCacheMode::Off` (perf_inspect renders `n/a`).
                 rec.add("medium.gain_cache_hits", hits);
@@ -1300,14 +1246,21 @@ mod tests {
 
     #[test]
     fn graph_edges_follow_threshold() {
-        let w = World::new(&small_cfg(25, 5));
-        let g = w.proximity_graph();
-        for a in 0..25u32 {
-            for b in (a + 1)..25u32 {
-                let linked = w.mean_rx_dbm(a, b) >= w.threshold_dbm();
-                assert_eq!(g.has_edge(a, b), linked, "edge {{{a},{b}}}");
-                if let Some(wt) = g.weight(a, b) {
-                    assert_eq!(wt.get(), w.mean_rx_dbm(a, b));
+        // The Table-I cell, and a 1 km ideal arena where the graph's
+        // candidate search spans many grid cells.
+        let mut multi_cell = small_cfg(40, 31).ideal_channel();
+        multi_cell.sim.area_width = Meters(1000.0);
+        multi_cell.sim.area_height = Meters(1000.0);
+        for (cfg, n) in [(small_cfg(25, 5), 25u32), (multi_cell, 40)] {
+            let w = World::new(&cfg);
+            let g = w.proximity_graph();
+            for a in 0..n {
+                for b in (a + 1)..n {
+                    let linked = w.mean_rx_dbm(a, b) >= w.threshold_dbm();
+                    assert_eq!(g.has_edge(a, b), linked, "edge {{{a},{b}}}");
+                    if let Some(wt) = g.weight(a, b) {
+                        assert_eq!(wt.get(), w.mean_rx_dbm(a, b));
+                    }
                 }
             }
         }
@@ -1383,36 +1336,6 @@ mod tests {
                 .map(|k| fire((slot as u32 * 11 + k * 13) % 60))
                 .collect();
             assert_media_agree(&w, &mut fast, slot, &txs);
-        }
-    }
-
-    #[test]
-    fn fast_medium_tracks_mobility_rebucketing() {
-        let mut cfg = small_cfg(40, 31).ideal_channel();
-        cfg.sim.area_width = Meters(1000.0);
-        cfg.sim.area_height = Meters(1000.0);
-        let mut w = World::new(&cfg);
-        let mut fast = FastMedium::new(40);
-        assert_media_agree(&w, &mut fast, 0, &[fire(1), fire(17), fire(33)]);
-
-        // Shift everyone: the medium must re-bucket (via version) and
-        // still agree with a reference channel over the moved positions.
-        let moved: Vec<Position> = w
-            .deployment()
-            .positions()
-            .iter()
-            .map(|p| Position::new((p.x + 400.0).min(1000.0), (p.y * 0.5).max(0.0)))
-            .collect();
-        let before = w.mobility_epoch();
-        w.update_positions(&moved);
-        assert_eq!(w.mobility_epoch(), before + 1);
-        assert_media_agree(&w, &mut fast, 1, &[fire(1), fire(17), fire(33)]);
-        // The lazily-rebuilt graph reflects the new geometry too.
-        let g = w.proximity_graph();
-        for a in 0..40u32 {
-            for b in (a + 1)..40u32 {
-                assert_eq!(g.has_edge(a, b), w.mean_rx_dbm(a, b) >= w.threshold_dbm());
-            }
         }
     }
 
@@ -1502,12 +1425,12 @@ mod tests {
     }
 
     #[test]
-    fn gain_cache_survives_slots_but_not_position_updates_or_churn() {
+    fn gain_cache_survives_slots_but_not_churn() {
         use ffd2d_telemetry::Telemetry;
         let mut cfg = small_cfg(40, 13).ideal_channel();
         cfg.sim.area_width = Meters(1000.0);
         cfg.sim.area_height = Meters(1000.0);
-        let mut w = World::new(&cfg);
+        let w = World::new(&cfg);
         let mut fast = FastMedium::new(40);
         let txs = [fire(2), fire(11), fire(27)];
         let resolve = |fast: &mut FastMedium, w: &World, slot: u64| {
@@ -1529,42 +1452,35 @@ mod tests {
             )
         };
         let (h0, m0) = resolve(&mut fast, &w, 0);
-        assert_eq!(h0, 0, "first slot of the epoch cannot hit");
+        assert_eq!(h0, 0, "a cold cache cannot hit");
         assert!(m0 > 0, "first slot must fill rows");
         let (h1, m1) = resolve(&mut fast, &w, 1);
-        assert_eq!(m1, 0, "same epoch, same senders: no refill");
+        assert_eq!(m1, 0, "same senders: no refill");
         assert_eq!(h1, m0, "every filled row is reused");
-
-        // A position update advances the mobility epoch: full flush.
-        let moved: Vec<Position> = w.deployment().positions().to_vec();
-        w.update_positions(&moved);
-        let (h2, m2) = resolve(&mut fast, &w, 2);
-        assert_eq!(h2, 0, "mobility epoch moved: cache must flush");
-        assert_eq!(m2, m0);
 
         // Coarse engine-reported churn stales every row, positions
         // unchanged.
         fast.note_churn();
+        let (h2, m2) = resolve(&mut fast, &w, 2);
+        assert_eq!(h2, 0, "churn generation moved: cache must flush");
+        assert_eq!(m2, m0);
         let (h3, m3) = resolve(&mut fast, &w, 3);
-        assert_eq!(h3, 0, "churn generation moved: cache must flush");
-        assert_eq!(m3, m0);
-        let (h4, m4) = resolve(&mut fast, &w, 4);
-        assert_eq!(m4, 0, "cache is warm again");
-        assert_eq!(h4, m0);
+        assert_eq!(m3, 0, "cache is warm again");
+        assert_eq!(h3, m0);
 
         // Narrow churn: only the churned sender's rows go stale and
         // refill in place; everyone else's keep serving.
         fast.note_churn_of(&[2]);
-        let (h5, m5) = resolve(&mut fast, &w, 5);
-        assert!(m5 > 0, "the churned sender's rows refill");
-        assert!(h5 > 0, "other senders' rows keep serving");
-        assert_eq!(h5 + m5, m0, "per-row staleness, not a full flush");
+        let (h4, m4) = resolve(&mut fast, &w, 4);
+        assert!(m4 > 0, "the churned sender's rows refill");
+        assert!(h4 > 0, "other senders' rows keep serving");
+        assert_eq!(h4 + m4, m0, "per-row staleness, not a full flush");
 
         // Churn of a device that never transmits stales no row at all.
         fast.note_churn_of(&[0]);
-        let (h6, m6) = resolve(&mut fast, &w, 6);
-        assert_eq!(m6, 0, "non-sender churn leaves every row valid");
-        assert_eq!(h6, m0);
+        let (h5, m5) = resolve(&mut fast, &w, 5);
+        assert_eq!(m5, 0, "non-sender churn leaves every row valid");
+        assert_eq!(h5, m0);
     }
 
     #[test]
@@ -1613,30 +1529,12 @@ mod tests {
         let mut cfg = small_cfg(60, 23).ideal_channel();
         cfg.sim.area_width = Meters(2000.0);
         cfg.sim.area_height = Meters(2000.0);
-        let mut w = World::new(&cfg);
+        let w = World::new(&cfg);
         assert!(w.spatial_grid().cols() >= 20);
         let mut fast = FastMedium::new(60);
         let every: Vec<ProximitySignal> = (0..60).map(fire).collect();
         resolve(&mut fast, &w, 0, &every);
         check(&w, &fast, "sparse arena, warm");
-
-        // Positions moved: the warm rows belong to a past epoch.
-        let moved: Vec<Position> = w
-            .deployment()
-            .positions()
-            .iter()
-            .map(|p| Position::new(p.x * 0.1, p.y * 0.1))
-            .collect();
-        let before = 2 * w.proximity_graph().m() as u64;
-        w.update_positions(&moved);
-        check(&w, &fast, "after update_positions");
-        assert_ne!(
-            fast.ground_truth_links(&w),
-            before,
-            "the move must change the graph"
-        );
-        resolve(&mut fast, &w, 1, &every);
-        check(&w, &fast, "warm in the new epoch");
     }
 
     #[test]

@@ -196,23 +196,4 @@ proptest! {
             }
         }
     }
-
-    /// Re-bucketing after movement answers queries identically to a
-    /// freshly-built grid over the moved points.
-    #[test]
-    fn spatial_grid_rebucket_equals_fresh(
-        points in proptest::collection::vec((0.0f64..50.0, 0.0f64..50.0), 1..40),
-        moved in proptest::collection::vec((0.0f64..50.0, 0.0f64..50.0), 1..40),
-        r in 0.0f64..80.0,
-    ) {
-        let n = points.len().min(moved.len());
-        let before = &points[..n];
-        let after = &moved[..n];
-        let mut grid = SpatialGrid::new(50.0, 50.0, 7.0, before);
-        grid.rebucket(after);
-        let fresh = SpatialGrid::new(50.0, 50.0, 7.0, after);
-        for &(qx, qy) in after {
-            prop_assert_eq!(grid.within_vec(qx, qy, r), fresh.within_vec(qx, qy, r));
-        }
-    }
 }

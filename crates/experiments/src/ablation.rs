@@ -34,7 +34,7 @@ pub struct AblationParams {
     /// outcome-neutral, see `tests/engine_equivalence.rs`. The
     /// radio-free oscillator studies (A2, A4) have no slot engine.
     pub engine: EngineMode,
-    /// Epoch-keyed gain cache for the radio-backed sweeps; also
+    /// Gain cache for the radio-backed sweeps; also
     /// outcome-neutral, see `tests/gain_cache.rs`.
     pub gain_cache: GainCacheMode,
 }

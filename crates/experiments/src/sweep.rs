@@ -55,11 +55,10 @@ pub struct SweepParams {
     /// provably outcome-neutral — the CSVs are bit-identical to a build
     /// without the chaos subsystem at all).
     pub faults: Option<String>,
-    /// Epoch-keyed gain cache in the fast medium. Outcome-neutral
-    /// (locked by `tests/gain_cache.rs`): `Off` recomputes every mean
-    /// link gain per slot, `Epoch` (the default) reuses rows across
-    /// slots until positions or membership change. Only wall clock
-    /// moves.
+    /// Gain cache in the fast medium. Outcome-neutral (locked by
+    /// `tests/gain_cache.rs`): `Off` recomputes every mean link gain
+    /// per slot, `Epoch` (the default) reuses rows across slots until
+    /// membership changes. Only wall clock moves.
     pub gain_cache: GainCacheMode,
 }
 
@@ -472,7 +471,7 @@ mod tests {
 
     #[test]
     fn sweep_csvs_identical_with_gain_cache_off() {
-        // The epoch-keyed gain cache is outcome-neutral: disabling it
+        // The gain cache is outcome-neutral: disabling it
         // recomputes every mean link gain but cannot move the CSVs.
         let mut p = SweepParams::quick();
         p.node_counts = vec![20, 50];

@@ -12,8 +12,7 @@
 //! Design notes:
 //!
 //! * The index stores point ids in a CSR layout (`cell_start` offsets
-//!   into one `items` array), rebuilt by counting sort — re-bucketing
-//!   after a mobility step is O(n) and reuses every allocation.
+//!   into one `items` array), built in O(n) by counting sort.
 //! * Ids within a cell are stored in ascending order, and
 //!   [`SpatialGrid::cells_intersecting_disc`] yields cells in ascending
 //!   linear-index order, so iteration over candidates is deterministic
@@ -23,7 +22,7 @@
 //!   disc→cell cover is the disc's bounding box, a conservative
 //!   superset, so pruning can only drop provably-inaudible pairs.
 //! * Coordinates outside the arena are clamped into the boundary cells
-//!   rather than rejected (mobility models clamp to the arena anyway).
+//!   rather than rejected.
 
 use crate::VertexId;
 
@@ -44,14 +43,6 @@ pub struct SpatialGrid {
     items: Vec<u32>,
     xs: Vec<f64>,
     ys: Vec<f64>,
-    /// Counting-sort cursor, kept to reuse its allocation on re-bucket.
-    cursor: Vec<u32>,
-    /// Monotonic bucketing generation: incremented by every
-    /// [`SpatialGrid::rebucket`] (including the one inside
-    /// [`SpatialGrid::new`]). Consumers that cache position-derived
-    /// state key their entries on this value — geometry is unchanged
-    /// exactly while the generation is unchanged.
-    generation: u64,
 }
 
 impl SpatialGrid {
@@ -77,53 +68,33 @@ impl SpatialGrid {
             cols.saturating_mul(rows) <= MAX_CELLS,
             "grid of {cols}x{rows} cells exceeds MAX_CELLS; pick a larger cell size"
         );
+        let cells = cols * rows;
         let mut grid = SpatialGrid {
             cell_size,
             cols,
             rows,
-            cell_start: Vec::new(),
-            items: Vec::new(),
-            xs: Vec::new(),
-            ys: Vec::new(),
-            cursor: Vec::new(),
-            generation: 0,
+            cell_start: vec![0; cells + 1],
+            items: vec![0; points.len()],
+            xs: points.iter().map(|p| p.0).collect(),
+            ys: points.iter().map(|p| p.1).collect(),
         };
-        grid.rebucket(points);
-        grid
-    }
-
-    /// Re-bucket after positions changed (mobility step). O(n) counting
-    /// sort; reuses all allocations. `points` may differ in length from
-    /// the previous population.
-    pub fn rebucket(&mut self, points: &[(f64, f64)]) {
-        self.generation += 1;
-        let cells = self.cols * self.rows;
-        self.xs.clear();
-        self.ys.clear();
-        self.xs.extend(points.iter().map(|p| p.0));
-        self.ys.extend(points.iter().map(|p| p.1));
-
-        self.cell_start.clear();
-        self.cell_start.resize(cells + 1, 0);
+        // Counting sort: cell sizes, prefix sums, then scatter ids.
         for &(x, y) in points {
-            let c = self.cell_index(x, y);
-            self.cell_start[c + 1] += 1;
+            let c = grid.cell_index(x, y);
+            grid.cell_start[c + 1] += 1;
         }
         for c in 0..cells {
-            self.cell_start[c + 1] += self.cell_start[c];
+            grid.cell_start[c + 1] += grid.cell_start[c];
         }
-
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&self.cell_start[..cells]);
-        self.items.clear();
-        self.items.resize(points.len(), 0);
+        let mut cursor = grid.cell_start[..cells].to_vec();
         // Points are visited in id order, so each cell's slice ends up
         // sorted ascending by id.
         for (i, &(x, y)) in points.iter().enumerate() {
-            let c = self.cell_index(x, y);
-            self.items[self.cursor[c] as usize] = i as u32;
-            self.cursor[c] += 1;
+            let c = grid.cell_index(x, y);
+            grid.items[cursor[c] as usize] = i as u32;
+            cursor[c] += 1;
         }
+        grid
     }
 
     /// Number of indexed points.
@@ -160,14 +131,6 @@ impl SpatialGrid {
     #[inline]
     pub fn cell_count(&self) -> usize {
         self.cols * self.rows
-    }
-
-    /// The current bucketing generation (see the field docs): ≥ 1 once
-    /// constructed, strictly increasing across re-buckets. Two calls
-    /// returning the same value guarantee no point moved in between.
-    #[inline]
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// The stored coordinates of point `id`.
@@ -323,45 +286,6 @@ mod tests {
         let pts = [(5.0, 5.0), (5.0, 5.0), (5.0, 5.0), (40.0, 40.0)];
         let g = SpatialGrid::new(50.0, 50.0, 10.0, &pts);
         assert_eq!(g.within_vec(5.0, 5.0, 0.0), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn rebucket_tracks_moved_points() {
-        let mut pts = vec![(1.0, 1.0), (90.0, 90.0)];
-        let mut g = SpatialGrid::new(100.0, 100.0, 10.0, &pts);
-        assert_eq!(g.within_vec(1.0, 1.0, 5.0), vec![0]);
-        pts[1] = (2.0, 2.0);
-        g.rebucket(&pts);
-        assert_eq!(g.within_vec(1.0, 1.0, 5.0), vec![0, 1]);
-        assert_eq!(g.within_vec(90.0, 90.0, 5.0), Vec::<u32>::new());
-    }
-
-    #[test]
-    fn generation_counts_rebuckets() {
-        let pts = vec![(1.0, 1.0), (9.0, 9.0)];
-        let mut g = SpatialGrid::new(10.0, 10.0, 5.0, &pts);
-        assert_eq!(g.generation(), 1, "construction performs one bucketing");
-        g.rebucket(&pts);
-        assert_eq!(g.generation(), 2);
-        g.rebucket(&[(2.0, 2.0)]);
-        assert_eq!(g.generation(), 3);
-    }
-
-    #[test]
-    fn rebucket_equals_fresh_build() {
-        let pts_a: Vec<(f64, f64)> = (0..50)
-            .map(|i| (i as f64 * 1.7 % 80.0, i as f64 * 3.1 % 60.0))
-            .collect();
-        let pts_b: Vec<(f64, f64)> = (0..70)
-            .map(|i| (i as f64 * 2.3 % 80.0, i as f64 * 0.9 % 60.0))
-            .collect();
-        let mut g = SpatialGrid::new(80.0, 60.0, 9.0, &pts_a);
-        g.rebucket(&pts_b);
-        let fresh = SpatialGrid::new(80.0, 60.0, 9.0, &pts_b);
-        for &(qx, qy, r) in &[(0.0, 0.0, 20.0), (40.0, 30.0, 33.0), (79.0, 59.0, 9.0)] {
-            assert_eq!(g.within_vec(qx, qy, r), fresh.within_vec(qx, qy, r));
-        }
-        assert_eq!(g.len(), 70);
     }
 
     #[test]

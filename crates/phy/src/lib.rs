@@ -24,7 +24,6 @@
 //!   (application-level discovery).
 //! * [`frame`] — proximity-signal frame encode/decode (`bytes`-based
 //!   wire format) carrying the protocol fields of Algorithms 1–3.
-//! * [`grid`] — PRACH opportunity structure on the slot grid.
 //! * [`medium`] — the shared-medium resolver: per-slot, per-receiver
 //!   decoding with orthogonal codecs, same-codec collisions and a
 //!   configurable capture margin.
@@ -34,15 +33,11 @@
 
 pub mod codec;
 pub mod cplx;
-pub mod detector;
 pub mod frame;
-pub mod grid;
 pub mod medium;
 pub mod zadoffchu;
 
 pub use codec::{RachCodec, ServiceClass};
-pub use detector::{Detection, PreambleDetector};
 pub use frame::{FrameKind, ProximitySignal};
-pub use grid::PrachGrid;
 pub use medium::{DeliveryReport, Medium, Transmission};
 pub use zadoffchu::ZcSequence;

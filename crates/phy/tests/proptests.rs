@@ -4,9 +4,7 @@ use proptest::prelude::*;
 
 use ffd2d_phy::codec::{RachCodec, ServiceClass};
 use ffd2d_phy::frame::{FrameKind, ProximitySignal};
-use ffd2d_phy::grid::PrachGrid;
 use ffd2d_phy::zadoffchu::ZcSequence;
-use ffd2d_sim::time::Slot;
 
 fn frame_kinds() -> impl Strategy<Value = FrameKind> {
     prop_oneof![
@@ -102,17 +100,6 @@ proptest! {
         let b = ZcSequence::new(u2, 0, N);
         let expected = 1.0 / (N as f64).sqrt();
         prop_assert!((a.correlate(&b) - expected).abs() < 1e-6);
-    }
-
-    /// PRACH grids: next_opportunity is the first opportunity ≥ slot.
-    #[test]
-    fn prach_next_opportunity(period in 1u64..40, offset_raw in any::<u64>(), slot in 0u64..100_000) {
-        let offset = offset_raw % period;
-        let g = PrachGrid::new(period, offset);
-        let next = g.next_opportunity(Slot(slot));
-        prop_assert!(next.0 >= slot);
-        prop_assert!(g.is_opportunity(next));
-        prop_assert!(next.0 - slot < period, "skipped an opportunity");
     }
 
     /// Codec/service preambles: same codec+service is identical; any

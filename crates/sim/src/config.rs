@@ -87,8 +87,9 @@ impl SimConfig {
                 self.n_devices
             ));
         }
-        if self.area_width.0 <= 0.0 || self.area_height.0 <= 0.0 {
-            return Err("deployment area must have positive dimensions".into());
+        let positive_finite = |m: Meters| m.0 > 0.0 && m.0.is_finite();
+        if !positive_finite(self.area_width) || !positive_finite(self.area_height) {
+            return Err("deployment area must have positive, finite dimensions".into());
         }
         if self.max_slots.is_zero() {
             return Err("max_slots must be positive".into());

@@ -207,24 +207,6 @@ impl Deployment {
         self.positions.iter().map(|p| (p.x, p.y)).collect()
     }
 
-    /// Overwrite every position in place (e.g. with a mobility-field
-    /// snapshot), clamping into the arena. The population size must not
-    /// change — device ids are stable across moves.
-    ///
-    /// # Panics
-    ///
-    /// If `positions.len()` differs from the current population.
-    pub fn set_positions(&mut self, positions: &[Position]) {
-        assert_eq!(
-            positions.len(),
-            self.positions.len(),
-            "mobility must preserve the population"
-        );
-        for (slot, p) in self.positions.iter_mut().zip(positions) {
-            *slot = Position::new(p.x.clamp(0.0, self.width.0), p.y.clamp(0.0, self.height.0));
-        }
-    }
-
     /// Pairwise distance between devices `a` and `b`.
     #[inline]
     pub fn distance(&self, a: DeviceId, b: DeviceId) -> Meters {
@@ -335,26 +317,6 @@ mod tests {
             let p = d.position(i as u32);
             assert_eq!((x, y), (p.x, p.y));
         }
-    }
-
-    #[test]
-    fn set_positions_clamps_and_preserves_ids() {
-        let mut d = Deployment::grid(3, Meters(10.0), Meters(10.0));
-        d.set_positions(&[
-            Position::new(-5.0, 5.0),
-            Position::new(4.0, 20.0),
-            Position::new(1.0, 1.0),
-        ]);
-        assert_eq!(d.position(0), Position::new(0.0, 5.0));
-        assert_eq!(d.position(1), Position::new(4.0, 10.0));
-        assert_eq!(d.position(2), Position::new(1.0, 1.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "population")]
-    fn set_positions_rejects_resize() {
-        let mut d = Deployment::grid(3, Meters(10.0), Meters(10.0));
-        d.set_positions(&[Position::new(1.0, 1.0)]);
     }
 
     #[test]

@@ -19,8 +19,6 @@
 //!   ([`event::DensityWindow`]).
 //! * [`deployment`] — placement of devices on the plane (uniform random,
 //!   grid, clustered) in a configurable area.
-//! * [`mobility`] — random-waypoint motion on the slot grid (the
-//!   paper's "more realistic scenarios" future work).
 //! * [`config`] — the base simulation configuration shared by every
 //!   experiment (area, device count, slot length, seed).
 //! * [`counters`] — cheap event/message counters used by the experiment
@@ -49,7 +47,6 @@ pub mod config;
 pub mod counters;
 pub mod deployment;
 pub mod event;
-pub mod mobility;
 pub mod rng;
 pub mod time;
 
@@ -57,7 +54,6 @@ pub use config::SimConfig;
 pub use counters::Counters;
 pub use deployment::{Deployment, Meters, Position};
 pub use event::{DensityWindow, SlotWheel};
-pub use mobility::{MobilityField, WaypointConfig};
 pub use rng::StreamRng;
 pub use time::{Slot, SlotDuration, SLOT_MILLIS};
 

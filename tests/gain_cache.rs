@@ -1,23 +1,22 @@
-//! Equivalence harness: the epoch-keyed gain cache versus direct
+//! Equivalence harness: the run-long gain cache versus direct
 //! per-pair recomputation.
 //!
 //! [`FastMedium`] caches mean link gains (path loss + shadowing — every
 //! position-determined term) in rows keyed `(sender, grid cell)`,
-//! valid while the world's mobility epoch stands still and the row's
-//! membership stamp matches its sender's; the per-slot fading draw
-//! stays outside the cache. A cached row is *the same `f64`s* the
-//! direct path computes (same batched kernel, same iteration order), so
-//! `GainCacheMode::Off` versus `Epoch` must agree **bit for bit** —
-//! including under churn, where joins/leaves stale exactly the churned
-//! senders' rows mid-run.
+//! valid while the row's membership stamp matches its sender's
+//! (devices never move, so only churn stales a row); the per-slot
+//! fading draw stays outside the cache. A cached row is *the same
+//! `f64`s* the direct path computes (same batched kernel, same
+//! iteration order), so `GainCacheMode::Off` versus `Epoch` must agree
+//! **bit for bit** — including under churn, where joins/leaves stale
+//! exactly the churned senders' rows mid-run.
 //!
 //! The harness locks that down across the full execution matrix (both
 //! protocols × all three engines × medium workers {1, 4}) under a
 //! churn-heavy fault plan, asserting identical [`RunOutcome`]s and
 //! byte-identical JSONL traces; a proptest then drives the medium
-//! directly through random position updates, checking a warmed cache
-//! never serves a stale row (post-move resolution is bit-identical to
-//! a cold medium's) and keeps serving within an unchanged epoch.
+//! directly on random multi-cell worlds, checking a warmed cache
+//! resolves later slots bit-identically to a cold medium.
 
 use ffd2d::baseline::FstProtocol;
 use ffd2d::core::world::FastMedium;
@@ -27,14 +26,14 @@ use ffd2d::core::{
 use ffd2d::phy::codec::ServiceClass;
 use ffd2d::phy::frame::{FrameKind, ProximitySignal};
 use ffd2d::sim::counters::Counters;
-use ffd2d::sim::deployment::{Meters, Position};
+use ffd2d::sim::deployment::Meters;
 use ffd2d::sim::time::{Slot, SlotDuration};
 use ffd2d::telemetry::NullRecorder;
 use ffd2d::trace::{JsonlSink, NullSink};
 use proptest::prelude::*;
 
 /// Table-I arena under a churn-heavy plan: joins and leaves force the
-/// mid-run cache flush path, power droops exercise the per-transmission
+/// mid-run row refill path, power droops exercise the per-transmission
 /// adjustment downstream of the cached mean.
 fn churny_cfg(n: usize, seed: u64, horizon: u64) -> ScenarioConfig {
     let faults = FaultPlan::resolve("churn-heavy", n, horizon).expect("preset");
@@ -175,53 +174,25 @@ fn resolve_one(
 }
 
 proptest! {
-    /// Random position updates invalidate the cache correctly: after
-    /// any move, a medium whose cache was warmed under the *old*
-    /// positions resolves bit-identically to a cold medium over the
-    /// moved world (no stale row survives), and while nothing moves the
-    /// warmed cache keeps resolving bit-identically slot after slot.
+    /// A medium warmed at slot 0 keeps resolving slots 1–3
+    /// bit-identically to a cold medium: every cached row is the same
+    /// `f64`s a fresh fill computes, on any seed.
     #[test]
-    fn position_updates_never_leave_stale_rows(
-        seed in 0u64..10_000,
-        moved in proptest::collection::vec((0usize..40, -80.0f64..80.0, -80.0f64..80.0), 1..8),
-    ) {
+    fn warm_cache_resolves_like_a_cold_medium(seed in 0u64..10_000) {
         // A 1 km ideal-channel arena: the audibility disc is smaller
         // than the arena, so the grid has many cells and a row covers
-        // only part of the population — stale entries would be local,
-        // exactly what a whole-store flush must still catch.
+        // only part of the population.
         let mut cfg = ScenarioConfig::table1(40).seeded(seed).ideal_channel();
         cfg.sim.area_width = Meters(1000.0);
         cfg.sim.area_height = Meters(1000.0);
-        let mut world = World::new(&cfg);
+        let world = World::new(&cfg);
 
         let mut warm = FastMedium::new(world.n());
-        // Warm the cache, then check an unchanged epoch re-serves the
-        // cached rows bit-identically to a cold medium.
         let _ = resolve_one(&mut warm, &world, 0);
-        let warm_out = resolve_one(&mut warm, &world, 1);
-        let cold_out = resolve_one(&mut FastMedium::new(world.n()), &world, 1);
-        prop_assert_eq!(&warm_out, &cold_out, "cached re-serve diverged before any move");
-
-        // Perturb a random subset of devices (clamped by the world).
-        let mut positions: Vec<Position> = world.deployment().positions().to_vec();
-        for &(idx, dx, dy) in &moved {
-            positions[idx].x += dx;
-            positions[idx].y += dy;
+        for slot in 1..=3 {
+            let warm_out = resolve_one(&mut warm, &world, slot);
+            let cold_out = resolve_one(&mut FastMedium::new(world.n()), &world, slot);
+            prop_assert_eq!(&warm_out, &cold_out, "cached re-serve diverged at slot {}", slot);
         }
-        let epoch_before = world.mobility_epoch();
-        world.update_positions(&positions);
-        prop_assert!(world.mobility_epoch() > epoch_before, "move did not advance the epoch");
-
-        // The warmed medium must now agree with a cold one on the moved
-        // world — any stale mean would shift an rx power and change a
-        // delivery bit pattern or a counter.
-        let warm_out = resolve_one(&mut warm, &world, 2);
-        let cold_out = resolve_one(&mut FastMedium::new(world.n()), &world, 2);
-        prop_assert_eq!(&warm_out, &cold_out, "stale row served after a position update");
-
-        // And the re-warmed cache keeps agreeing on later slots.
-        let warm_out = resolve_one(&mut warm, &world, 3);
-        let cold_out = resolve_one(&mut FastMedium::new(world.n()), &world, 3);
-        prop_assert_eq!(&warm_out, &cold_out, "re-warmed cache diverged");
     }
 }

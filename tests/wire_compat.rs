@@ -224,9 +224,9 @@ proptest! {
         }
     }
 
-    /// Arbitrary junk buffers (channel noise that happened to clear the
-    /// preamble detector) obey the same contract: no panic, and any
-    /// accept re-encodes to a prefix of the input.
+    /// Arbitrary junk buffers (channel noise mistaken for a frame) obey
+    /// the same contract: no panic, and any accept re-encodes to a
+    /// prefix of the input.
     #[test]
     fn arbitrary_buffers_never_panic_or_forge_fields(
         junk in proptest::collection::vec(any::<u8>(), 0..64usize),
