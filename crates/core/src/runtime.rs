@@ -16,10 +16,15 @@
 //!   (next oscillator fires, staggered transmissions, churn slots, plus
 //!   whatever the protocol schedules — phase boundaries, unicast
 //!   deliveries, handshake deadlines, beacon offsets, convergence
-//!   probes) decides which slots to materialize; the idle stretches in
-//!   between are fast-forwarded in O(1) per device via memoized phase
-//!   trajectories. [`EngineMode::Adaptive`] additionally cuts between
-//!   skip-ahead and per-slot windows on wake density.
+//!   probes) decides which slots to materialize, and a materialized
+//!   slot costs work in proportion to its events, not to `n`. Each
+//!   device carries a synced-slot stamp and is brought up to date only
+//!   when something reads or changes its oscillator — a due fire, a
+//!   coupling pulse, churn, the convergence probe or a cutover into a
+//!   stepped window — by one warp along a memoized phase trajectory (or
+//!   literal ticking off it). Natural fires come off a queue fed by the
+//!   fire predictions. [`EngineMode::Adaptive`] additionally cuts
+//!   between skip-ahead and per-slot windows on wake density.
 //!
 //! Both strategies share one loop and one slot body, so the modes are
 //! bit-identical (locked by `tests/engine_equivalence.rs`) under three
@@ -37,9 +42,13 @@
 //!    protocol; a duplicate is handled twice. Fates are stateless keyed
 //!    draws, so delivery order and worker count cannot leak in.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use rand::Rng;
 
 use ffd2d_chaos::{ChurnEvent, ChurnKind, FaultPlan, FrameFate};
+use ffd2d_osc::oscillator::PhaseOscillator;
 use ffd2d_osc::prc::Prc;
 use ffd2d_osc::predict::{Cursor, TrajectoryCache};
 use ffd2d_phy::frame::{FrameKind, ProximitySignal};
@@ -209,7 +218,9 @@ pub struct SlotRuntime<'w, S: TraceSink, R: Recorder, const EV: bool> {
     /// Performance recorder; sites are no-ops (and clock reads vanish)
     /// under `NullRecorder`.
     rec: &'w mut R,
-    /// Every device, indexed by id.
+    /// Every device, indexed by id. In event-driven windows an
+    /// oscillator lags until the runtime next syncs it, so protocol
+    /// hooks must leave `osc` to the runtime.
     pub devices: Vec<Device>,
     medium: FastMedium,
     /// Message tallies of the run.
@@ -250,17 +261,19 @@ pub struct SlotRuntime<'w, S: TraceSink, R: Recorder, const EV: bool> {
     /// spurious wake just materializes a slot in which nothing happens,
     /// so entries need no invalidation.
     wake: SlotWheel,
-    /// All slots `< synced_next` are fully processed (device state
-    /// reflects every tick up to and including slot `synced_next - 1`).
+    /// All slots `< synced_next` are fully processed. In stepped windows
+    /// every live oscillator reflects each of their ticks; in event
+    /// windows each device's own stamp in `clocks` says how far it is.
     synced_next: u64,
     /// True when the run may cut between execution strategies
     /// ([`EngineMode::Adaptive`]); the pure event-driven mode pins
     /// `live_ev` to `true` forever.
     adaptive: bool,
     /// Current execution strategy: `true` ⇒ event-driven windows
-    /// (skip-ahead, cursor maintenance, touched tracking); `false` ⇒
-    /// stepped windows (every slot materialized, wake bookkeeping kept
-    /// but cursor/touched maintenance shed — that is the saving).
+    /// (skip-ahead, lazily synced oscillators, touched tracking);
+    /// `false` ⇒ stepped windows (every slot materialized and every
+    /// oscillator ticked, wake bookkeeping kept but cursor/touched
+    /// maintenance shed — that is the saving).
     live_ev: bool,
     /// Sliding-window wake density driving the cutover (adaptive only).
     density: DensityWindow,
@@ -272,13 +285,123 @@ pub struct SlotRuntime<'w, S: TraceSink, R: Recorder, const EV: bool> {
     /// slot (fired, absorbed, coupled, rejoined); drained by
     /// `post_schedule` to re-derive cursors and re-predict fires.
     touched: Vec<DeviceId>,
-    /// Per-device position on a memoized phase trajectory (`None` ⇒
-    /// non-canonical phase, fast-forwarded by literal ticking). Mesh
-    /// coupling nudges most phases off the canonical reset values, so
-    /// FST leans on the literal fallback far more than ST does.
+    /// Per-device synced stamps, cursors and fire predictions.
+    clocks: LazyClocks,
+    /// Scratch for the devices that fire naturally in the slot.
+    due_scratch: Vec<DeviceId>,
+}
+
+/// Never: the fire prediction of a device that has none pending.
+const NEVER: u64 = u64::MAX;
+
+/// Per-device deadlines keyed by slot, as a min-heap of
+/// `(slot, device)`: one slot's devices pop in ascending id, the order
+/// the stepped loops visit them in. Entries are never invalidated; the
+/// caller re-checks each popped device against its current state.
+#[derive(Debug, Default)]
+pub(crate) struct DueQueue(BinaryHeap<Reverse<(u64, DeviceId)>>);
+
+impl DueQueue {
+    /// Device `d` is due in slot `slot`.
+    pub(crate) fn push(&mut self, slot: u64, d: DeviceId) {
+        self.0.push(Reverse((slot, d)));
+    }
+
+    /// Drain every entry up to slot `s` and put the devices due exactly
+    /// at `s` into `out`, ascending and deduplicated (earlier entries
+    /// are stale: their slot passed unmaterialized or unscanned).
+    pub(crate) fn pop_due(&mut self, s: u64, out: &mut Vec<DeviceId>) {
+        out.clear();
+        while let Some(&Reverse((at, d))) = self.0.peek() {
+            if at > s {
+                break;
+            }
+            self.0.pop();
+            if at == s && out.last() != Some(&d) {
+                out.push(d);
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
+/// Lazily synced oscillators for event-driven windows.
+///
+/// A device's oscillator is brought up to date only when something
+/// reads or changes it. Between those moments it is a stamp plus a
+/// trajectory cursor, and its next natural fire is an entry in `due`.
+/// The skipped ticks are pure ticks by construction of the wake set
+/// (a fire inside them would have been predicted and materialized), so
+/// one catch-up replays exactly the ticks the stepped loop performs.
+struct LazyClocks {
+    /// Device `i`'s oscillator reflects every tick of the slots
+    /// `< synced[i]`; a departed device keeps the stamp of its leave.
+    synced: Vec<u64>,
+    /// Per-device position on a memoized phase trajectory at its stamp
+    /// (`None` ⇒ non-canonical phase, caught up by literal ticking).
+    /// Mesh coupling nudges most phases off the canonical reset values,
+    /// so FST leans on the literal fallback far more than ST does.
     cursors: Vec<Option<Cursor>>,
     /// Shared memoized phase ramps (all devices share one period).
     traj: TrajectoryCache,
+    /// Per-device predicted natural-fire slot ([`NEVER`] when departed).
+    fire_at: Vec<u64>,
+    /// Fire predictions. A re-prediction leaves the old entry behind;
+    /// `fire_due` drops popped entries that no longer match `fire_at`.
+    due: DueQueue,
+    /// Catch-ups by trajectory warp and by literal ticking.
+    warps: u64,
+    literal: u64,
+}
+
+impl LazyClocks {
+    fn new(n: usize, period: u32) -> LazyClocks {
+        LazyClocks {
+            synced: vec![0; n],
+            // Initial phases are arbitrary random reals — never
+            // canonical — so every device starts on the literal-ticking
+            // fallback and joins a shared trajectory at its first reset.
+            cursors: vec![None; n],
+            traj: TrajectoryCache::new(period),
+            fire_at: vec![NEVER; n],
+            due: DueQueue::default(),
+            warps: 0,
+            literal: 0,
+        }
+    }
+
+    /// Apply device `i`'s ticks for the slots `[synced[i], to)` to
+    /// `osc`: one warp for a device holding a trajectory cursor,
+    /// literal ticks otherwise.
+    fn sync(&mut self, i: usize, osc: &mut PhaseOscillator, to: u64) {
+        let ticks = to - self.synced[i];
+        if ticks == 0 {
+            return;
+        }
+        self.synced[i] = to;
+        match self.cursors[i].and_then(|c| self.traj.advance(c, ticks)) {
+            Some((phase, moved)) => {
+                osc.warp(phase, ticks);
+                self.cursors[i] = Some(moved);
+                self.warps += 1;
+            }
+            None => {
+                self.cursors[i] = None;
+                let fires = osc.advance_by(ticks);
+                debug_assert_eq!(fires, 0, "device {i} fired inside a skipped stretch");
+                self.literal += 1;
+            }
+        }
+    }
+
+    /// Record that device `i` next fires naturally in `slot`.
+    fn predict(&mut self, i: usize, slot: u64) {
+        self.fire_at[i] = slot;
+        self.due.push(slot, i as DeviceId);
+    }
 }
 
 impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
@@ -328,11 +451,8 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
             density: DensityWindow::new(DensityWindow::DEFAULT_WINDOW),
             fired_this_slot: false,
             touched: Vec::new(),
-            // Initial phases are arbitrary random reals — never
-            // canonical — so every device starts on the literal-ticking
-            // fallback and joins a shared trajectory at its first reset.
-            cursors: vec![None; n],
-            traj: TrajectoryCache::new(period),
+            clocks: LazyClocks::new(n, period),
+            due_scratch: Vec::new(),
         }
     }
 
@@ -400,7 +520,7 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
                 (s, EV && self.claim_wake(s))
             };
             if EV {
-                self.advance_to(s);
+                self.skip_to(s);
                 self.fired_this_slot = false;
             }
             last_slot = s;
@@ -431,6 +551,10 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
                 converged: convergence.is_some(),
             });
             self.sink.finish();
+        }
+        if EV && R::ENABLED {
+            self.rec.add("osc.cursor_warps", self.clocks.warps);
+            self.rec.add("osc.literal_advances", self.clocks.literal);
         }
         self.rec.stop("engine.run_ns", t_run);
 
@@ -463,6 +587,10 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
         for i in 0..self.devices.len() {
             let k = u64::from(self.devices[i].osc.ticks_to_next_fire());
             self.push_wake(k - 1);
+            // A device that starts powered off is predicted at its join.
+            if !self.churned || self.active[i] {
+                self.clocks.predict(i, k - 1);
+            }
         }
         for i in 0..self.churn_events.len() {
             let at = self.churn_events[i].slot;
@@ -514,50 +642,32 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
         woke
     }
 
-    /// Fast-forward every device through the skipped slots
-    /// `[synced_next, s)`. These are pure ticks by construction of the
-    /// wake set (a fire inside the window would have been scheduled as
-    /// a wake), so devices holding a trajectory cursor warp in O(1);
-    /// the rest tick literally.
-    fn advance_to(&mut self, s: u64) {
+    /// Skip the run's clock over the unmaterialized slots
+    /// `[synced_next, s)`. No device is visited here: each one catches
+    /// up on those pure ticks when it is next read or changed (see
+    /// [`LazyClocks`]), so the skip costs O(1) whatever `n` is.
+    fn skip_to(&mut self, s: u64) {
         let ticks = s - self.synced_next;
         if ticks == 0 {
             return;
         }
-        let mut warps = 0u64;
-        let mut literal = 0u64;
-        for i in 0..self.devices.len() {
-            // Departed devices are frozen: their oscillators stop with
-            // them, exactly as in the stepped loop's tick skip.
-            if self.churned && !self.active[i] {
-                continue;
-            }
-            let fast = match self.cursors[i] {
-                Some(c) => self.traj.advance(c, ticks),
-                None => None,
-            };
-            match fast {
-                Some((phase, moved)) => {
-                    self.devices[i].osc.warp(phase, ticks);
-                    self.cursors[i] = Some(moved);
-                    warps += 1;
-                }
-                None => {
-                    self.cursors[i] = None;
-                    let fires = self.devices[i].osc.advance_by(ticks);
-                    debug_assert_eq!(
-                        fires, 0,
-                        "device {i} fired inside a skipped window ending at slot {s}"
-                    );
-                    literal += 1;
-                }
-            }
-        }
         self.synced_next = s;
-        if R::ENABLED {
-            self.rec.add("engine.slots_skipped", ticks);
-            self.rec.add("osc.cursor_warps", warps);
-            self.rec.add("osc.literal_advances", literal);
+        self.rec.add("engine.slots_skipped", ticks);
+    }
+
+    /// Bring device `i`'s oscillator up to the start of slot `to`.
+    fn sync(&mut self, i: usize, to: u64) {
+        self.clocks.sync(i, &mut self.devices[i].osc, to);
+    }
+
+    /// Bring every live oscillator up to the start of slot `to`: before
+    /// the convergence probe reads all phases, and before a stepped
+    /// window ticks them all.
+    fn sync_all(&mut self, to: u64) {
+        for i in 0..self.devices.len() {
+            if !self.churned || self.active[i] {
+                self.sync(i, to);
+            }
         }
     }
 
@@ -567,26 +677,29 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
     /// convergence probe, then add the protocol's own wakes.
     fn post_schedule<P: Protocol>(&mut self, proto: &mut P, s: u64) {
         while let Some(v) = self.touched.pop() {
-            let phase = self.devices[v as usize].osc.phase();
+            let i = v as usize;
+            self.sync(i, s + 1);
+            let phase = self.devices[i].osc.phase();
             // The shared trajectory is tabulated for the nominal
             // period; clock-skewed devices must tick literally.
-            let cur = if self.skewed[v as usize] {
+            let cur = if self.skewed[i] {
                 None
             } else {
-                self.traj.cursor_for_start(phase)
+                self.clocks.traj.cursor_for_start(phase)
             };
-            self.cursors[v as usize] = cur;
+            self.clocks.cursors[i] = cur;
             let k = match cur {
                 Some(c) => {
                     self.rec.add("osc.cursor_derived", 1);
-                    u64::from(self.traj.ticks_to_fire(c))
+                    u64::from(self.clocks.traj.ticks_to_fire(c))
                 }
                 None => {
                     self.rec.add("osc.cursor_fallback", 1);
-                    u64::from(self.devices[v as usize].osc.ticks_to_next_fire())
+                    u64::from(self.devices[i].osc.ticks_to_next_fire())
                 }
             };
             self.push_wake(s + k);
+            self.clocks.predict(i, s + k);
         }
         // Each probe re-arms the next one on the grid.
         if proto.probing() {
@@ -609,24 +722,33 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
         self.live_ev = !stepped;
         if self.live_ev {
             self.reseed_event_wakes(s);
+        } else {
+            // The stepped window ticks every live oscillator from the
+            // next slot on, so each must reflect this slot's tick.
+            self.sync_all(s + 1);
         }
     }
 
     /// Entering an event-driven window from a stepped one: cursors and
-    /// per-device fire predictions went unmaintained, so drop every
-    /// cursor back to the literal-ticking fallback (the engine-start
-    /// state) and re-predict each live oscillator's next fire. Protocol,
-    /// jitter and probe wakes kept flowing into the wheel throughout the
-    /// stepped window, so they need no repair.
+    /// per-device fire predictions went unmaintained, so stamp every
+    /// device as synced through slot `s`, drop every cursor back to the
+    /// literal-ticking fallback (the engine-start state) and re-predict
+    /// each live oscillator's next fire. Protocol, jitter and probe
+    /// wakes kept flowing into the wheel throughout the stepped window,
+    /// so they need no repair.
     fn reseed_event_wakes(&mut self, s: u64) {
         self.touched.clear();
+        self.clocks.due.clear();
         for i in 0..self.devices.len() {
-            self.cursors[i] = None;
+            self.clocks.cursors[i] = None;
+            self.clocks.synced[i] = s + 1;
+            self.clocks.fire_at[i] = NEVER;
             if self.churned && !self.active[i] {
                 continue;
             }
             let k = u64::from(self.devices[i].osc.ticks_to_next_fire());
             self.push_wake(s + k);
+            self.clocks.predict(i, s + k);
         }
     }
 
@@ -647,6 +769,12 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
             let d = device as usize;
             match kind {
                 ChurnKind::Leave if self.active[d] => {
+                    if EV && self.live_ev {
+                        // Freeze the oscillator at its state entering
+                        // this slot, as the stepped loop's tick skip does.
+                        self.sync(d, slot.0);
+                        self.clocks.fire_at[d] = NEVER;
+                    }
                     self.active[d] = false;
                     let orphaned = proto.on_leave(self, device);
                     if S::ENABLED {
@@ -662,10 +790,19 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
                     self.devices[d].table = NeighborTable::new(n);
                     proto.on_join(self, device);
                     if EV && self.live_ev {
-                        // Re-predict the thawed oscillator's next fire.
-                        // (Stepped windows materialize every slot, so the
-                        // tick catches it; the cutover reseed re-predicts
-                        // the whole population.)
+                        // The thawed oscillator resumes from its frozen
+                        // state with this slot's tick. Predict its next
+                        // fire, which may be this very slot; after the
+                        // slot it is re-predicted like any touched
+                        // device. (Stepped windows materialize every
+                        // slot, so the tick catches it; the cutover
+                        // reseed re-predicts the whole population.)
+                        self.clocks.synced[d] = slot.0;
+                        let k = match self.clocks.cursors[d] {
+                            Some(c) => self.clocks.traj.ticks_to_fire(c),
+                            None => self.devices[d].osc.ticks_to_next_fire(),
+                        };
+                        self.clocks.predict(d, slot.0 + u64::from(k) - 1);
                         self.touched.push(device);
                     }
                     if S::ENABLED {
@@ -734,15 +871,16 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
         }
 
         // Convergence: all live phases within one slot of each other.
-        if proto.probing()
-            && s.is_multiple_of(SYNC_CHECK_INTERVAL)
-            && !self.devices.is_empty()
-            && self.phase_spread() <= self.tol
-        {
-            if S::ENABLED {
-                self.sink.event(&TraceEvent::Converged { slot: s });
+        if proto.probing() && s.is_multiple_of(SYNC_CHECK_INTERVAL) && !self.devices.is_empty() {
+            if EV && self.live_ev {
+                self.sync_all(s + 1);
             }
-            return Some(s);
+            if self.phase_spread() <= self.tol {
+                if S::ENABLED {
+                    self.sink.event(&TraceEvent::Converged { slot: s });
+                }
+                return Some(s);
+            }
         }
         None
     }
@@ -761,6 +899,39 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
                 .map(|(_, d)| d.osc.phase()),
         );
         ffd2d_osc::sync::phase_spread(&self.phases_scratch)
+    }
+
+    /// Fire the devices predicted to fire naturally in `slot`, in
+    /// ascending id so their jitter draws keep the stepped loop's order.
+    /// A prediction holds only while the device is untouched, and a
+    /// fire resets phase and refractory count whatever they were, so the
+    /// oscillator needs no catch-up first.
+    fn fire_due(&mut self, slot: Slot) {
+        let s = slot.0;
+        let mut due = core::mem::take(&mut self.due_scratch);
+        self.clocks.due.pop_due(s, &mut due);
+        for &d in &due {
+            let i = d as usize;
+            if self.clocks.fire_at[i] != s {
+                continue; // re-predicted since this entry was pushed
+            }
+            debug_assert!(!self.churned || self.active[i], "departed device {d} fired");
+            #[cfg(debug_assertions)]
+            {
+                let mut probe = self.devices[i].osc;
+                let skipped = probe.advance_by(s - self.clocks.synced[i]);
+                assert!(
+                    skipped == 0 && probe.tick(),
+                    "device {d} mispredicted at slot {s}"
+                );
+            }
+            self.devices[i].osc.force_fire();
+            self.clocks.synced[i] = s + 1;
+            self.fired_this_slot = true;
+            self.touched.push(d);
+            self.enqueue_fire(d, slot, 0, 0);
+        }
+        self.due_scratch = due;
     }
 
     /// Queue a staggered fire transmission for a device whose firing
@@ -786,23 +957,22 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
         let pathloss = self.world.channel_config().pathloss;
         let tx_power = self.world.channel_config().tx_power;
 
-        // Natural fires from the slot tick. Cursor/touched maintenance
-        // only pays off when skip-ahead will use it — stepped windows
-        // of an adaptive run shed it (and reseed at the next cutover).
-        for i in 0..self.devices.len() {
-            if self.churned && !self.active[i] {
-                continue; // departed devices are frozen
-            }
-            if self.devices[i].osc.tick() {
-                if EV {
-                    self.fired_this_slot = true;
-                    if self.live_ev {
-                        self.touched.push(i as DeviceId);
-                    }
+        // Natural fires from the slot tick: event windows pop them off
+        // the prediction queue; stepped windows tick every oscillator
+        // (and shed the touched tracking, reseeding at the next cutover).
+        if EV && self.live_ev {
+            self.fire_due(slot);
+        } else {
+            for i in 0..self.devices.len() {
+                if self.churned && !self.active[i] {
+                    continue; // departed devices are frozen
                 }
-                self.enqueue_fire(i as DeviceId, slot, 0, 0);
-            } else if EV && self.live_ev {
-                self.cursors[i] = self.cursors[i].map(Cursor::next);
+                if self.devices[i].osc.tick() {
+                    if EV {
+                        self.fired_this_slot = true;
+                    }
+                    self.enqueue_fire(i as DeviceId, slot, 0, 0);
+                }
             }
         }
         // Due transmissions. The ring bucket and the transmission list
@@ -850,6 +1020,7 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
             let devices = &mut self.devices;
             let prc = &self.prc;
             let touched = &mut self.touched;
+            let clocks = &mut self.clocks;
             let live_ev = self.live_ev;
             self.medium.resolve(
                 self.world,
@@ -904,6 +1075,15 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
                         );
                         if !P::couples(age) {
                             continue;
+                        }
+                        if EV && live_ev {
+                            // A pulse the coupling rule ignores leaves
+                            // the oscillator alone; any other needs it
+                            // to reflect this slot's tick first.
+                            if !dev.couples_to(sig.sender) {
+                                continue;
+                            }
+                            clocks.sync(receiver as usize, &mut dev.osc, slot.0 + 1);
                         }
                         let before = if S::ENABLED || (EV && live_ev) {
                             dev.osc.phase()

@@ -49,7 +49,7 @@ use ffd2d_trace::{Codec, FrameLabel, NullSink, ProtoPhase, RejectReason, TraceEv
 
 use crate::device::CouplingMode;
 use crate::outcome::RunOutcome;
-use crate::runtime::{self, Protocol, SlotRuntime};
+use crate::runtime::{self, DueQueue, Protocol, SlotRuntime};
 use crate::scenario::ScenarioConfig;
 use crate::world::World;
 
@@ -277,13 +277,18 @@ struct St {
     inbox: Vec<(DeviceId, DeviceId, Msg)>,
     /// RACH2 broadcasts queued for this slot.
     rach2_out: Vec<ProximitySignal>,
-    /// Per-device keep-alive beacon offset within the period (merge
-    /// phase only): randomly spread so synchronized fragments do not
-    /// jam their own discovery refresh.
-    beacon_offset: Vec<u64>,
-    /// Sorted, deduplicated `beacon_offset` values — the merge-phase
-    /// beacon residues mod the period.
-    beacon_residues: Vec<u64>,
+    /// Every device's keep-alive beacon offset within the period (merge
+    /// phase only), as `(offset, device)` sorted ascending: offsets are
+    /// randomly spread so synchronized fragments do not jam their own
+    /// discovery refresh, and the sort keys one slot's beacons by its
+    /// residue mod the period, in device order.
+    beacons: Vec<(u64, DeviceId)>,
+    /// Pending handshake (re)transmissions keyed by `hs_next_tx`. A
+    /// retry or a new round leaves old entries behind; the merge step
+    /// re-checks each popped device against `m`.
+    hs_due: DueQueue,
+    /// Scratch for the devices whose handshake is due in the slot.
+    hs_scratch: Vec<DeviceId>,
     /// Scratch for the per-slot distinct-fragment count (tracing only).
     frag_scratch: Vec<DeviceId>,
     /// First slot of the merge phase (`discovery_periods × T`).
@@ -302,14 +307,23 @@ impl St {
     /// The first slot strictly after `s` holding any device's
     /// merge-phase beacon offset.
     fn next_beacon_slot(&self, s: u64, period: u64) -> Option<u64> {
-        let first = *self.beacon_residues.first()?;
+        let &(first, _) = self.beacons.first()?;
         let q = s + 1;
         let rem = q % period;
-        let idx = self.beacon_residues.partition_point(|&r| r < rem);
-        Some(match self.beacon_residues.get(idx) {
-            Some(&r) => q + (r - rem),
+        let idx = self.beacons.partition_point(|&(r, _)| r < rem);
+        Some(match self.beacons.get(idx) {
+            Some(&(r, _)) => q + (r - rem),
             None => q + (period - rem) + first,
         })
+    }
+
+    /// The devices whose beacon offset is `residue`, in ascending id.
+    fn beacons_at(&self, residue: u64) -> impl Iterator<Item = DeviceId> + '_ {
+        let lo = self.beacons.partition_point(|&(r, _)| r < residue);
+        self.beacons[lo..]
+            .iter()
+            .take_while(move |&&(r, _)| r == residue)
+            .map(|&(_, id)| id)
     }
 }
 
@@ -321,10 +335,10 @@ impl Protocol for St {
         let n = rt.devices.len();
         let period = cfg.protocol.period_slots as u64;
         let mut rng = StreamRng::new(cfg.sim.seed, 0, StreamId::MergeBeacons);
-        let beacon_offset: Vec<u64> = (0..n).map(|_| rng.gen_range(0..period)).collect();
-        let mut beacon_residues = beacon_offset.clone();
-        beacon_residues.sort_unstable();
-        beacon_residues.dedup();
+        let mut beacons: Vec<(u64, DeviceId)> = (0..n as DeviceId)
+            .map(|id| (rng.gen_range(0..period), id))
+            .collect();
+        beacons.sort_unstable();
         let discovery_end = cfg.protocol.discovery_periods as u64 * period;
         if EV {
             // The discovery→merge boundary must be materialized.
@@ -333,8 +347,7 @@ impl Protocol for St {
         St {
             m: vec![MState::default(); n],
             tree: vec![Vec::new(); n],
-            beacon_offset,
-            beacon_residues,
+            beacons,
             discovery_end,
             max_rounds: 2 * (usize::BITS - n.leading_zeros()) + 16,
             ..St::default()
@@ -377,10 +390,11 @@ impl Protocol for St {
     ) {
         if self.phase == Phase::Merge {
             let period = rt.world.config().protocol.period_slots as u64;
-            for (id, d) in rt.devices.iter().enumerate() {
-                if (rt.churned && !rt.active[id]) || slot.0 % period != self.beacon_offset[id] {
+            for id in self.beacons_at(slot.0 % period) {
+                if rt.churned && !rt.active[id as usize] {
                     continue;
                 }
+                let d = &rt.devices[id as usize];
                 out.push(ProximitySignal {
                     sender: d.id,
                     service: d.service,
@@ -525,37 +539,6 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
     }
 
     fn start_round(&mut self, slot: Slot) {
-        if std::env::var("FFD2D_DEBUG").is_ok() && self.st.round > 0 {
-            // Cycle check over the accepted tree edges.
-            let n = self.rt.devices.len();
-            let mut uf = ffd2d_graph::UnionFind::new(n);
-            for v in 0..n as u32 {
-                for &u in &self.st.tree[v as usize] {
-                    if v < u && !uf.union(v, u) {
-                        eprintln!(
-                            "!! CYCLE closed by edge {v}--{u} at round {}",
-                            self.st.round
-                        );
-                    }
-                    if !self.st.tree[u as usize].contains(&v) {
-                        eprintln!("!! ASYMMETRIC link {v}->{u} at round {}", self.st.round);
-                    }
-                }
-            }
-            let heads = self.rt.devices.iter().filter(|d| d.is_head()).count();
-            let mut frags: Vec<u32> = self.rt.devices.iter().map(|d| d.fragment).collect();
-            frags.sort();
-            frags.dedup();
-            eprintln!(
-                "round {} end: heads={} frags={:?} commits_total={} mergecmds={} rach2={}",
-                self.st.round,
-                heads,
-                frags,
-                self.st.commits_total,
-                self.st.mergecmds_this_round,
-                self.rt.counters.rach2_tx
-            );
-        }
         self.st.round += 1;
         self.st.mergecmds_this_round = 0;
         let cfg = &self.rt.world.config().protocol;
@@ -698,8 +681,9 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
         st.hs_peer = v;
         st.hs_retries = cfg.handshake_retries;
         st.hs_next_tx = slot.0 + 1 + self.rt.rng.gen_range(0..cfg.handshake_window as u64);
+        let at = st.hs_next_tx;
+        self.st.hs_due.push(at, u);
         if EV {
-            let at = st.hs_next_tx;
             self.rt.push_wake(at);
         }
     }
@@ -837,10 +821,6 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
                             requester,
                             reason: RejectReason::GrantDenied,
                         });
-                    }
-                    if std::env::var("FFD2D_DEBUG").is_ok() && self.st.round >= 8 {
-                        eprintln!("  r{} grantdecision at head {}: req_frag={} my_frag={} own_target={} mutual={} granted={}",
-                            self.st.round, v, req_fragment, my_frag, self.st.m[v as usize].own_target as i64, mutual, granted);
                     }
                     let my_size = self.st.m[v as usize].size;
                     if origin == v {
@@ -1104,9 +1084,6 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
         }
         self.st.m[x as usize].committed = true;
         self.st.m[x as usize].hs_peer = NONE;
-        if std::env::var("FFD2D_DEBUG").is_ok() {
-            eprintln!("  commit {}--{} (survivor={})", x, y, survivor);
-        }
         if self.rt.devices[x as usize].head == survivor {
             // Winning side: the peer becomes a child.
             if !self.rt.devices[x as usize].children.contains(&y)
@@ -1159,18 +1136,6 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
                 target: receiver,
                 req_fragment: fragment,
             });
-        }
-        if std::env::var("FFD2D_DEBUG").is_ok() && self.st.round >= 8 {
-            eprintln!(
-                "  r{} hconnect {}->{} (their frag={}, my frag={}, my hs_peer={}, link={})",
-                self.st.round,
-                sig.sender,
-                receiver,
-                fragment,
-                self.rt.devices[receiver as usize].fragment,
-                self.st.m[receiver as usize].hs_peer as i64,
-                self.st.tree[receiver as usize].contains(&sig.sender)
-            );
         }
         let me = &self.rt.devices[receiver as usize];
         if me.fragment == fragment {
@@ -1377,7 +1342,6 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
     /// transitions, last slot's unicasts and handshake transmissions.
     fn step(&mut self, slot: Slot) {
         let cfg = self.rt.world.config();
-        let n = self.rt.devices.len();
         let s = slot.0;
 
         // Phase transitions.
@@ -1448,9 +1412,12 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
         // Boundary handshake (re)transmissions — only while enough
         // round time remains for the full grant/accept/finalize
         // exchange (late handshakes would straddle the round
-        // boundary and leave half-committed edges).
+        // boundary and leave half-committed edges). Due devices pop in
+        // ascending id, so the retry draws keep device order.
         if self.st.phase == Phase::Merge && s <= self.st.round_grace_end {
-            for v in 0..n as DeviceId {
+            let mut due = core::mem::take(&mut self.st.hs_scratch);
+            self.st.hs_due.pop_due(s, &mut due);
+            for &v in &due {
                 if self.rt.churned && !self.rt.active[v as usize] {
                     continue;
                 }
@@ -1478,12 +1445,14 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
                                 .rng
                                 .gen_range(0..cfg.protocol.handshake_window as u64);
                         st.hs_next_tx = next;
+                        self.st.hs_due.push(next, v);
                         if EV {
                             self.rt.push_wake(next);
                         }
                     }
                 }
             }
+            self.st.hs_scratch = due;
         }
     }
 }
