@@ -61,7 +61,7 @@ impl FstProtocol {
 /// The mesh protocol's hooks: every device couples to every audible
 /// fire from slot 0, and the run is one long sync phase probed from
 /// slot 0. A leave silences the device and a join brings it back with
-/// a fresh neighbour table (both done by the runtime); the full-mesh
+/// an emptied neighbour table (both done by the runtime); the full-mesh
 /// coupling re-entrains it without any protocol machinery, and with no
 /// tree, leaves never orphan fragments.
 struct Mesh;

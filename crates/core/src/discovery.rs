@@ -13,17 +13,28 @@
 //! * the preamble's service class reveals the sender's **application
 //!   interest**, and the payload its current **fragment**.
 //!
-//! [`NeighborTable`] is the per-device store of those facts. Weights are
-//! EWMA-smoothed: a single deep fade must not permanently misrank an
-//! edge, but the table must also track fragment ids promptly.
+//! [`NeighborTable`] stores only what the protocol reads back: the
+//! smoothed PS strength, the sender's fragment, when it was last heard
+//! and how often. The rest is derived on demand, never stored per fire:
+//!
+//! * a neighbour's distance is
+//!   `RangingEstimate::from_rx(tx, Dbm(weight_dbm), pathloss)`
+//!   (`ffd2d_radio::rssi`), with every device's transmit power known a
+//!   priori (§IV assumption (I));
+//! * a sender's service class is fixed for the run, so
+//!   [`NeighborTable::service_matches`] reads it from the world's
+//!   per-device service table.
+//!
+//! Each table holds one [`NeighborInfo`] per device of the population,
+//! so a run's tables take n² × 24 bytes. Weights are EWMA-smoothed: a
+//! single deep fade must not permanently misrank an edge, but the table
+//! must also track fragment ids promptly.
 
 use serde::{Deserialize, Serialize};
 
 use ffd2d_phy::codec::ServiceClass;
-use ffd2d_radio::pathloss::PathLoss;
-use ffd2d_radio::rssi::RangingEstimate;
 use ffd2d_radio::units::Dbm;
-use ffd2d_sim::deployment::{DeviceId, Meters};
+use ffd2d_sim::deployment::DeviceId;
 use ffd2d_sim::time::Slot;
 
 /// EWMA smoothing factor for PS-strength estimates.
@@ -34,22 +45,28 @@ const WEIGHT_EWMA_ALPHA: f64 = 0.25;
 pub struct NeighborInfo {
     /// Smoothed PS strength in dBm (the §IV edge weight).
     pub weight_dbm: f64,
-    /// Latest RSSI distance estimate.
-    pub est_distance: Meters,
-    /// Advertised service interest.
-    pub service: ServiceClass,
-    /// Sender's fragment at last contact.
-    pub fragment: DeviceId,
     /// Slot of the last decoded PS.
     pub last_heard: Slot,
-    /// Number of PSs decoded from this neighbour.
+    /// Sender's fragment at last contact.
+    pub fragment: DeviceId,
+    /// Number of PSs decoded from this neighbour (0: not discovered).
     pub samples: u32,
+}
+
+impl NeighborInfo {
+    /// The entry of a device never heard from.
+    const UNHEARD: NeighborInfo = NeighborInfo {
+        weight_dbm: 0.0,
+        last_heard: Slot(0),
+        fragment: 0,
+        samples: 0,
+    };
 }
 
 /// One device's view of its neighbourhood.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NeighborTable {
-    entries: Vec<Option<NeighborInfo>>,
+    entries: Vec<NeighborInfo>,
     known: u32,
 }
 
@@ -57,9 +74,16 @@ impl NeighborTable {
     /// An empty table for a population of `n` devices.
     pub fn new(n: usize) -> NeighborTable {
         NeighborTable {
-            entries: vec![None; n],
+            entries: vec![NeighborInfo::UNHEARD; n],
             known: 0,
         }
+    }
+
+    /// Forget every neighbour, keeping the allocation (a rejoining
+    /// device starts with no knowledge of its neighbourhood).
+    pub fn clear(&mut self) {
+        self.entries.fill(NeighborInfo::UNHEARD);
+        self.known = 0;
     }
 
     /// Number of distinct neighbours discovered.
@@ -71,50 +95,35 @@ impl NeighborTable {
     /// Look up a neighbour.
     #[inline]
     pub fn get(&self, id: DeviceId) -> Option<&NeighborInfo> {
-        self.entries[id as usize].as_ref()
+        Some(&self.entries[id as usize]).filter(|info| info.samples > 0)
     }
 
     /// Record a decoded firing PS.
-    #[allow(clippy::too_many_arguments)]
     pub fn observe_fire(
         &mut self,
         sender: DeviceId,
         rx_power: Dbm,
-        service: ServiceClass,
         fragment: DeviceId,
         slot: Slot,
-        pathloss: &PathLoss,
-        tx_power: Dbm,
     ) {
-        let est = RangingEstimate::from_rx(tx_power, rx_power, pathloss);
-        match &mut self.entries[sender as usize] {
-            Some(info) => {
-                info.weight_dbm = info.weight_dbm * (1.0 - WEIGHT_EWMA_ALPHA)
-                    + rx_power.get() * WEIGHT_EWMA_ALPHA;
-                info.est_distance = est.distance;
-                info.service = service;
-                info.fragment = fragment;
-                info.last_heard = slot;
-                info.samples += 1;
-            }
-            slot_entry @ None => {
-                *slot_entry = Some(NeighborInfo {
-                    weight_dbm: rx_power.get(),
-                    est_distance: est.distance,
-                    service,
-                    fragment,
-                    last_heard: slot,
-                    samples: 1,
-                });
-                self.known += 1;
-            }
+        let info = &mut self.entries[sender as usize];
+        if info.samples == 0 {
+            info.weight_dbm = rx_power.get();
+            self.known += 1;
+        } else {
+            info.weight_dbm =
+                info.weight_dbm * (1.0 - WEIGHT_EWMA_ALPHA) + rx_power.get() * WEIGHT_EWMA_ALPHA;
         }
+        info.fragment = fragment;
+        info.last_heard = slot;
+        info.samples += 1;
     }
 
     /// Update only the fragment label of a known neighbour (learned from
     /// merge traffic rather than a fire).
     pub fn update_fragment(&mut self, sender: DeviceId, fragment: DeviceId) {
-        if let Some(info) = &mut self.entries[sender as usize] {
+        let info = &mut self.entries[sender as usize];
+        if info.samples > 0 {
             info.fragment = fragment;
         }
     }
@@ -140,12 +149,11 @@ impl NeighborTable {
     ) -> Option<(DeviceId, f64)> {
         let cutoff = now.0.saturating_sub(max_age_slots);
         let mut best: Option<(DeviceId, f64)> = None;
-        for (id, entry) in self.entries.iter().enumerate() {
-            let Some(info) = entry else { continue };
+        for (id, info) in self.iter() {
             if info.fragment == my_fragment || info.last_heard.0 < cutoff {
                 continue;
             }
-            let candidate = (id as DeviceId, info.weight_dbm);
+            let candidate = (id, info.weight_dbm);
             best = Some(match best {
                 None => candidate,
                 Some(cur) => {
@@ -161,17 +169,16 @@ impl NeighborTable {
     }
 
     /// Ids of discovered neighbours sharing service `mine`
-    /// (application-level proximity).
-    pub fn service_matches(&self, mine: ServiceClass) -> Vec<DeviceId> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter_map(|(id, e)| {
-                e.as_ref()
-                    .filter(|info| info.service.matches(mine))
-                    .map(|_| id as DeviceId)
-            })
-            .collect()
+    /// (application-level proximity), where `services[id]` is device
+    /// `id`'s advertised service (`World::services`).
+    pub fn service_matches<'a>(
+        &'a self,
+        mine: ServiceClass,
+        services: &'a [ServiceClass],
+    ) -> impl Iterator<Item = DeviceId> + 'a {
+        self.iter()
+            .map(|(id, _)| id)
+            .filter(move |&id| services[id as usize].matches(mine))
     }
 
     /// Iterate over `(id, info)` of all discovered neighbours.
@@ -179,27 +186,26 @@ impl NeighborTable {
         self.entries
             .iter()
             .enumerate()
-            .filter_map(|(id, e)| e.as_ref().map(|info| (id as DeviceId, info)))
+            .filter(|(_, info)| info.samples > 0)
+            .map(|(id, info)| (id as DeviceId, info))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const TX: Dbm = Dbm(23.0);
-    const PL: PathLoss = PathLoss::PaperPiecewise;
+    use ffd2d_radio::pathloss::PathLoss;
+    use ffd2d_radio::rssi::RangingEstimate;
 
     fn observe(t: &mut NeighborTable, sender: DeviceId, dbm: f64, fragment: DeviceId) {
-        t.observe_fire(
-            sender,
-            Dbm(dbm),
-            ServiceClass::new(1),
-            fragment,
-            Slot(0),
-            &PL,
-            TX,
-        );
+        t.observe_fire(sender, Dbm(dbm), fragment, Slot(0));
+    }
+
+    #[test]
+    fn entry_is_24_bytes() {
+        // Every device keeps one entry per device of the population, so
+        // a run's tables cost n² × 24 B: about 92 MiB at n = 2000.
+        assert_eq!(core::mem::size_of::<NeighborInfo>(), 24);
     }
 
     #[test]
@@ -213,7 +219,6 @@ mod tests {
         };
         assert_eq!(info.weight_dbm, -60.0);
         assert_eq!(info.samples, 1);
-        assert!(info.est_distance.0 > 0.0);
     }
 
     #[test]
@@ -238,8 +243,27 @@ mod tests {
         let Some(info) = t.get(1) else {
             panic!("neighbour 1 missing after observation")
         };
-        let d = info.est_distance.0;
+        let est =
+            RangingEstimate::from_rx(Dbm(23.0), Dbm(info.weight_dbm), &PathLoss::PaperPiecewise);
+        let d = est.distance.0;
         assert!((d - 11.88).abs() < 0.05, "distance {d}");
+    }
+
+    #[test]
+    fn clear_forgets_every_neighbour() {
+        let mut t = NeighborTable::new(6);
+        observe(&mut t, 1, -50.0, 1);
+        observe(&mut t, 4, -70.0, 4);
+        t.clear();
+        assert_eq!(t.discovered(), 0);
+        assert!(t.get(1).is_none() && t.get(4).is_none());
+        assert_eq!(t.iter().count(), 0);
+        // A fresh observation after the reset starts a new EWMA.
+        observe(&mut t, 1, -80.0, 1);
+        assert_eq!(
+            t.get(1).map(|i| (i.weight_dbm, i.samples)),
+            Some((-80.0, 1))
+        );
     }
 
     #[test]
@@ -276,8 +300,8 @@ mod tests {
     #[test]
     fn fresh_filter_excludes_stale_entries() {
         let mut t = NeighborTable::new(10);
-        t.observe_fire(1, Dbm(-50.0), ServiceClass::new(0), 1, Slot(100), &PL, TX);
-        t.observe_fire(2, Dbm(-70.0), ServiceClass::new(0), 2, Slot(900), &PL, TX);
+        t.observe_fire(1, Dbm(-50.0), 1, Slot(100));
+        t.observe_fire(2, Dbm(-70.0), 2, Slot(900));
         // At slot 1000 with a 300-slot window, only neighbour 2 counts.
         let Some(best) = t.best_outgoing_fresh(0, Slot(1000), 300) else {
             panic!("fresh neighbour 2 should survive the 300-slot window")
@@ -303,12 +327,18 @@ mod tests {
 
     #[test]
     fn service_matching() {
+        let services = [2, 2, 3, 2, 2, 5].map(ServiceClass::new);
         let mut t = NeighborTable::new(6);
-        t.observe_fire(1, Dbm(-50.0), ServiceClass::new(2), 1, Slot(0), &PL, TX);
-        t.observe_fire(2, Dbm(-50.0), ServiceClass::new(3), 2, Slot(0), &PL, TX);
-        t.observe_fire(3, Dbm(-50.0), ServiceClass::new(2), 3, Slot(0), &PL, TX);
-        assert_eq!(t.service_matches(ServiceClass::new(2)), vec![1, 3]);
-        assert!(t.service_matches(ServiceClass::new(5)).is_empty());
+        observe(&mut t, 1, -50.0, 1);
+        observe(&mut t, 2, -50.0, 2);
+        observe(&mut t, 3, -50.0, 3);
+        // Device 4 shares service 2 but was never heard.
+        let matches: Vec<DeviceId> = t.service_matches(ServiceClass::new(2), &services).collect();
+        assert_eq!(matches, vec![1, 3]);
+        assert_eq!(
+            t.service_matches(ServiceClass::new(5), &services).count(),
+            0
+        );
     }
 
     #[test]

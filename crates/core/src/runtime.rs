@@ -62,7 +62,6 @@ use ffd2d_telemetry::Recorder;
 use ffd2d_trace::{FaultKind, ProtoPhase, TraceEvent, TraceSink};
 
 use crate::device::Device;
-use crate::discovery::NeighborTable;
 use crate::outcome::RunOutcome;
 use crate::scenario::EngineMode;
 use crate::world::{FastMedium, World};
@@ -187,7 +186,7 @@ pub trait Protocol: Sized {
         0
     }
 
-    /// Device `d` just powered back on (already active, with a fresh
+    /// Device `d` just powered back on (already active, with an empty
     /// neighbour table).
     fn on_join<S: TraceSink, R: Recorder, const EV: bool>(
         &mut self,
@@ -559,13 +558,18 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
         self.rec.stop("engine.run_ns", t_run);
 
         let sum = |f: fn(&Device) -> u64| self.devices.iter().map(f).sum();
+        let services = self.world.services();
         let mut out = RunOutcome {
             convergence_time: convergence.map(SlotDuration),
             tree_edges: Vec::new(),
             merge_rounds: 0,
             discovered_links: sum(|d| d.table.discovered() as u64),
             ground_truth_links: self.medium.ground_truth_links(self.world),
-            service_matches: sum(|d| d.table.service_matches(d.service).len() as u64),
+            service_matches: self
+                .devices
+                .iter()
+                .map(|d| d.table.service_matches(d.service, services).count() as u64)
+                .sum(),
             n_devices: self.devices.len(),
             reconvergence_time: reconvergence.map(SlotDuration),
             orphaned_fragments: 0,
@@ -755,9 +759,9 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
     /// Apply every scheduled churn event due at or before `slot`. In
     /// event-driven mode every churn slot is pre-scheduled as a wake, so
     /// both strategies apply each event in exactly its scheduled slot.
-    /// A rejoining device comes back amnesiac: fresh neighbour table.
+    /// A rejoining device comes back amnesiac: its neighbour table is
+    /// emptied in place.
     fn apply_churn<P: Protocol>(&mut self, proto: &mut P, slot: Slot) {
-        let n = self.devices.len();
         let mut churned: Vec<DeviceId> = Vec::new();
         while self.next_churn < self.churn_events.len()
             && self.churn_events[self.next_churn].slot <= slot.0
@@ -787,7 +791,7 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
                 }
                 ChurnKind::Join if !self.active[d] => {
                     self.active[d] = true;
-                    self.devices[d].table = NeighborTable::new(n);
+                    self.devices[d].table.clear();
                     proto.on_join(self, device);
                     if EV && self.live_ev {
                         // The thawed oscillator resumes from its frozen
@@ -954,9 +958,6 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
     /// (staggered) fires plus the protocol's frames through the medium,
     /// and couple decoded pulses with age compensation.
     fn broadcast<P: Protocol>(&mut self, proto: &mut P, slot: Slot) {
-        let pathloss = self.world.channel_config().pathloss;
-        let tx_power = self.world.channel_config().tx_power;
-
         // Natural fires from the slot tick: event windows pop them off
         // the prediction queue; stepped windows tick every oscillator
         // (and shed the touched tracking, reseeding at the next cutover).
@@ -1064,15 +1065,8 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
                             continue;
                         };
                         let dev = &mut devices[receiver as usize];
-                        dev.table.observe_fire(
-                            sig.sender,
-                            Dbm(rx_dbm),
-                            sig.service,
-                            fragment,
-                            slot,
-                            &pathloss,
-                            tx_power,
-                        );
+                        dev.table
+                            .observe_fire(sig.sender, Dbm(rx_dbm), fragment, slot);
                         if !P::couples(age) {
                             continue;
                         }
@@ -1129,5 +1123,98 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
             self.enqueue_fire(id, slot, 1, age);
         }
         self.pending_scratch = pending;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::ScenarioConfig;
+    use ffd2d_telemetry::NullRecorder;
+    use ffd2d_trace::NullSink;
+
+    /// The churned device and its schedule.
+    const DEV: DeviceId = 3;
+    const LEAVE: u64 = 300;
+    const JOIN: u64 = 500;
+
+    /// Checks the amnesia contract from inside the churn hooks: the
+    /// device leaves knowing its neighbours and rejoins knowing none.
+    #[derive(Default)]
+    struct Amnesia {
+        left_knowing: u32,
+        joins: u32,
+    }
+
+    impl Protocol for Amnesia {
+        const START_PHASE: ProtoPhase = ProtoPhase::Sync;
+
+        fn new<S: TraceSink, R: Recorder, const EV: bool>(
+            _: &mut SlotRuntime<'_, S, R, EV>,
+        ) -> Self {
+            Amnesia::default()
+        }
+
+        fn probing(&self) -> bool {
+            false
+        }
+
+        fn on_leave<S: TraceSink, R: Recorder, const EV: bool>(
+            &mut self,
+            rt: &mut SlotRuntime<'_, S, R, EV>,
+            d: DeviceId,
+        ) -> u32 {
+            self.left_knowing = rt.devices[d as usize].table.discovered();
+            0
+        }
+
+        fn on_join<S: TraceSink, R: Recorder, const EV: bool>(
+            &mut self,
+            rt: &mut SlotRuntime<'_, S, R, EV>,
+            d: DeviceId,
+        ) {
+            let table = &rt.devices[d as usize].table;
+            assert_eq!(table.discovered(), 0);
+            assert!((0..rt.devices.len() as DeviceId).all(|x| table.get(x).is_none()));
+            assert_eq!(table.iter().count(), 0);
+            self.joins += 1;
+        }
+
+        fn finish(self, _out: &mut RunOutcome) {
+            assert!(
+                self.left_knowing > 0,
+                "device {DEV} left before hearing anyone"
+            );
+            assert_eq!(self.joins, 1);
+        }
+    }
+
+    #[test]
+    fn rejoin_forgets_every_neighbour() {
+        let plan = FaultPlan {
+            churn: vec![
+                ChurnEvent {
+                    slot: LEAVE,
+                    device: DEV,
+                    kind: ChurnKind::Leave,
+                },
+                ChurnEvent {
+                    slot: JOIN,
+                    device: DEV,
+                    kind: ChurnKind::Join,
+                },
+            ],
+            ..FaultPlan::none()
+        };
+        for engine in [EngineMode::Stepped, EngineMode::EventDriven] {
+            let cfg = ScenarioConfig::table1(12)
+                .seeded(5)
+                .with_max_slots(SlotDuration(800))
+                .with_engine(engine)
+                .with_faults(plan.clone());
+            let out = run::<Amnesia, _, _>(&World::new(&cfg), &mut NullSink, &mut NullRecorder);
+            // After the rejoin the device relearns its neighbourhood.
+            assert!(out.discovered_links > 0);
+        }
     }
 }

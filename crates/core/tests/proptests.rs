@@ -10,7 +10,6 @@ use ffd2d_graph::spatial::SpatialGrid;
 use ffd2d_graph::weight::W;
 use ffd2d_graph::WeightedGraph;
 use ffd2d_phy::codec::ServiceClass;
-use ffd2d_radio::pathloss::PathLoss;
 use ffd2d_radio::units::Dbm;
 use ffd2d_sim::time::Slot;
 
@@ -39,33 +38,35 @@ proptest! {
         prop_assert_eq!(st.forest.edges, kr.edges);
     }
 
-    /// EWMA weights stay within the convex hull of observations, and
-    /// the entry always reflects the latest fragment/service.
+    /// EWMA weights stay within the convex hull of observations, the
+    /// entry always reflects the latest fragment, and service matches
+    /// follow the per-device service table.
     #[test]
-    fn neighbor_table_ewma_bounds(obs in proptest::collection::vec((-110.0f64..-30.0, 0u32..8, 0u8..4), 1..40)) {
+    fn neighbor_table_ewma_bounds(
+        obs in proptest::collection::vec((-110.0f64..-30.0, 0u32..8), 1..40),
+        svcs in proptest::collection::vec(0u8..4, 4),
+    ) {
+        let services: Vec<ServiceClass> = svcs.iter().map(|&s| ServiceClass::new(s)).collect();
         let mut t = NeighborTable::new(4);
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
-        for (i, &(dbm, frag, svc)) in obs.iter().enumerate() {
+        for (i, &(dbm, frag)) in obs.iter().enumerate() {
             lo = lo.min(dbm);
             hi = hi.max(dbm);
-            t.observe_fire(
-                1,
-                Dbm(dbm),
-                ServiceClass::new(svc),
-                frag,
-                Slot(i as u64),
-                &PathLoss::PaperPiecewise,
-                Dbm(23.0),
-            );
+            t.observe_fire(1, Dbm(dbm), frag, Slot(i as u64));
         }
         let info = t.get(1).unwrap();
         prop_assert!(info.weight_dbm >= lo - 1e-9 && info.weight_dbm <= hi + 1e-9);
         let last = obs.last().unwrap();
         prop_assert_eq!(info.fragment, last.1);
-        prop_assert_eq!(info.service, ServiceClass::new(last.2));
         prop_assert_eq!(info.samples as usize, obs.len());
         prop_assert_eq!(t.discovered(), 1);
+        // Only neighbour 1 is known, so it is the only possible match.
+        for &mine in &services {
+            let matches: Vec<u32> = t.service_matches(mine, &services).collect();
+            let expected = if services[1].matches(mine) { vec![1] } else { vec![] };
+            prop_assert_eq!(matches, expected);
+        }
     }
 
     /// best_outgoing never returns a same-fragment neighbour and always
@@ -75,15 +76,7 @@ proptest! {
         let n = entries.len() + 1;
         let mut t = NeighborTable::new(n);
         for (i, &(dbm, frag)) in entries.iter().enumerate() {
-            t.observe_fire(
-                (i + 1) as u32,
-                Dbm(dbm),
-                ServiceClass::KEEP_ALIVE,
-                frag,
-                Slot(0),
-                &PathLoss::PaperPiecewise,
-                Dbm(23.0),
-            );
+            t.observe_fire((i + 1) as u32, Dbm(dbm), frag, Slot(0));
         }
         let my_fragment = 0u32;
         match t.best_outgoing(my_fragment) {

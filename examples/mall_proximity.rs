@@ -16,6 +16,7 @@
 use ffd2d::core::device::{CouplingMode, Device};
 use ffd2d::core::{ScenarioConfig, World};
 use ffd2d::phy::codec::ServiceClass;
+use ffd2d::radio::rssi::RangingEstimate;
 use ffd2d::radio::units::Dbm;
 use ffd2d::sim::deployment::{Deployment, Meters};
 use ffd2d::sim::rng::{StreamId, StreamRng};
@@ -69,15 +70,11 @@ fn main() {
             }
             let sample = channel.sample(tx, rx, Slot(tx as u64));
             if sample.detected {
-                let service = world.services()[tx as usize];
                 devices[rx as usize].table.observe_fire(
                     tx,
                     Dbm(sample.rx_power.get()),
-                    service,
                     tx,
                     Slot(tx as u64),
-                    &cfg.channel.pathloss,
-                    cfg.channel.tx_power,
                 );
             }
         }
@@ -90,19 +87,25 @@ fn main() {
     for &id in &[0u32, 20, 40] {
         let me = &devices[id as usize];
         let mine = me.service;
-        let matches = me.table.service_matches(mine);
+        let matches: Vec<u32> = me.table.service_matches(mine, world.services()).collect();
         println!(
             "shopper {id} (interested in {}) discovered {} peers, {} sharing the interest:",
             SERVICES[mine.0 as usize],
             me.table.discovered(),
             matches.len()
         );
+        // Ranging is derived from the stored PS strength on demand.
         let mut nearest: Vec<(u32, f64, f64)> = matches
             .iter()
             .filter_map(|&m| {
-                me.table
-                    .get(m)
-                    .map(|info| (m, info.est_distance.0, deployment.distance(id, m).0))
+                me.table.get(m).map(|info| {
+                    let est = RangingEstimate::from_rx(
+                        cfg.channel.tx_power,
+                        Dbm(info.weight_dbm),
+                        &cfg.channel.pathloss,
+                    );
+                    (m, est.distance.0, deployment.distance(id, m).0)
+                })
             })
             .collect();
         nearest.sort_by(|a, b| a.1.total_cmp(&b.1));
