@@ -20,11 +20,9 @@
 //!   slot costs work in proportion to its events, not to `n`. Each
 //!   device carries a synced-slot stamp and is brought up to date only
 //!   when something reads or changes its oscillator — a due fire, a
-//!   coupling pulse, churn, the convergence probe or a cutover into a
-//!   stepped window — by one warp along a memoized phase trajectory (or
-//!   literal ticking off it). Natural fires come off a queue fed by the
-//!   fire predictions. [`EngineMode::Adaptive`] additionally cuts
-//!   between skip-ahead and per-slot windows on wake density.
+//!   coupling pulse, churn or the convergence probe — by one warp along
+//!   a memoized phase trajectory (or literal ticking off it). Natural
+//!   fires come off a queue fed by the fire predictions.
 //!
 //! Both strategies share one loop and one slot body, so the modes are
 //! bit-identical (locked by `tests/engine_equivalence.rs`) under three
@@ -55,7 +53,7 @@ use ffd2d_phy::frame::{FrameKind, ProximitySignal};
 use ffd2d_radio::units::Dbm;
 use ffd2d_sim::counters::Counters;
 use ffd2d_sim::deployment::DeviceId;
-use ffd2d_sim::event::{DensityWindow, SlotWheel};
+use ffd2d_sim::event::SlotWheel;
 use ffd2d_sim::rng::{StreamId, StreamRng};
 use ffd2d_sim::time::{Slot, SlotDuration};
 use ffd2d_telemetry::Recorder;
@@ -88,10 +86,7 @@ pub fn run<P: Protocol, S: TraceSink, R: Recorder>(
     sink: &mut S,
     rec: &mut R,
 ) -> RunOutcome {
-    if !S::ENABLED && world.config().engine != EngineMode::Stepped {
-        // EventDriven and Adaptive share the wake machinery; the
-        // adaptive engine additionally flips between skip-ahead and
-        // per-slot execution at density-window boundaries.
+    if !S::ENABLED && world.config().engine == EngineMode::EventDriven {
         SlotRuntime::<S, R, true>::new(world, sink, rec).run::<P>()
     } else {
         SlotRuntime::<S, R, false>::new(world, sink, rec).run::<P>()
@@ -217,7 +212,7 @@ pub struct SlotRuntime<'w, S: TraceSink, R: Recorder, const EV: bool> {
     /// Performance recorder; sites are no-ops (and clock reads vanish)
     /// under `NullRecorder`.
     rec: &'w mut R,
-    /// Every device, indexed by id. In event-driven windows an
+    /// Every device, indexed by id. In the event-driven loop an
     /// oscillator lags until the runtime next syncs it, so protocol
     /// hooks must leave `osc` to the runtime.
     pub devices: Vec<Device>,
@@ -260,26 +255,11 @@ pub struct SlotRuntime<'w, S: TraceSink, R: Recorder, const EV: bool> {
     /// spurious wake just materializes a slot in which nothing happens,
     /// so entries need no invalidation.
     wake: SlotWheel,
-    /// All slots `< synced_next` are fully processed. In stepped windows
-    /// every live oscillator reflects each of their ticks; in event
-    /// windows each device's own stamp in `clocks` says how far it is.
+    /// All slots `< synced_next` are fully processed. The stepped loop
+    /// ticks every live oscillator through each of them; in the
+    /// event-driven loop each device's own stamp in `clocks` says how
+    /// far it is.
     synced_next: u64,
-    /// True when the run may cut between execution strategies
-    /// ([`EngineMode::Adaptive`]); the pure event-driven mode pins
-    /// `live_ev` to `true` forever.
-    adaptive: bool,
-    /// Current execution strategy: `true` ⇒ event-driven windows
-    /// (skip-ahead, lazily synced oscillators, touched tracking);
-    /// `false` ⇒ stepped windows (every slot materialized and every
-    /// oscillator ticked, wake bookkeeping kept but cursor/touched
-    /// maintenance shed — that is the saving).
-    live_ev: bool,
-    /// Sliding-window wake density driving the cutover (adaptive only).
-    density: DensityWindow,
-    /// Did any oscillator fire naturally in the slot being processed?
-    /// Part of the density signal in stepped windows, where fire slots
-    /// are no longer predicted into the wheel.
-    fired_this_slot: bool,
     /// Devices whose oscillator phase may have changed in the current
     /// slot (fired, absorbed, coupled, rejoined); drained by
     /// `post_schedule` to re-derive cursors and re-predict fires.
@@ -321,13 +301,9 @@ impl DueQueue {
             }
         }
     }
-
-    fn clear(&mut self) {
-        self.0.clear();
-    }
 }
 
-/// Lazily synced oscillators for event-driven windows.
+/// Lazily synced oscillators for the event-driven loop.
 ///
 /// A device's oscillator is brought up to date only when something
 /// reads or changes it. Between those moments it is a stamp plus a
@@ -445,10 +421,6 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
             last_fault_slot: faults.last_fault_slot(),
             wake: SlotWheel::new(),
             synced_next: 0,
-            adaptive: cfg.engine == EngineMode::Adaptive,
-            live_ev: true,
-            density: DensityWindow::new(DensityWindow::DEFAULT_WINDOW),
-            fired_this_slot: false,
             touched: Vec::new(),
             clocks: LazyClocks::new(n, period),
             due_scratch: Vec::new(),
@@ -501,26 +473,21 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
             self.schedule_initial(&proto);
         }
         loop {
-            // Acquire the next slot under the current strategy:
-            // event-driven windows pop the wheel and skip ahead, stepped
-            // windows (and the stepped engine) materialize every slot —
-            // an adaptive run claims it to keep the wheel's clock in
-            // lockstep.
-            let (s, woke) = if EV && self.live_ev {
+            // Acquire the next slot: the event-driven loop pops the
+            // wheel and skips ahead, the stepped loop materializes every
+            // slot.
+            let s = if EV {
                 match self.next_wake(max_slots) {
-                    Some(s) => (s, true),
+                    Some(s) => s,
                     None => break,
                 }
+            } else if self.synced_next < max_slots {
+                self.synced_next
             } else {
-                let s = self.synced_next;
-                if s >= max_slots {
-                    break;
-                }
-                (s, EV && self.claim_wake(s))
+                break;
             };
             if EV {
                 self.skip_to(s);
-                self.fired_this_slot = false;
             }
             last_slot = s;
             let probe = self.slot_body(&mut proto, Slot(s));
@@ -538,9 +505,6 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
             }
             if EV {
                 self.post_schedule(&mut proto, s);
-                if self.adaptive {
-                    self.update_cutover(s, woke);
-                }
             }
         }
 
@@ -626,26 +590,6 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
         Some(s)
     }
 
-    /// Stepped-window counterpart of [`next_wake`](Self::next_wake):
-    /// consume the wheel entry (if any) at exactly slot `s`, keeping
-    /// the wheel's clock in lockstep with the materialized slots.
-    /// Returns whether a wake was pending — the "would the event
-    /// engine have woken here?" half of the density signal.
-    fn claim_wake(&mut self, s: u64) -> bool {
-        if R::ENABLED {
-            self.flush_wheel_stats();
-        }
-        let woke = self.wake.claim(s);
-        if woke {
-            self.rec.add("engine.wakeups_fired", 1);
-            if R::ENABLED {
-                self.rec
-                    .observe("engine.wheel_occupancy", self.wake.in_window() as u64);
-            }
-        }
-        woke
-    }
-
     /// Skip the run's clock over the unmaterialized slots
     /// `[synced_next, s)`. No device is visited here: each one catches
     /// up on those pure ticks when it is next read or changed (see
@@ -664,9 +608,8 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
         self.clocks.sync(i, &mut self.devices[i].osc, to);
     }
 
-    /// Bring every live oscillator up to the start of slot `to`: before
-    /// the convergence probe reads all phases, and before a stepped
-    /// window ticks them all.
+    /// Bring every live oscillator up to the start of slot `to`, before
+    /// the convergence probe reads all phases.
     fn sync_all(&mut self, to: u64) {
         for i in 0..self.devices.len() {
             if !self.churned || self.active[i] {
@@ -712,50 +655,6 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
         proto.after_slot(self, s);
     }
 
-    /// Feed the density tracker after materializing slot `s` and apply
-    /// the execution-strategy cutover it decides (adaptive mode only).
-    /// `woke` is the scheduler half of the busy signal: did a wheel
-    /// entry land on this slot?
-    fn update_cutover(&mut self, s: u64, woke: bool) {
-        let busy = woke || self.fired_this_slot;
-        let stepped = self.density.observe(s, busy);
-        if stepped != self.live_ev {
-            return;
-        }
-        self.rec.add("engine.cutover_transitions", 1);
-        self.live_ev = !stepped;
-        if self.live_ev {
-            self.reseed_event_wakes(s);
-        } else {
-            // The stepped window ticks every live oscillator from the
-            // next slot on, so each must reflect this slot's tick.
-            self.sync_all(s + 1);
-        }
-    }
-
-    /// Entering an event-driven window from a stepped one: cursors and
-    /// per-device fire predictions went unmaintained, so stamp every
-    /// device as synced through slot `s`, drop every cursor back to the
-    /// literal-ticking fallback (the engine-start state) and re-predict
-    /// each live oscillator's next fire. Protocol, jitter and probe
-    /// wakes kept flowing into the wheel throughout the stepped window,
-    /// so they need no repair.
-    fn reseed_event_wakes(&mut self, s: u64) {
-        self.touched.clear();
-        self.clocks.due.clear();
-        for i in 0..self.devices.len() {
-            self.clocks.cursors[i] = None;
-            self.clocks.synced[i] = s + 1;
-            self.clocks.fire_at[i] = NEVER;
-            if self.churned && !self.active[i] {
-                continue;
-            }
-            let k = u64::from(self.devices[i].osc.ticks_to_next_fire());
-            self.push_wake(s + k);
-            self.clocks.predict(i, s + k);
-        }
-    }
-
     /// Apply every scheduled churn event due at or before `slot`. In
     /// event-driven mode every churn slot is pre-scheduled as a wake, so
     /// both strategies apply each event in exactly its scheduled slot.
@@ -773,7 +672,7 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
             let d = device as usize;
             match kind {
                 ChurnKind::Leave if self.active[d] => {
-                    if EV && self.live_ev {
+                    if EV {
                         // Freeze the oscillator at its state entering
                         // this slot, as the stepped loop's tick skip does.
                         self.sync(d, slot.0);
@@ -793,14 +692,12 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
                     self.active[d] = true;
                     self.devices[d].table.clear();
                     proto.on_join(self, device);
-                    if EV && self.live_ev {
+                    if EV {
                         // The thawed oscillator resumes from its frozen
                         // state with this slot's tick. Predict its next
                         // fire, which may be this very slot; after the
                         // slot it is re-predicted like any touched
-                        // device. (Stepped windows materialize every
-                        // slot, so the tick catches it; the cutover
-                        // reseed re-predicts the whole population.)
+                        // device.
                         self.clocks.synced[d] = slot.0;
                         let k = match self.clocks.cursors[d] {
                             Some(c) => self.clocks.traj.ticks_to_fire(c),
@@ -876,7 +773,7 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
 
         // Convergence: all live phases within one slot of each other.
         if proto.probing() && s.is_multiple_of(SYNC_CHECK_INTERVAL) && !self.devices.is_empty() {
-            if EV && self.live_ev {
+            if EV {
                 self.sync_all(s + 1);
             }
             if self.phase_spread() <= self.tol {
@@ -931,7 +828,6 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
             }
             self.devices[i].osc.force_fire();
             self.clocks.synced[i] = s + 1;
-            self.fired_this_slot = true;
             self.touched.push(d);
             self.enqueue_fire(d, slot, 0, 0);
         }
@@ -958,10 +854,10 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
     /// (staggered) fires plus the protocol's frames through the medium,
     /// and couple decoded pulses with age compensation.
     fn broadcast<P: Protocol>(&mut self, proto: &mut P, slot: Slot) {
-        // Natural fires from the slot tick: event windows pop them off
-        // the prediction queue; stepped windows tick every oscillator
-        // (and shed the touched tracking, reseeding at the next cutover).
-        if EV && self.live_ev {
+        // Natural fires from the slot tick: the event-driven loop pops
+        // them off the prediction queue; the stepped loop ticks every
+        // oscillator.
+        if EV {
             self.fire_due(slot);
         } else {
             for i in 0..self.devices.len() {
@@ -969,9 +865,6 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
                     continue; // departed devices are frozen
                 }
                 if self.devices[i].osc.tick() {
-                    if EV {
-                        self.fired_this_slot = true;
-                    }
                     self.enqueue_fire(i as DeviceId, slot, 0, 0);
                 }
             }
@@ -1022,7 +915,6 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
             let prc = &self.prc;
             let touched = &mut self.touched;
             let clocks = &mut self.clocks;
-            let live_ev = self.live_ev;
             self.medium.resolve(
                 self.world,
                 slot,
@@ -1070,7 +962,7 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
                         if !P::couples(age) {
                             continue;
                         }
-                        if EV && live_ev {
+                        if EV {
                             // A pulse the coupling rule ignores leaves
                             // the oscillator alone; any other needs it
                             // to reflect this slot's tick first.
@@ -1079,13 +971,13 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
                             }
                             clocks.sync(receiver as usize, &mut dev.osc, slot.0 + 1);
                         }
-                        let before = if S::ENABLED || (EV && live_ev) {
+                        let before = if S::ENABLED || EV {
                             dev.osc.phase()
                         } else {
                             0.0
                         };
                         let fired = dev.hear_fire_delayed(sig.sender, prc, age as u32);
-                        if S::ENABLED || (EV && live_ev) {
+                        if S::ENABLED || EV {
                             let after = dev.osc.phase();
                             if S::ENABLED && (after != before || fired) {
                                 sink.event(&TraceEvent::PhaseAdjust {
@@ -1097,7 +989,7 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
                                     absorbed: fired,
                                 });
                             }
-                            if EV && live_ev && (after != before || fired) {
+                            if EV && (after != before || fired) {
                                 touched.push(receiver);
                             }
                         }

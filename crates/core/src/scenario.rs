@@ -86,7 +86,7 @@ impl ProtocolConfig {
 
 /// Execution strategy for the protocol engines.
 ///
-/// All modes produce **bit-identical** outcomes (locked down by
+/// Both modes produce **bit-identical** outcomes (locked down by
 /// `tests/engine_equivalence.rs`); the choice is purely about wall
 /// clock. Tracing sinks need per-slot statistics, so a traced run
 /// always materializes every slot regardless of this setting.
@@ -96,26 +96,16 @@ pub enum EngineMode {
     Stepped,
     /// Jump between wake-up slots (fires, deadlines, deliveries) via a
     /// coalescing slot wheel, fast-forwarding the idle stretches.
-    EventDriven,
-    /// Track the wake-up density over a sliding window and switch
-    /// between stepped and event-driven execution per window, with
-    /// hysteresis: dense cells (where someone always fires next slot)
-    /// run the cheap stepped loop, sparse arenas keep the event
-    /// engine's skip-ahead. The cutover decision is a pure function of
-    /// already-counted scheduler state — never timing or RNG — so
-    /// adaptive runs replay bit-identically.
     #[default]
-    Adaptive,
+    EventDriven,
 }
 
 impl EngineMode {
-    /// Parse a `--engine` flag value (`stepped` / `event` /
-    /// `adaptive`).
+    /// Parse a `--engine` flag value (`stepped` / `event`).
     pub fn from_flag(flag: &str) -> Option<EngineMode> {
         match flag {
             "stepped" => Some(EngineMode::Stepped),
             "event" | "event-driven" => Some(EngineMode::EventDriven),
-            "adaptive" => Some(EngineMode::Adaptive),
             _ => None,
         }
     }
@@ -314,8 +304,8 @@ mod tests {
     }
 
     #[test]
-    fn engine_mode_defaults_to_adaptive() {
-        assert_eq!(ScenarioConfig::table1(10).engine, EngineMode::Adaptive);
+    fn engine_mode_defaults_to_event_driven() {
+        assert_eq!(ScenarioConfig::table1(10).engine, EngineMode::EventDriven);
         let c = ScenarioConfig::table1(10).with_engine(EngineMode::Stepped);
         assert_eq!(c.engine, EngineMode::Stepped);
         assert_eq!(EngineMode::from_flag("stepped"), Some(EngineMode::Stepped));
@@ -323,10 +313,7 @@ mod tests {
             EngineMode::from_flag("event"),
             Some(EngineMode::EventDriven)
         );
-        assert_eq!(
-            EngineMode::from_flag("adaptive"),
-            Some(EngineMode::Adaptive)
-        );
+        assert_eq!(EngineMode::from_flag("adaptive"), None);
         assert_eq!(EngineMode::from_flag("bogus"), None);
     }
 

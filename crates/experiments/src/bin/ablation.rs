@@ -1,6 +1,6 @@
 //! Ablations A1–A4.
 //! Usage: ablation [sigma|coupling|density|topology|all]
-//!                 [--engine stepped|event|adaptive]
+//!                 [--engine stepped|event]
 //!                 [--faults churn-light|churn-heavy|lossy|PLAN.json]
 //!                 [--trace DIR] [--telemetry DIR]
 //!

@@ -2,7 +2,7 @@
 //! nodes, ST vs. FST).
 //!
 //! Usage: fig3 [--quick] [--trials N] [--max-n M] [--nodes LIST] [--horizon SLOTS]
-//!             [--engine stepped|event|adaptive] [--medium-workers off|auto|K]
+//!             [--engine stepped|event] [--medium-workers off|auto|K]
 //!             [--faults churn-light|churn-heavy|lossy|PLAN.json]
 //!             [--trace DIR] [--telemetry DIR]
 //! Writes results/fig3.csv (+fig4.csv — same sweep; run `fig4` for the
@@ -13,7 +13,7 @@
 //! instead: run manifests (`.json`/`.prom`) per cell plus a sweep
 //! rollup under DIR (see `perf_inspect`). Both replays are outcome-
 //! neutral — the CSVs are untouched.
-//! `--engine` selects the slot engine (default: adaptive);
+//! `--engine` selects the slot engine (default: event);
 //! `--medium-workers` shards per-slot medium resolution inside a run
 //! (default: off for sweeps, auto when `--trials 1`). Both knobs are
 //! outcome-neutral: the CSVs are bit-identical under every setting,

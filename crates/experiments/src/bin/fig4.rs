@@ -4,12 +4,12 @@
 //! rx loss) that explain the message-count divergence.
 //!
 //! Usage: fig4 [--quick] [--trials N] [--max-n M] [--nodes LIST] [--horizon SLOTS]
-//!             [--engine stepped|event|adaptive] [--medium-workers off|auto|K]
+//!             [--engine stepped|event] [--medium-workers off|auto|K]
 //!             [--faults churn-light|churn-heavy|lossy|PLAN.json]
 //!             [--trace DIR] [--telemetry DIR]
 //! With `--telemetry DIR`, replays trial 0 of each cell self-profiled:
 //! run manifests per cell plus a sweep rollup under DIR (see
-//! `perf_inspect`). `--engine` selects the slot engine (default: adaptive);
+//! `perf_inspect`). `--engine` selects the slot engine (default: event);
 //! `--medium-workers` shards per-slot medium resolution inside a run
 //! (default: off for sweeps, auto when `--trials 1`). Both knobs are
 //! outcome-neutral: the CSVs are bit-identical under every setting,

@@ -166,10 +166,4 @@ fn print_manifest(path: &str, m: &ManifestSummary) {
     } else {
         println!("n/a (no wakes scheduled)");
     }
-    if m.has_counter("engine.cutover_transitions") {
-        println!(
-            "adaptive cutovers: {}",
-            m.counter("engine.cutover_transitions")
-        );
-    }
 }

@@ -36,7 +36,7 @@ pub use trace::{trace_dir_from_args, write_sweep_traces};
 /// `--quick`, `--trials N`, `--max-n M`, `--nodes LIST` (replace the
 /// sweep's node counts with an explicit comma-separated list, e.g.
 /// `--nodes 5000` to profile one out-of-sweep cell), `--horizon SLOTS`,
-/// `--engine stepped|event|adaptive`, `--medium-workers off|auto|K`,
+/// `--engine stepped|event`, `--medium-workers off|auto|K`,
 /// `--gain-cache epoch|off`,
 /// `--faults churn-light|churn-heavy|lossy|PLAN.json` (see
 /// [`trace_dir_from_args`] for the `--trace DIR` flag).
@@ -124,10 +124,10 @@ pub fn faults_from_args() -> Option<String> {
     }
 }
 
-/// Parse the `--engine stepped|event|adaptive` flag shared by the
-/// experiment binaries. `None` when the flag is absent (callers keep
-/// their default, [`ffd2d_core::EngineMode::Adaptive`]); exits with a
-/// usage error on an unrecognized value — all three engines produce
+/// Parse the `--engine stepped|event` flag shared by the experiment
+/// binaries. `None` when the flag is absent (callers keep their
+/// default, [`ffd2d_core::EngineMode::EventDriven`]); exits with a
+/// usage error on an unrecognized value — both engines produce
 /// identical results (see `tests/engine_equivalence.rs`), so a typo
 /// silently falling back would be invisible in the output.
 pub fn engine_from_args() -> Option<ffd2d_core::EngineMode> {
@@ -139,7 +139,7 @@ pub fn engine_from_args() -> Option<ffd2d_core::EngineMode> {
     {
         Some(mode) => Some(mode),
         None => {
-            eprintln!("--engine must be one of 'stepped', 'event', 'adaptive'");
+            eprintln!("--engine must be one of 'stepped', 'event'");
             std::process::exit(2);
         }
     }

@@ -182,7 +182,6 @@ fn scenario_config_echo(proto: &str, scenario: &ScenarioConfig) -> Vec<(String, 
             match scenario.engine {
                 ffd2d_core::EngineMode::Stepped => "stepped".to_string(),
                 ffd2d_core::EngineMode::EventDriven => "event".to_string(),
-                ffd2d_core::EngineMode::Adaptive => "adaptive".to_string(),
             },
         ),
         (

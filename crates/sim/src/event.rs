@@ -1,6 +1,6 @@
-//! Wake-up scheduling for the event-driven engines.
+//! Wake-up scheduling for the event-driven engine.
 //!
-//! The event-driven protocol engines schedule *bare slot numbers* (no
+//! The event-driven slot engine schedules *bare slot numbers* (no
 //! payloads — a wake just materializes a slot), where a plain heap is
 //! wasteful: in dense cells thousands of deadlines land on the same
 //! handful of slots, and every duplicate costs a push, a pop and a
@@ -8,9 +8,6 @@
 //! near-horizon bitmap ring that *coalesces* all wake-ups targeting the
 //! same slot into one bit, backed by a far-horizon overflow set, so a
 //! slot pops exactly once no matter how many deadlines target it.
-//! [`DensityWindow`] is the companion cutover policy for the adaptive
-//! engine mode: a sliding-window materialized-slot density estimate
-//! with hysteresis, a pure function of already-counted scheduler state.
 
 use std::collections::BTreeSet;
 
@@ -94,12 +91,6 @@ impl SlotWheel {
     #[inline]
     fn capacity(&self) -> u64 {
         (self.words.len() * 64) as u64
-    }
-
-    /// The wheel's clock: the earliest slot a future pop can deliver.
-    #[inline]
-    pub fn next_slot(&self) -> u64 {
-        self.next
     }
 
     /// Distinct slots currently materialized in the near-horizon ring
@@ -214,120 +205,11 @@ impl SlotWheel {
         }
         unreachable!("in_wheel > 0 but no bit set");
     }
-
-    /// Consume the wake (if any) at exactly slot `s` — which must be
-    /// the wheel's clock position — and advance the clock by one.
-    /// Returns whether a wake was pending there.
-    ///
-    /// This is the stepped-execution entry point: an adaptive engine
-    /// materializing every slot still keeps the wheel in lockstep, so
-    /// the pending set stays exact across cutovers and the claim result
-    /// doubles as the "would the event engine have woken here?" density
-    /// signal.
-    pub fn claim(&mut self, s: u64) -> bool {
-        debug_assert_eq!(s, self.next, "claim must consume slots in order");
-        let bit = (s & (self.capacity() - 1)) as usize;
-        let (w, b) = (bit / 64, bit % 64);
-        let mask = 1u64 << b;
-        let had = self.words[w] & mask != 0;
-        if had {
-            self.words[w] &= !mask;
-            self.in_wheel -= 1;
-        }
-        self.next = s + 1;
-        self.drain_overflow();
-        had
-    }
 }
 
 impl Default for SlotWheel {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Sliding-window slot-density tracker with hysteresis — the cutover
-/// policy of the adaptive engine mode.
-///
-/// Each simulated slot that an engine processes reports whether it was
-/// *busy* (a scheduled wake landed on it, or an oscillator fired in
-/// it). The tracker buckets reports into fixed windows of `window`
-/// slots aligned to absolute slot numbers and, at each window
-/// boundary, re-decides the execution strategy:
-///
-/// * event-driven, and the ended window was ≥ 1/2 busy → switch to
-///   stepped execution (the calendar queue is pure bookkeeping);
-/// * stepped, and the ended window was ≤ 1/8 busy → switch back to
-///   event-driven (skip-ahead pays again).
-///
-/// The wide gap between the two thresholds is the hysteresis: any
-/// constant density lands in at most one of the trigger regions, so a
-/// steady workload can cause at most one transition ever (unit-locked
-/// below). Decisions are a pure function of the busy tallies — never
-/// of wall clock or RNG — so adaptive runs stay bit-reproducible.
-#[derive(Debug, Clone)]
-pub struct DensityWindow {
-    window: u64,
-    start: u64,
-    busy: u64,
-    stepped: bool,
-    transitions: u64,
-}
-
-impl DensityWindow {
-    /// Default window span, in slots.
-    pub const DEFAULT_WINDOW: u64 = 256;
-
-    /// A tracker starting in event-driven mode at slot 0.
-    pub fn new(window: u64) -> Self {
-        assert!(window > 0, "density window must be positive");
-        DensityWindow {
-            window,
-            start: 0,
-            busy: 0,
-            stepped: false,
-            transitions: 0,
-        }
-    }
-
-    /// Current strategy: `true` ⇒ stepped execution.
-    #[inline]
-    pub fn exec_stepped(&self) -> bool {
-        self.stepped
-    }
-
-    /// Number of strategy switches so far.
-    #[inline]
-    pub fn transitions(&self) -> u64 {
-        self.transitions
-    }
-
-    /// Report one processed slot (slots must be non-decreasing; the
-    /// event engine skips ahead, the stepped engine reports each slot
-    /// once). Returns the strategy to use *from the next slot on*.
-    pub fn observe(&mut self, slot: u64, busy: bool) -> bool {
-        if slot >= self.start + self.window {
-            // The ended window is complete; slots the event engine
-            // skipped over were idle, so the tally is exact for both
-            // strategies. (A jump across several windows can only
-            // happen in event mode — stepped visits every slot — and
-            // the skipped windows were empty, which keeps event mode.)
-            let was = self.stepped;
-            if self.stepped {
-                if self.busy * 8 <= self.window {
-                    self.stepped = false;
-                }
-            } else if self.busy * 2 >= self.window {
-                self.stepped = true;
-            }
-            if was != self.stepped {
-                self.transitions += 1;
-            }
-            self.start = slot - slot % self.window;
-            self.busy = 0;
-        }
-        self.busy += u64::from(busy);
-        self.stepped
     }
 }
 
@@ -378,38 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn wheel_claim_walks_every_slot() {
-        let mut w = SlotWheel::with_capacity(64);
-        w.push(2);
-        w.push(2);
-        w.push(70); // overflow for this tiny ring
-        let claims: Vec<bool> = (0..80).map(|s| w.claim(s)).collect();
-        let hits: Vec<usize> = claims
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c)
-            .map(|(s, _)| s)
-            .collect();
-        assert_eq!(hits, vec![2, 70]);
-        assert_eq!(w.take_stats(), (1, 0));
-        assert_eq!(w.next_slot(), 80);
-    }
-
-    #[test]
-    fn wheel_mixes_claim_and_pop_across_cutovers() {
-        let mut w = SlotWheel::with_capacity(64);
-        for &s in &[1u64, 4, 4, 200] {
-            w.push(s);
-        }
-        assert_eq!(w.pop(), Some(1)); // event-style
-        assert!(!w.claim(2)); // stepped-style from the clock position
-        assert!(!w.claim(3));
-        assert!(w.claim(4));
-        assert_eq!(w.pop(), Some(200)); // back to event-style: jumps
-        assert!(w.is_empty());
-    }
-
-    #[test]
     fn wheel_occupancy_tracks_both_tiers() {
         let mut w = SlotWheel::with_capacity(64);
         w.push(1);
@@ -419,55 +269,5 @@ mod tests {
         assert_eq!(w.pending(), 3);
         w.pop();
         assert_eq!(w.pending(), 2);
-    }
-
-    #[test]
-    fn density_hysteresis_never_oscillates_on_constant_density() {
-        // Any constant per-window busy count causes at most one
-        // transition over an arbitrarily long run — the hysteresis gap
-        // means no single density sits in both trigger regions.
-        let window = DensityWindow::DEFAULT_WINDOW;
-        for busy_per_window in 0..=window {
-            let mut d = DensityWindow::new(window);
-            for s in 0..window * 50 {
-                let busy = s % window < busy_per_window;
-                d.observe(s, busy);
-            }
-            assert!(
-                d.transitions() <= 1,
-                "busy={busy_per_window}/{window} oscillated: {} transitions",
-                d.transitions()
-            );
-        }
-    }
-
-    #[test]
-    fn density_cuts_over_to_stepped_and_back() {
-        let mut d = DensityWindow::new(64);
-        assert!(!d.exec_stepped());
-        // A fully busy window flips to stepped at the boundary.
-        for s in 0..64 {
-            assert!(!d.observe(s, true), "flip before the window closed");
-        }
-        assert!(d.observe(64, true), "dense window did not flip");
-        // Idle windows flip back to event-driven.
-        for s in 65..128 {
-            d.observe(s, false);
-        }
-        assert!(!d.observe(128, false), "idle window did not flip back");
-        assert_eq!(d.transitions(), 2);
-    }
-
-    #[test]
-    fn density_event_mode_survives_window_jumps() {
-        let mut d = DensityWindow::new(64);
-        // Sparse event-driven run: isolated wakes hundreds of windows
-        // apart must never trigger stepped execution.
-        let mut s = 0;
-        for _ in 0..100 {
-            assert!(!d.observe(s, true));
-            s += 10_000;
-        }
-        assert_eq!(d.transitions(), 0);
     }
 }

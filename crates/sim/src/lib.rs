@@ -15,8 +15,7 @@
 //!   `(seed, trial)` pair and independent streams can be handed to the
 //!   channel, the deployment and each device without correlation.
 //! * [`event`] — the coalescing two-tier wake-up scheduler
-//!   ([`event::SlotWheel`]) and the adaptive-engine cutover policy
-//!   ([`event::DensityWindow`]).
+//!   ([`event::SlotWheel`]) that drives the event-driven engine.
 //! * [`deployment`] — placement of devices on the plane (uniform random,
 //!   grid, clustered) in a configurable area.
 //! * [`config`] — the base simulation configuration shared by every
@@ -53,7 +52,7 @@ pub mod time;
 pub use config::SimConfig;
 pub use counters::Counters;
 pub use deployment::{Deployment, Meters, Position};
-pub use event::{DensityWindow, SlotWheel};
+pub use event::SlotWheel;
 pub use rng::StreamRng;
 pub use time::{Slot, SlotDuration, SLOT_MILLIS};
 
@@ -62,7 +61,7 @@ pub mod prelude {
     pub use crate::config::SimConfig;
     pub use crate::counters::Counters;
     pub use crate::deployment::{Deployment, Meters, Position};
-    pub use crate::event::{DensityWindow, SlotWheel};
+    pub use crate::event::SlotWheel;
     pub use crate::rng::{SplitMix64, StreamRng, Xoshiro256StarStar};
     pub use crate::time::{Slot, SlotDuration, SLOT_MILLIS};
 }

@@ -87,11 +87,7 @@ fn spicy_plan(horizon: u64) -> FaultPlan {
 /// protocols × engines × worker counts.
 #[test]
 fn none_plan_is_outcome_and_byte_neutral() {
-    for engine in [
-        EngineMode::Stepped,
-        EngineMode::EventDriven,
-        EngineMode::Adaptive,
-    ] {
+    for engine in [EngineMode::Stepped, EngineMode::EventDriven] {
         for workers in [1usize, 2] {
             let base = cfg(50, 0xA11CE, 12_000)
                 .with_engine(engine)
@@ -152,11 +148,7 @@ fn faulted_runs_are_deterministic_and_engine_invariant() {
     );
     assert!(fst_ref.counters.fault_dropped_frames > 0);
 
-    for engine in [
-        EngineMode::Stepped,
-        EngineMode::EventDriven,
-        EngineMode::Adaptive,
-    ] {
+    for engine in [EngineMode::Stepped, EngineMode::EventDriven] {
         for workers in [1usize, 2] {
             let c = mk(engine, workers);
             let label = format!("{engine:?}/workers={workers}");
@@ -169,11 +161,7 @@ fn faulted_runs_are_deterministic_and_engine_invariant() {
     // DeviceLeft / DeviceJoined events, across engines and workers.
     let (st_out, st_log) = st_traced(&mk(EngineMode::Stepped, 1));
     assert_eq!(st_out, st_ref, "tracing perturbed the faulted ST run");
-    for engine in [
-        EngineMode::Stepped,
-        EngineMode::EventDriven,
-        EngineMode::Adaptive,
-    ] {
+    for engine in [EngineMode::Stepped, EngineMode::EventDriven] {
         for workers in [1usize, 2] {
             let (out, log) = st_traced(&mk(engine, workers));
             let label = format!("{engine:?}/workers={workers}");

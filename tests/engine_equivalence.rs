@@ -1,20 +1,17 @@
-//! Equivalence harness: the event-driven slot-skipping engine (and the
-//! adaptive engine built on it) versus the stepped reference loop.
+//! Equivalence harness: the event-driven slot-skipping engine versus
+//! the stepped reference loop.
 //!
 //! Both protocol engines ([`StProtocol`] and the FST baseline) can run
-//! in three modes (see [`EngineMode`]): the *stepped* loop materializes
+//! in two modes (see [`EngineMode`]): the *stepped* loop materializes
 //! every slot of the horizon; the *event-driven* loop jumps
 //! between wake-up slots (oscillator fires, phase-transition
 //! boundaries, unicast deliveries, handshake deadlines) and
 //! fast-forwards the idle stretches through memoized phase
-//! trajectories; the *adaptive* engine starts event-driven and cuts
-//! over per 256-slot density window to stepped execution (and back)
-//! when most slots wake anyway. The fast-forward replays the exact
-//! `tick()` arithmetic, RNG streams are only consumed at materialized
-//! slots, and the wake set provably covers every slot where anything
-//! beyond pure phase ticking happens — materializing *extra* slots is
-//! outcome-neutral, so every cutover schedule agrees too and all three
-//! modes must match **bit for bit**.
+//! trajectories. The fast-forward replays the exact `tick()`
+//! arithmetic, RNG streams are only consumed at materialized slots,
+//! and the wake set provably covers every slot where anything beyond
+//! pure phase ticking happens — materializing *extra* slots is
+//! outcome-neutral — so the two modes must match **bit for bit**.
 //!
 //! The harness locks that down at n ∈ {50, 200, 500} across the three
 //! channel regimes of `tests/medium_equivalence.rs`:
@@ -118,12 +115,11 @@ const PROTOCOLS: [EntryPoints; 2] = [
     ("FST", FstProtocol::run, FstProtocol::run_in_instrumented),
 ];
 
-/// Assert stepped ≡ event-driven ≡ adaptive for both protocols on
-/// `cfg`: bit-identical `RunOutcome`s and byte-identical JSONL traces.
+/// Assert stepped ≡ event-driven for both protocols on `cfg`:
+/// bit-identical `RunOutcome`s and byte-identical JSONL traces.
 fn assert_engines_agree(label: &str, cfg: &ScenarioConfig) {
     let stepped = cfg.clone().with_engine(EngineMode::Stepped);
     let event = cfg.clone().with_engine(EngineMode::EventDriven);
-    let adaptive = cfg.clone().with_engine(EngineMode::Adaptive);
 
     for (name, run, run_observed) in PROTOCOLS {
         // Same seed ⇒ byte-identical JSONL logs, whichever mode the
@@ -139,22 +135,13 @@ fn assert_engines_agree(label: &str, cfg: &ScenarioConfig) {
         let (out_s, log_s) = trace(&stepped);
         assert_eq!(out_s, reference, "tracing perturbed {name}: {label}");
         assert!(!log_s.is_empty(), "empty {name} trace: {label}");
-        for (mode, alt) in [("event", &event), ("adaptive", &adaptive)] {
-            assert_eq!(
-                reference,
-                run(alt),
-                "{name} outcomes diverged ({mode}): {label}"
-            );
-            let (out_a, log_a) = trace(alt);
-            assert_eq!(
-                out_a, reference,
-                "tracing perturbed {name} ({mode}): {label}"
-            );
-            assert_eq!(
-                log_s, log_a,
-                "{name} JSONL bytes diverged ({mode}): {label}"
-            );
-        }
+        assert_eq!(reference, run(&event), "{name} outcomes diverged: {label}");
+        let (out_e, log_e) = trace(&event);
+        assert_eq!(
+            out_e, reference,
+            "tracing perturbed {name} (event): {label}"
+        );
+        assert_eq!(log_s, log_e, "{name} JSONL bytes diverged: {label}");
     }
 }
 
@@ -194,7 +181,7 @@ fn engines_agree_at_n500_sparse_ideal() {
 }
 
 // `runtime::run` forces every traced run onto the stepped engine, so in
-// the three cells below only the untraced event and adaptive runs take the
+// the three cells below only the untraced event runs take the
 // lazily synced oscillators, the fire queue and the indexed beacon and
 // handshake scans; the traced comparisons pin the stepped reference.
 
@@ -324,32 +311,29 @@ fn assert_parallelism_neutral(label: &str, cfg: &ScenarioConfig) {
     }
 }
 
-/// A dense Table-I cell whose every 256-slot density window stays busy:
-/// the adaptive engine must cut over to stepped execution mid-run (the
-/// `dense_engine` bench and `tests/telemetry.rs` observe the transition
-/// counters) and still match both fixed modes bit for bit — plain,
-/// traced, and under medium sharding at workers {1, 2}.
+/// A dense Table-I cell where some device fires in nearly every slot:
+/// the event engine materializes almost the whole horizon and must
+/// still match the stepped loop bit for bit — plain, traced, and under
+/// medium sharding at workers {1, 2}.
 #[test]
 fn engines_agree_on_a_dense_cell() {
     let cfg = table1_cfg(1000, 0xDE45E, 600);
     assert_engines_agree("n=1000 dense", &cfg);
 
-    let adaptive = cfg.with_engine(EngineMode::Adaptive);
-    let st_base = StProtocol::run(&adaptive);
-    let fst_base = FstProtocol::run(&adaptive);
+    let event = cfg.with_engine(EngineMode::EventDriven);
+    let st_base = StProtocol::run(&event);
+    let fst_base = FstProtocol::run(&event);
     for workers in [1usize, 2] {
-        let sharded = adaptive
-            .clone()
-            .with_parallelism(Parallelism::Fixed(workers));
+        let sharded = event.clone().with_parallelism(Parallelism::Fixed(workers));
         assert_eq!(
             st_base,
             StProtocol::run(&sharded),
-            "ST adaptive diverged under {workers} workers"
+            "ST event diverged under {workers} workers"
         );
         assert_eq!(
             fst_base,
             FstProtocol::run(&sharded),
-            "FST adaptive diverged under {workers} workers"
+            "FST event diverged under {workers} workers"
         );
     }
 }

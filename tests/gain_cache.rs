@@ -12,7 +12,7 @@
 //! exactly the churned senders' rows mid-run.
 //!
 //! The harness locks that down across the full execution matrix (both
-//! protocols × all three engines × medium workers {1, 4}) under a
+//! protocols × both engines × medium workers {1, 4}) under a
 //! churn-heavy fault plan, asserting identical [`RunOutcome`]s and
 //! byte-identical JSONL traces; a proptest then drives the medium
 //! directly on random multi-cell worlds, checking a warmed cache
@@ -77,11 +77,7 @@ fn gain_cache_is_outcome_neutral_across_the_matrix() {
     // Engines × workers on one churn-heavy cell; each arm runs both
     // protocols, plain and traced, under both cache modes.
     let base = churny_cfg(48, 0xCAC4E, 12_000);
-    for engine in [
-        EngineMode::Stepped,
-        EngineMode::EventDriven,
-        EngineMode::Adaptive,
-    ] {
+    for engine in [EngineMode::Stepped, EngineMode::EventDriven] {
         for workers in [1usize, 4] {
             let cfg = base
                 .clone()

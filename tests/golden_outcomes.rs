@@ -7,7 +7,7 @@
 //! digest of `format!("{:?}", RunOutcome)` for ST and FST on six fixed
 //! cells — {Table-I n = 60 clean, Table-I n = 60 under the `churn-heavy`
 //! preset, the `tests/chaos.rs`-style plan with drop, dup, churn, skew
-//! and droop} × {Stepped, Adaptive}. Every protocol entry point —
+//! and droop} × {Stepped, EventDriven}. Every protocol entry point —
 //! `run(cfg)`, `run_in(&world)` and
 //! `run_in_instrumented(&world, &mut NullSink, &mut NullRecorder)` —
 //! must reproduce the same pins.
@@ -97,16 +97,16 @@ fn cells() -> Vec<(&'static str, ScenarioConfig)> {
 const PINS: &[(&str, &str, &str, u64)] = &[
     ("clean", "Stepped", "ST", 0xdae63e98fc6b1f74),
     ("clean", "Stepped", "FST", 0xc91bcdc13032d485),
-    ("clean", "Adaptive", "ST", 0xdae63e98fc6b1f74),
-    ("clean", "Adaptive", "FST", 0xc91bcdc13032d485),
+    ("clean", "EventDriven", "ST", 0xdae63e98fc6b1f74),
+    ("clean", "EventDriven", "FST", 0xc91bcdc13032d485),
     ("churn-heavy", "Stepped", "ST", 0x91bfb69d01e0c5d8),
     ("churn-heavy", "Stepped", "FST", 0x56d4cb26d8dbc857),
-    ("churn-heavy", "Adaptive", "ST", 0x91bfb69d01e0c5d8),
-    ("churn-heavy", "Adaptive", "FST", 0x56d4cb26d8dbc857),
+    ("churn-heavy", "EventDriven", "ST", 0x91bfb69d01e0c5d8),
+    ("churn-heavy", "EventDriven", "FST", 0x56d4cb26d8dbc857),
     ("spicy", "Stepped", "ST", 0xabef4a73e1d17582),
     ("spicy", "Stepped", "FST", 0x9c8221fc6a59f3ad),
-    ("spicy", "Adaptive", "ST", 0xabef4a73e1d17582),
-    ("spicy", "Adaptive", "FST", 0x9c8221fc6a59f3ad),
+    ("spicy", "EventDriven", "ST", 0xabef4a73e1d17582),
+    ("spicy", "EventDriven", "FST", 0x9c8221fc6a59f3ad),
 ];
 
 /// One protocol entry point, run for ST and FST on the same scenario.
@@ -135,7 +135,7 @@ fn outcomes_match_the_recorded_digests() {
         for (cell, cfg) in cells() {
             for (engine, mode) in [
                 ("Stepped", EngineMode::Stepped),
-                ("Adaptive", EngineMode::Adaptive),
+                ("EventDriven", EngineMode::EventDriven),
             ] {
                 let (st, fst) = run_both(&cfg.clone().with_engine(mode));
                 actual.push((cell, engine, "ST", digest(&st)));

@@ -4,11 +4,10 @@
 //! observationally identical to the obvious reference — an ordered set
 //! of pending slots popped in ascending order — under any interleaving
 //! of pushes (near, far beyond the ring capacity, and stale behind the
-//! clock), min-pops, and stepped-window claims. The engines rely on
-//! exactly this contract: the wheel is their only wake-up store, and a
-//! slot surfacing early, late, twice, or never would break the
-//! stepped ≡ event ≡ adaptive bit-identity locked by
-//! `tests/engine_equivalence.rs`.
+//! clock) and min-pops. The event-driven engine relies on exactly this
+//! contract: the wheel is its only wake-up store, and a slot surfacing
+//! early, late, twice, or never would break the stepped ≡ event
+//! bit-identity locked by `tests/engine_equivalence.rs`.
 
 use ffd2d::sim::SlotWheel;
 use proptest::prelude::*;
@@ -24,19 +23,16 @@ enum Op {
     PushStale,
     /// Pop the minimum pending slot.
     Pop,
-    /// Claim the slot at the clock, as a stepped window does.
-    Claim,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     // Offsets straddle the 4096-slot ring: most in-window, a tail deep
     // into the overflow heap. The tag skews toward pushes so queues
     // actually build up across both tiers.
-    (0u8..9, 0u64..10_000).prop_map(|(tag, offset)| match tag {
+    (0u8..7, 0u64..10_000).prop_map(|(tag, offset)| match tag {
         0..=3 => Op::Push(offset),
         4 => Op::PushStale,
-        5 | 6 => Op::Pop,
-        _ => Op::Claim,
+        _ => Op::Pop,
     })
 }
 
@@ -47,8 +43,8 @@ proptest! {
     ) {
         let mut wheel = SlotWheel::new();
         let mut reference: BTreeSet<u64> = BTreeSet::new();
-        // The reference clock mirrors the wheel's: pops and claims
-        // advance it, stale pushes sit behind it.
+        // The reference clock mirrors the wheel's: pops advance it,
+        // stale pushes sit behind it.
         let mut clock = 0u64;
 
         for op in &ops {
@@ -73,12 +69,6 @@ proptest! {
                         clock = s + 1;
                     }
                     prop_assert_eq!(wheel.pop(), expect, "pop order diverged");
-                }
-                Op::Claim => {
-                    let woke = wheel.claim(clock);
-                    let expect = reference.remove(&clock);
-                    prop_assert_eq!(woke, expect, "claim at {} diverged", clock);
-                    clock += 1;
                 }
             }
             prop_assert_eq!(
