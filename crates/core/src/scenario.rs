@@ -153,12 +153,6 @@ pub struct ScenarioConfig {
     pub protocol: ProtocolConfig,
     /// Engine execution strategy (outcome-neutral; see [`EngineMode`]).
     pub engine: EngineMode,
-    /// Intra-run sharding of per-slot medium resolution
-    /// (outcome-neutral; see [`Parallelism`]). `Off` by default: sweeps
-    /// parallelize across trials and a second layer would oversubscribe
-    /// the cores; single-run workloads (trace replays, benches,
-    /// `--trials 1`) turn it on.
-    pub parallelism: Parallelism,
     /// Fault-injection and churn schedule ([`FaultPlan::none`] by
     /// default — and then provably outcome-neutral, locked by
     /// `tests/chaos.rs`).
@@ -178,7 +172,6 @@ impl ScenarioConfig {
             channel: ChannelConfig::default(),
             protocol: ProtocolConfig::default(),
             engine: EngineMode::default(),
-            parallelism: Parallelism::default(),
             faults: FaultPlan::none(),
             gain_cache: GainCacheMode::default(),
         }
@@ -221,10 +214,11 @@ impl ScenarioConfig {
         self
     }
 
-    /// Builder: select the intra-run medium parallelism (outcome
-    /// neutral; see [`Parallelism`]).
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
+    /// Builder stub with no effect: returns `self` unchanged. The
+    /// medium always resolves on one thread; the stub survives only
+    /// because the perf harness still calls it, and the change that
+    /// next edits the harness deletes it.
+    pub fn with_parallelism(self, _parallelism: Parallelism) -> Self {
         self
     }
 
@@ -315,15 +309,6 @@ mod tests {
         );
         assert_eq!(EngineMode::from_flag("adaptive"), None);
         assert_eq!(EngineMode::from_flag("bogus"), None);
-    }
-
-    #[test]
-    fn parallelism_defaults_to_off() {
-        assert_eq!(ScenarioConfig::table1(10).parallelism, Parallelism::Off);
-        let c = ScenarioConfig::table1(10).with_parallelism(Parallelism::Fixed(4));
-        assert_eq!(c.parallelism, Parallelism::Fixed(4));
-        assert!(c.validate().is_ok());
-        assert_eq!(Parallelism::from_flag("auto"), Some(Parallelism::Auto));
     }
 
     #[test]

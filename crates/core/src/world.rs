@@ -70,7 +70,6 @@ use rand::Rng;
 use ffd2d_graph::adjacency::WeightedGraph;
 use ffd2d_graph::spatial::SpatialGrid;
 use ffd2d_graph::weight::W;
-use ffd2d_parallel::sharded_for_each_weighted;
 use ffd2d_phy::codec::{RachCodec, ServiceClass};
 use ffd2d_phy::frame::ProximitySignal;
 use ffd2d_radio::channel::{Channel, ChannelConfig};
@@ -328,19 +327,38 @@ impl World {
 struct GainCache {
     /// `(sender << 32) | cell` → index into `rows`. Lookup-only (never
     /// iterated), so map order cannot leak into results.
-    // ffd2d-lint: allow(ordered-iteration) — lookup-only by construction: the only reads are `get` in `row`, publish and `ground_truth_links`; no iteration exists for hash order to escape through
+    // ffd2d-lint: allow(ordered-iteration) — lookup-only by construction: the only reads are `get` in `row` and `ground_truth_links`; no iteration exists for hash order to escape through
     index: HashMap<u64, u32>,
-    rows: Vec<Vec<f64>>,
-    /// Per-row membership stamp, parallel to `rows`: the sender's
-    /// `device_gen` at fill time. A row is served only while the stamps
-    /// still agree; otherwise it is refilled in place.
-    row_gen: Vec<u64>,
+    rows: Vec<GainRow>,
     /// Per-sender churn stamp: bumped by [`FastMedium::note_churn_of`]
     /// for exactly the devices a join/leave touched, so rows of
     /// unaffected senders survive churn. Sized lazily to the world.
     device_gen: Vec<u64>,
     /// Monotone churn-event counter feeding `device_gen` stamps.
     churn_gen: u64,
+    // --- Per-slot telemetry (written only when the resolving recorder
+    // is enabled; the disabled path never touches these) ---
+    /// Rows served from the cache this slot.
+    rows_hit: u64,
+    /// Rows filled by the batched kernel this slot.
+    rows_filled: u64,
+    /// Wall-clock nanoseconds spent inside the fill kernel this slot.
+    fill_ns: u64,
+}
+
+/// One cached `(sender, cell)` row of mean gains and its stamps.
+#[derive(Debug)]
+struct GainRow {
+    /// Mean gains, aligned with the cell's occupant list.
+    gains: Vec<f64>,
+    /// Membership stamp: the sender's `device_gen` at fill time. The row
+    /// is served only while the stamps still agree; otherwise it is
+    /// refilled in place.
+    gen: u64,
+    /// The medium epoch of the slot that last filled the row. A row
+    /// filled earlier in the current slot is served without counting as
+    /// a hit.
+    filled: u64,
 }
 
 impl GainCache {
@@ -349,17 +367,54 @@ impl GainCache {
     fn sender_gen(&self, sender: DeviceId) -> u64 {
         self.device_gen.get(sender as usize).copied().unwrap_or(0)
     }
-}
 
-/// Where an accumulation row of mean gains lives: the shared run-long
-/// cache (read-only under sharding), the shard's private fills from
-/// this slot, or — under [`GainCacheMode::Off`] — the shard's
-/// throwaway scratch row.
-#[derive(Clone, Copy)]
-enum RowRef<'a> {
-    Shared(&'a [f64]),
-    Local(u32),
-    Scratch,
+    /// The mean gains of `sender` over `items` (the occupants of
+    /// `cell`): the cached row while its membership stamp matches the
+    /// sender's, else one batched-kernel fill kept in the cache. Churn
+    /// stales exactly the churned senders' rows, which are refilled in
+    /// place and re-stamped.
+    fn row<const TELEM: bool>(
+        &mut self,
+        world: &World,
+        epoch: u64,
+        sender: DeviceId,
+        cell: usize,
+        items: &[DeviceId],
+    ) -> &[f64] {
+        let key = ((sender as u64) << 32) | cell as u64;
+        let gen = self.sender_gen(sender);
+        let i = match self.index.get(&key) {
+            Some(&i) if self.rows[i as usize].gen == gen => {
+                let row = &self.rows[i as usize];
+                if TELEM && row.filled != epoch {
+                    self.rows_hit += 1;
+                }
+                return &row.gains;
+            }
+            Some(&i) => i as usize,
+            None => {
+                self.index.insert(key, self.rows.len() as u32);
+                self.rows.push(GainRow {
+                    gains: Vec::new(),
+                    gen: 0,
+                    filled: 0,
+                });
+                self.rows.len() - 1
+            }
+        };
+        // ffd2d-lint: allow(wall-clock) — telemetry-gated fill-kernel timing; compiled out under NullRecorder, feeds metrics only
+        let t0 = TELEM.then(Instant::now);
+        let row = &mut self.rows[i];
+        row.gains.clear();
+        world.fill_mean_rx_dbm(sender, items, &mut row.gains);
+        if let Some(t0) = t0 {
+            self.rows_filled += 1;
+            self.fill_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        }
+        row.gen = gen;
+        row.filled = epoch;
+        &row.gains
+    }
 }
 
 /// Epoch-stamped slot resolver with the same semantics as
@@ -371,55 +426,15 @@ enum RowRef<'a> {
 /// its cached link state is keyed by device ids and grid cells and
 /// never flushed. Do not share one across worlds.
 ///
-/// ## Intra-run parallelism
-///
-/// When the world's [`ScenarioConfig::parallelism`] engages, the
-/// accumulation phase shards the (sorted) touched-cell list into
-/// contiguous chunks balanced by candidate-pair weight (transmissions ×
-/// occupants per cell, so one hot cell cannot serialize the slot), one
-/// scoped worker per chunk, each with its own
-/// persistent `ShardScratch`. A receiver lives in exactly one grid
-/// cell, so its `(receiver, codec)` accumulators are written by exactly
-/// one shard, in the same cell-ascending / submission order the
-/// sequential loop uses — the accumulated `best`/`second`/`count` are
-/// bit-identical for any worker count. Delivery (counters, trace
-/// events, the `deliver` callback) then runs sequentially over all
-/// shards' touched keys in globally sorted order, which is exactly the
-/// sequential resolver's order — so traced runs are byte-identical too.
+/// Resolution runs on the caller's thread. Accumulation walks cells
+/// ascending, receivers ascending within a cell and each cell's
+/// transmissions in submission order; delivery (counters, trace
+/// events, the `deliver` callback) then walks the touched
+/// `(receiver, codec)` keys in ascending order, which is the reference
+/// resolver's order — so traced runs are byte-identical too.
 #[derive(Debug)]
 pub struct FastMedium {
     n: usize,
-    /// Per-shard accumulators and link caches; `shards[0]` doubles as
-    /// the sequential path. Grown on demand, never shrunk.
-    shards: Vec<ShardScratch>,
-    /// Per-device transmit epoch (half-duplex tracking).
-    tx_stamp: Vec<u64>,
-    epoch: u64,
-    /// Per-cell transmission batches (epoch-stamped, allocation reused).
-    cell_stamp: Vec<u64>,
-    cell_txs: Vec<Vec<u32>>,
-    touched_cells: Vec<u32>,
-    /// Per-touched-cell candidate-pair weights (txs × occupants),
-    /// parallel to `touched_cells` after the sort; drives the
-    /// occupancy-weighted shard split (allocation reused).
-    cell_weights: Vec<u64>,
-    /// `(key, shard)` pairs gathered per slot for globally-ordered
-    /// delivery (allocation reused).
-    delivery: Vec<(u32, u32)>,
-    /// Shared run-long link-state cache (see [`GainCache`]): shards
-    /// read it concurrently, publish their fills after the join.
-    gains: GainCache,
-}
-
-/// One shard's private accumulation state, persistent across slots:
-/// epoch-stamped per-`(receiver, codec)` collision accumulators plus the
-/// shard's gain-cache fills from the current slot. Shards read the
-/// shared [`GainCache`] concurrently but never write it — rows missing
-/// from it are computed into `fill_rows` and published into the shared
-/// store after the join, in shard order, so workers never contend — and
-/// the sequential path is just shard 0.
-#[derive(Debug, Clone)]
-struct ShardScratch {
     /// Per-`(receiver, codec)` collision accumulators.
     acc: KeyAcc,
     /// The fade lane: `mean[j] + fade` for every occupant `j` of the
@@ -429,30 +444,20 @@ struct ShardScratch {
     /// Mean gains of the current row under [`GainCacheMode::Off`]:
     /// filled per (transmission, cell) and never kept.
     scratch_row: Vec<f64>,
-    /// Gain-cache keys this shard filled this slot (drained into the
-    /// shared store after the join).
-    fill_keys: Vec<u64>,
-    /// The filled rows, parallel to `fill_keys`.
-    fill_rows: Vec<Vec<f64>>,
-    /// Per-slot dedup of local fills (the same sender can post two
-    /// transmissions into one cell in one slot). Cleared on publish.
-    // ffd2d-lint: allow(ordered-iteration) — lookup-only dedup map; publish drains the parallel `fill_keys`/`fill_rows` vectors (insertion order), never this map's iteration order
-    fill_index: HashMap<u64, u32>,
-    // --- Telemetry (written only when the resolving recorder is
-    // enabled; the disabled path never touches these) ---
-    /// Wall-clock nanoseconds this shard spent accumulating this slot.
-    busy_ns: u64,
-    /// Rows served from the shared gain cache this slot.
-    rows_hit: u64,
-    /// Rows this shard had to fill this slot (batched-kernel runs).
-    rows_filled: u64,
-    /// Wall-clock nanoseconds spent inside the fill kernel this slot.
-    fill_ns: u64,
+    /// Per-device transmit epoch (half-duplex tracking).
+    tx_stamp: Vec<u64>,
+    epoch: u64,
+    /// Per-cell transmission batches (epoch-stamped, allocation reused).
+    cell_stamp: Vec<u64>,
+    cell_txs: Vec<Vec<u32>>,
+    touched_cells: Vec<u32>,
+    /// Run-long link-state cache (see [`GainCache`]).
+    gains: GainCache,
 }
 
-/// Epoch-stamped per-`(receiver, codec)` collision accumulators of one
-/// shard, indexed `receiver * 2 + codec`.
-#[derive(Debug, Clone)]
+/// Epoch-stamped per-`(receiver, codec)` collision accumulators,
+/// indexed `receiver * 2 + codec`.
+#[derive(Debug)]
 struct KeyAcc {
     /// Per-key accumulator epoch (slot-stamped).
     stamp: Vec<u64>,
@@ -466,16 +471,11 @@ struct KeyAcc {
     detected: u64,
 }
 
-/// Read-only per-slot inputs shared by every accumulation shard.
+/// Read-only per-slot inputs of the accumulation pass.
 struct SlotCtx<'a> {
     world: &'a World,
     transmissions: &'a [ProximitySignal],
     epoch: u64,
-    /// Per-cell transmission batches (only cells stamped this epoch
-    /// appear in the shard's cell list).
-    cell_txs: &'a [Vec<u32>],
-    /// Per-device transmit epoch (half-duplex tracking).
-    tx_stamp: &'a [u64],
     /// The slot's fading draw state (block key hoisted out of the
     /// per-pair loop).
     fade: SlotFade,
@@ -487,11 +487,10 @@ struct SlotCtx<'a> {
     /// Per-transmission power droop in dB (fault injection); `None`
     /// when no droop window is open this slot.
     droop: Option<&'a [f64]>,
-    /// The shared run-long gain cache, read-only during
-    /// accumulation; `None` disables caching
-    /// ([`crate::GainCacheMode::Off`]) and every row is recomputed
-    /// into the shard's scratch row.
-    gains: Option<&'a GainCache>,
+    /// Whether rows come from the run-long gain cache; `false`
+    /// ([`crate::GainCacheMode::Off`]) recomputes every row into the
+    /// scratch row.
+    cached: bool,
 }
 
 impl KeyAcc {
@@ -548,134 +547,19 @@ impl KeyAcc {
     }
 }
 
-impl ShardScratch {
-    fn new(n: usize) -> ShardScratch {
-        ShardScratch {
-            acc: KeyAcc::new(n),
-            faded: Vec::new(),
-            scratch_row: Vec::new(),
-            fill_keys: Vec::new(),
-            fill_rows: Vec::new(),
-            // ffd2d-lint: allow(ordered-iteration) — see the field's proof comment: lookup-only dedup map
-            fill_index: HashMap::new(),
-            busy_ns: 0,
-            rows_hit: 0,
-            rows_filled: 0,
-            fill_ns: 0,
-        }
-    }
-
-    /// Accumulate one contiguous chunk of touched cells, one
-    /// (transmission, cell) row at a time: resolve the row's mean gains
-    /// ([`ShardScratch::row`]), fill the fade lane with `mean[j] + fade`
-    /// in a loop with no branches, so the draws of neighbouring pairs
-    /// overlap, then admit each live receiver reading its lane entry.
-    /// Receivers ascend within a cell and each cell's transmissions
-    /// arrive in submission order, so every `(receiver, codec)` key sees
-    /// its transmissions in submission order whatever the caching mode
-    /// or worker count, and the lane holds the same f64 expression the
-    /// reference resolver evaluates per pair — per-key state is
-    /// bit-identical (locked by `tests/gain_cache.rs`).
-    fn accumulate<const TELEM: bool>(&mut self, ctx: &SlotCtx<'_>, cells: &[u32]) {
-        for &cell in cells {
-            let cell = cell as usize;
-            let txs_here = &ctx.cell_txs[cell];
-            if txs_here.is_empty() {
-                continue;
-            }
-            let items = ctx.world.grid.cell_items(cell);
-            for &ti in txs_here {
-                let sender = ctx.transmissions[ti as usize].sender;
-                let row = self.row::<TELEM>(ctx, sender, cell, items);
-                let mean: &[f64] = match row {
-                    RowRef::Shared(row) => row,
-                    RowRef::Local(i) => &self.fill_rows[i as usize],
-                    RowRef::Scratch => &self.scratch_row,
-                };
-                let fade = ctx.fade;
-                self.faded.clear();
-                self.faded.extend(
-                    items
-                        .iter()
-                        .zip(mean)
-                        .map(|(&r, &m)| m + fade.gain_db(sender, r)),
-                );
-                for ((&r, &m), &p) in items.iter().zip(mean).zip(&self.faded) {
-                    if ctx.tx_stamp[r as usize] == ctx.epoch {
-                        continue; // half-duplex: transmitting receivers are deaf
-                    }
-                    if let Some(active) = ctx.active {
-                        if !active[r as usize] {
-                            continue; // departed devices hear nothing
-                        }
-                    }
-                    self.acc.admit(ctx, ti, r, m, p);
-                }
-            }
-        }
-    }
-
-    /// The mean gains of `sender` over `items` (the occupants of
-    /// `cell`). Cached mode: the shared cache first, then this slot's
-    /// local fills, else one batched-kernel fill kept for publishing. A
-    /// shared row is served only while its membership stamp matches the
-    /// sender's: churn stales exactly the churned senders' rows, which
-    /// then refill. Under [`GainCacheMode::Off`] the kernel fills the
-    /// scratch row, which the next row overwrites.
-    fn row<'c, const TELEM: bool>(
-        &mut self,
-        ctx: &SlotCtx<'c>,
-        sender: DeviceId,
-        cell: usize,
-        items: &[DeviceId],
-    ) -> RowRef<'c> {
-        let Some(gains) = ctx.gains else {
-            self.scratch_row.clear();
-            ctx.world
-                .fill_mean_rx_dbm(sender, items, &mut self.scratch_row);
-            return RowRef::Scratch;
-        };
-        let key = ((sender as u64) << 32) | cell as u64;
-        if let Some(&i) = gains.index.get(&key) {
-            if gains.row_gen[i as usize] == gains.sender_gen(sender) {
-                if TELEM {
-                    self.rows_hit += 1;
-                }
-                return RowRef::Shared(&gains.rows[i as usize]);
-            }
-        }
-        if let Some(&i) = self.fill_index.get(&key) {
-            return RowRef::Local(i);
-        }
-        // ffd2d-lint: allow(wall-clock) — telemetry-gated fill-kernel timing; compiled out under NullRecorder, feeds metrics only
-        let t0 = TELEM.then(Instant::now);
-        let mut filled = Vec::new();
-        ctx.world.fill_mean_rx_dbm(sender, items, &mut filled);
-        if let Some(t0) = t0 {
-            self.rows_filled += 1;
-            self.fill_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        }
-        let i = self.fill_rows.len() as u32;
-        self.fill_index.insert(key, i);
-        self.fill_keys.push(key);
-        self.fill_rows.push(filled);
-        RowRef::Local(i)
-    }
-}
-
 impl FastMedium {
     /// A resolver for `n` devices.
     pub fn new(n: usize) -> FastMedium {
         FastMedium {
             n,
-            shards: vec![ShardScratch::new(n)],
+            acc: KeyAcc::new(n),
+            faded: Vec::new(),
+            scratch_row: Vec::new(),
             tx_stamp: vec![0; n],
             epoch: 0,
             cell_stamp: Vec::new(),
             cell_txs: Vec::new(),
             touched_cells: Vec::new(),
-            cell_weights: Vec::new(),
-            delivery: Vec::with_capacity(64),
             gains: GainCache::default(),
         }
     }
@@ -738,7 +622,10 @@ impl FastMedium {
             let p = world.deployment.position(a);
             for cell in grid.cells_intersecting_disc(p.x, p.y, radius) {
                 let key = ((a as u64) << 32) | cell as u64;
-                let row = gains.index.get(&key).map(|&i| &gains.rows[i as usize]);
+                let row = gains
+                    .index
+                    .get(&key)
+                    .map(|&i| &gains.rows[i as usize].gains);
                 for (j, &b) in grid.cell_items(cell).iter().enumerate() {
                     if b <= a {
                         continue;
@@ -766,6 +653,63 @@ impl FastMedium {
         match codec {
             RachCodec::Rach1 => 0,
             RachCodec::Rach2 => 1,
+        }
+    }
+
+    /// Accumulate the slot's touched cells, one (transmission, cell)
+    /// row at a time: resolve the row's mean gains (the gain cache, or
+    /// the scratch row under [`GainCacheMode::Off`]), fill the fade lane
+    /// with `mean[j] + fade` in a loop with no branches, so the draws of
+    /// neighbouring pairs overlap, then admit each live receiver reading
+    /// its lane entry. Receivers ascend within a cell and each cell's
+    /// transmissions arrive in submission order, so every
+    /// `(receiver, codec)` key sees its transmissions in submission
+    /// order whatever the caching mode, and the lane holds the same f64
+    /// expression the reference resolver evaluates per pair — per-key
+    /// state is bit-identical (locked by `tests/gain_cache.rs`).
+    fn accumulate<const TELEM: bool>(&mut self, ctx: &SlotCtx<'_>) {
+        let FastMedium {
+            acc,
+            faded,
+            scratch_row,
+            tx_stamp,
+            cell_txs,
+            touched_cells,
+            gains,
+            ..
+        } = self;
+        for &cell in touched_cells.iter() {
+            let cell = cell as usize;
+            let items = ctx.world.grid.cell_items(cell);
+            for &ti in &cell_txs[cell] {
+                let sender = ctx.transmissions[ti as usize].sender;
+                let mean: &[f64] = if ctx.cached {
+                    gains.row::<TELEM>(ctx.world, ctx.epoch, sender, cell, items)
+                } else {
+                    scratch_row.clear();
+                    ctx.world.fill_mean_rx_dbm(sender, items, scratch_row);
+                    scratch_row
+                };
+                let fade = ctx.fade;
+                faded.clear();
+                faded.extend(
+                    items
+                        .iter()
+                        .zip(mean)
+                        .map(|(&r, &m)| m + fade.gain_db(sender, r)),
+                );
+                for ((&r, &m), &p) in items.iter().zip(mean).zip(faded.iter()) {
+                    if tx_stamp[r as usize] == ctx.epoch {
+                        continue; // half-duplex: transmitting receivers are deaf
+                    }
+                    if let Some(active) = ctx.active {
+                        if !active[r as usize] {
+                            continue; // departed devices hear nothing
+                        }
+                    }
+                    acc.admit(ctx, ti, r, m, p);
+                }
+            }
         }
     }
 
@@ -798,9 +742,8 @@ impl FastMedium {
     ///   into `deliver` so callers can emit follow-on events (e.g.
     ///   oscillator adjustments) without a second borrow.
     /// * An enabled `rec` gets the slot's resolution wall clock,
-    ///   candidate-pair count, per-shard busy time (plus a max-over-mean
-    ///   imbalance ratio when sharded) and gain-cache row hit/fill
-    ///   tallies with the fill kernel's wall clock.
+    ///   candidate-pair count, accumulation wall clock and gain-cache
+    ///   row hit/fill tallies with the fill kernel's wall clock.
     ///
     /// Both observers are strictly observational — they draw no
     /// randomness and feed nothing back into resolution, so counters,
@@ -883,130 +826,31 @@ impl FastMedium {
         // ascending within a cell, transmissions in submission order.
         self.touched_cells.sort_unstable();
 
-        // Shard the (sorted) cell list when the configured parallelism
-        // engages on this slot's workload. A receiver's accumulators
-        // live with its home cell's shard, so any chunking yields
-        // bit-identical per-key results (see the struct docs). Chunk
-        // boundaries balance candidate pairs, not cell counts: one hot
-        // cell in a clustered deployment can carry most of the slot's
-        // work, and an even cell split would leave every other shard
-        // idle behind it.
-        self.cell_weights.clear();
-        let mut pairs = 0u64;
-        for &c in &self.touched_cells {
-            let w = self.cell_txs[c as usize].len() as u64
-                * world.grid.cell_items(c as usize).len() as u64;
-            self.cell_weights.push(w);
-            pairs += w;
-        }
-        let workers = world
-            .config()
-            .parallelism
-            .workers_for(pairs)
-            .min(self.touched_cells.len().max(1));
-        if self.shards.len() < workers {
-            let n = self.n;
-            self.shards.resize_with(workers, || ShardScratch::new(n));
-        }
-        for shard in &mut self.shards[..workers] {
-            shard.acc.detected = 0;
-            shard.acc.touched.clear();
-            if R::ENABLED {
-                shard.busy_ns = 0;
-                shard.rows_hit = 0;
-                shard.rows_filled = 0;
-                shard.fill_ns = 0;
-            }
-        }
-
-        let cached = world.config().gain_cache == GainCacheMode::Epoch;
         let threshold = world.threshold_dbm();
-        let mean_floor = threshold - world.fade_headroom_db();
         let ctx = SlotCtx {
             world,
             transmissions,
             epoch,
-            cell_txs: &self.cell_txs,
-            tx_stamp: &self.tx_stamp,
             fade: world.fading.at(world.fading_seed, slot),
             threshold,
-            mean_floor,
+            mean_floor: threshold - world.fade_headroom_db(),
             active,
             droop: droops.as_deref(),
-            gains: cached.then_some(&self.gains),
+            cached: world.config().gain_cache == GainCacheMode::Epoch,
         };
+        self.acc.detected = 0;
+        self.acc.touched.clear();
+        // The accumulation window, gain-row fills included.
+        let t_accumulate = rec.start();
         if R::ENABLED {
-            // Timed accumulation: each shard clocks its own busy window
-            // on its own thread (the recorder itself stays on this
-            // thread and is flushed after the join).
-            sharded_for_each_weighted(
-                &self.touched_cells,
-                &self.cell_weights,
-                &mut self.shards[..workers],
-                |_, cells, shard| {
-                    // ffd2d-lint: allow(wall-clock) — recorder-gated shard busy-window; this closure only runs when R::ENABLED and writes telemetry fields alone
-                    let t0 = Instant::now();
-                    shard.accumulate::<true>(&ctx, cells);
-                    shard.busy_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                },
-            );
+            self.gains.rows_hit = 0;
+            self.gains.rows_filled = 0;
+            self.gains.fill_ns = 0;
+            self.accumulate::<true>(&ctx);
         } else {
-            sharded_for_each_weighted(
-                &self.touched_cells,
-                &self.cell_weights,
-                &mut self.shards[..workers],
-                |_, cells, shard| shard.accumulate::<false>(&ctx, cells),
-            );
+            self.accumulate::<false>(&ctx);
         }
-
-        // Gather every shard's touched keys for globally-ordered
-        // delivery. Keys are unique across shards (one home cell per
-        // receiver), so sorting the pairs sorts by key.
-        let mut detected = 0u64;
-        self.delivery.clear();
-        for (si, shard) in self.shards[..workers].iter().enumerate() {
-            detected += shard.acc.detected;
-            for &k in &shard.acc.touched {
-                self.delivery.push((k, si as u32));
-            }
-        }
-        self.delivery.sort_unstable();
-
-        // Publish this slot's per-shard fills into the shared gain
-        // cache, in shard order. Fill keys are unique across shards
-        // within a slot (a touched cell is owned by exactly one shard
-        // and local fills dedup per sender), and rows are pure
-        // functions of positions — so the merged store is identical
-        // for any worker count. A key already present means the old
-        // row went stale under churn: it is replaced in place and
-        // re-stamped with the sender's current membership generation.
-        if cached {
-            for shard in &mut self.shards[..workers] {
-                if shard.fill_keys.is_empty() {
-                    continue;
-                }
-                shard.fill_index.clear();
-                for (key, row) in shard.fill_keys.drain(..).zip(shard.fill_rows.drain(..)) {
-                    let gen = self.gains.sender_gen((key >> 32) as DeviceId);
-                    match self.gains.index.entry(key) {
-                        std::collections::hash_map::Entry::Occupied(e) => {
-                            let i = *e.get() as usize;
-                            debug_assert_ne!(
-                                self.gains.row_gen[i], gen,
-                                "refilled a still-valid gain-cache row, key {key}"
-                            );
-                            self.gains.rows[i] = row;
-                            self.gains.row_gen[i] = gen;
-                        }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(self.gains.rows.len() as u32);
-                            self.gains.rows.push(row);
-                            self.gains.row_gen.push(gen);
-                        }
-                    }
-                }
-            }
-        }
+        rec.stop("medium.shard_busy_ns", t_accumulate);
 
         // Exact counter reconstruction: the reference walks every
         // (transmission, non-transmitting receiver) pair and counts it
@@ -1018,7 +862,7 @@ impl FastMedium {
             None => world.n() as u64,
         };
         let receivers = population - distinct_senders;
-        let below_threshold = transmissions.len() as u64 * receivers - detected;
+        let below_threshold = transmissions.len() as u64 * receivers - self.acc.detected;
         counters.add_rx_below_threshold(below_threshold);
         if S::ENABLED && below_threshold > 0 {
             sink.event(&TraceEvent::RxBelowThreshold {
@@ -1028,30 +872,30 @@ impl FastMedium {
         }
 
         // Deterministic delivery order regardless of tx iteration
-        // pattern or sharding: keys ascending, exactly the sequential
-        // resolver's order.
-        for i in 0..self.delivery.len() {
-            let (k32, si) = self.delivery[i];
+        // pattern: keys ascending, exactly the reference resolver's
+        // order.
+        let acc = &mut self.acc;
+        acc.touched.sort_unstable();
+        for &k32 in &acc.touched {
             let k = k32 as usize;
-            let shard = &self.shards[si as usize].acc;
             let receiver = (k / 2) as DeviceId;
-            let n_signals = shard.count[k];
+            let n_signals = acc.count[k];
             let decoded = if n_signals == 1 {
                 true
             } else {
-                shard.best[k] >= shard.second[k] + world.capture_margin_db
+                acc.best[k] >= acc.second[k] + world.capture_margin_db
             };
             if decoded {
                 counters.add_rx_ok(1);
                 counters.add_rx_collision((n_signals - 1) as u64);
-                let sig = transmissions[shard.best_tx[k] as usize];
+                let sig = transmissions[acc.best_tx[k] as usize];
                 if S::ENABLED {
                     sink.event(&TraceEvent::RxDecode {
                         slot: slot.0,
                         receiver,
                         sender: sig.sender,
                         codec: sig.codec().trace_codec(),
-                        rx_dbm: shard.best[k],
+                        rx_dbm: acc.best[k],
                     });
                     if n_signals > 1 {
                         sink.event(&TraceEvent::RxCollision {
@@ -1062,7 +906,7 @@ impl FastMedium {
                         });
                     }
                 }
-                deliver(receiver, &sig, shard.best[k], sink);
+                deliver(receiver, &sig, acc.best[k], sink);
             } else {
                 counters.add_rx_collision(n_signals as u64);
                 if S::ENABLED {
@@ -1082,35 +926,27 @@ impl FastMedium {
         }
 
         if R::ENABLED {
+            let pairs: u64 = self
+                .touched_cells
+                .iter()
+                .map(|&c| {
+                    self.cell_txs[c as usize].len() as u64
+                        * world.grid.cell_items(c as usize).len() as u64
+                })
+                .sum();
             rec.add("medium.slots_resolved", 1);
             rec.add("medium.transmissions", transmissions.len() as u64);
             rec.observe("medium.pairs_per_slot", pairs);
-            rec.observe("medium.workers_per_slot", workers as u64);
-            let (mut hits, mut filled) = (0u64, 0u64);
-            let (mut busy_max, mut busy_sum) = (0u64, 0u64);
-            for shard in &self.shards[..workers] {
-                hits += shard.rows_hit;
-                filled += shard.rows_filled;
-                busy_max = busy_max.max(shard.busy_ns);
-                busy_sum += shard.busy_ns;
-                rec.record_ns("medium.shard_busy_ns", shard.busy_ns);
-                if shard.fill_ns > 0 {
-                    rec.record_ns("medium.gain_fill_ns", shard.fill_ns);
-                }
+            if self.gains.fill_ns > 0 {
+                rec.record_ns("medium.gain_fill_ns", self.gains.fill_ns);
             }
-            if cached {
+            if ctx.cached {
                 // Row granularity: a hit serves a whole (sender, cell)
                 // row from the gain cache; a miss runs the batched
                 // fill kernel once. Absent entirely under
                 // `GainCacheMode::Off` (perf_inspect renders `n/a`).
-                rec.add("medium.gain_cache_hits", hits);
-                rec.add("medium.gain_cache_misses", filled);
-            }
-            if workers > 1 && busy_sum > 0 {
-                // Shard imbalance: slowest shard over the mean, in
-                // percent (100 = perfectly balanced).
-                let mean = (busy_sum / workers as u64).max(1);
-                rec.observe("medium.shard_imbalance_pct", busy_max * 100 / mean);
+                rec.add("medium.gain_cache_hits", self.gains.rows_hit);
+                rec.add("medium.gain_cache_misses", self.gains.rows_filled);
             }
             rec.stop("medium.resolve_ns", t_resolve);
         }
@@ -1337,55 +1173,6 @@ mod tests {
                 .collect();
             assert_media_agree(&w, &mut fast, slot, &txs);
         }
-    }
-
-    #[test]
-    fn sharded_fast_medium_is_bit_identical_to_sequential() {
-        // Same seeded world resolved under Off / Fixed{1, 2, 8, 64}:
-        // delivered (receiver, sender, power-bits) triples, counters and
-        // the JSONL bytes of the full trace-event stream must match
-        // exactly. Fixed(64) at n=48 exercises the clamp to the
-        // touched-cell count.
-        use ffd2d_parallel::Parallelism;
-        use ffd2d_trace::JsonlSink;
-        let base = small_cfg(48, 17);
-        let txs: Vec<ProximitySignal> = (0..10).map(|k| fire(k * 5)).collect();
-
-        let run = |parallelism: Parallelism| {
-            let cfg = base.clone().with_parallelism(parallelism);
-            let w = World::new(&cfg);
-            let mut fast = FastMedium::new(48);
-            let mut counters = Counters::new();
-            let mut sink = JsonlSink::new(Vec::new());
-            let mut delivered: Vec<(u32, u32, u64)> = Vec::new();
-            for slot in [0u64, 2, 9, 30] {
-                fast.resolve(
-                    &w,
-                    Slot(slot),
-                    &txs,
-                    None,
-                    &mut counters,
-                    &mut sink,
-                    &mut NullRecorder,
-                    |r, sig, p, _| delivered.push((r, sig.sender, p.to_bits())),
-                );
-            }
-            (delivered, counters, sink.into_inner())
-        };
-
-        let baseline = run(Parallelism::Off);
-        assert!(baseline.1.rx_ok > 0, "scenario must exercise decodes");
-        assert!(!baseline.2.is_empty(), "scenario must emit events");
-        for workers in [1, 2, 8, 64] {
-            let sharded = run(Parallelism::Fixed(workers));
-            assert_eq!(sharded.0, baseline.0, "deliveries, {workers} workers");
-            assert_eq!(sharded.1, baseline.1, "counters, {workers} workers");
-            assert_eq!(sharded.2, baseline.2, "events, {workers} workers");
-        }
-        // Auto at this tiny n stays sequential and must agree too.
-        let auto = run(Parallelism::Auto);
-        assert_eq!(auto.0, baseline.0);
-        assert_eq!(auto.1, baseline.1);
     }
 
     #[test]

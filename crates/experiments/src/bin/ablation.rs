@@ -1,11 +1,13 @@
 //! Ablations A1–A4.
 //! Usage: ablation [sigma|coupling|density|topology|all]
-//!                 [--engine stepped|event]
+//!                 [--engine stepped|event] [--gain-cache epoch|off]
 //!                 [--faults churn-light|churn-heavy|lossy|PLAN.json]
 //!                 [--trace DIR] [--telemetry DIR]
 //!
-//! `--engine` selects the slot engine for the radio-backed sweeps
-//! (A1, A3); results are bit-identical under every setting.
+//! `--engine` selects the slot engine and `--gain-cache` the medium's
+//! link-state cache for the radio-backed sweeps (A1, A3); results are
+//! bit-identical under every setting. An unknown flag or ablation name
+//! exits with status 2.
 //!
 //! With `--trace DIR`, additionally runs one traced ST trial of the
 //! Table-I baseline ablation scenario (n = AblationParams default,
@@ -18,28 +20,52 @@
 //! baseline scenario: a run manifest at DIR/ablation_st.json (+ .prom),
 //! readable with `perf_inspect`.
 
+use std::path::PathBuf;
+
 use ffd2d_core::ScenarioConfig;
 use ffd2d_experiments::ablation::{
     coupling_sweep, density_sweep, shadowing_sweep, topology_comparison, AblationParams,
 };
+use ffd2d_experiments::{
+    engine_from_args, faults_from_args, flag_value, gain_cache_from_args, or_usage_exit,
+    reject_unknown_flags,
+};
 use ffd2d_sim::time::SlotDuration;
 
+/// Every flag `ablation` accepts.
+const FLAGS: &[&str] = &[
+    "--engine",
+    "--gain-cache",
+    "--faults",
+    "--trace",
+    "--telemetry",
+];
+
+/// The ablations by name, plus `all`.
+const ABLATIONS: &[&str] = &["sigma", "coupling", "density", "topology", "all"];
+
+const USAGE: &str = "ablation [sigma|coupling|density|topology|all] [--engine stepped|event] \
+[--gain-cache epoch|off] [--faults churn-light|churn-heavy|lossy|PLAN.json] [--trace DIR] \
+[--telemetry DIR]";
+
 fn main() {
-    // Validate `--trace` / `--telemetry` / `--faults` usage before
-    // paying for the sweeps.
-    let trace_dir = ffd2d_experiments::trace_dir_from_args();
-    let telemetry_dir = ffd2d_experiments::telemetry_dir_from_args();
-    let fault_spec = ffd2d_experiments::faults_from_args();
+    // Validate every flag before paying for the sweeps.
+    let args: Vec<String> = std::env::args().collect();
+    or_usage_exit(reject_unknown_flags(&args, FLAGS), USAGE);
+    let trace_dir = or_usage_exit(flag_value(&args, "--trace"), USAGE).map(PathBuf::from);
+    let telemetry_dir = or_usage_exit(flag_value(&args, "--telemetry"), USAGE).map(PathBuf::from);
+    let fault_spec = or_usage_exit(faults_from_args(&args), USAGE);
     // A leading flag (e.g. `ablation --engine stepped`) means "all".
-    let which = std::env::args()
-        .nth(1)
-        .filter(|a| !a.starts_with("--"))
-        .unwrap_or_else(|| "all".into());
+    let which = match args.get(1).filter(|a| !a.starts_with("--")) {
+        None => "all",
+        Some(a) if ABLATIONS.contains(&a.as_str()) => a.as_str(),
+        Some(a) => or_usage_exit(Err(format!("unknown ablation {a:?}")), USAGE),
+    };
     let mut params = AblationParams::default();
-    if let Some(engine) = ffd2d_experiments::engine_from_args() {
+    if let Some(engine) = or_usage_exit(engine_from_args(&args), USAGE) {
         params.engine = engine;
     }
-    if let Some(mode) = ffd2d_experiments::gain_cache_from_args() {
+    if let Some(mode) = or_usage_exit(gain_cache_from_args(&args), USAGE) {
         params.gain_cache = mode;
     }
     if which == "sigma" || which == "all" {
@@ -151,5 +177,20 @@ fn main() {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        let argv = |args: &[&str]| -> Vec<String> { args.iter().map(|a| a.to_string()).collect() };
+        // A sweep flag that ablation does not take.
+        let foreign = argv(&["ablation", "sigma", "--trials", "2"]);
+        assert!(reject_unknown_flags(&foreign, FLAGS).is_err());
+        let known = argv(&["ablation", "sigma", "--engine", "event", "--trace", "t"]);
+        assert!(reject_unknown_flags(&known, FLAGS).is_ok());
     }
 }

@@ -2,7 +2,7 @@
 //! nodes, ST vs. FST).
 //!
 //! Usage: fig3 [--quick] [--trials N] [--max-n M] [--nodes LIST] [--horizon SLOTS]
-//!             [--engine stepped|event] [--medium-workers off|auto|K]
+//!             [--engine stepped|event] [--gain-cache epoch|off]
 //!             [--faults churn-light|churn-heavy|lossy|PLAN.json]
 //!             [--trace DIR] [--telemetry DIR]
 //! Writes results/fig3.csv (+fig4.csv — same sweep; run `fig4` for the
@@ -13,59 +13,16 @@
 //! instead: run manifests (`.json`/`.prom`) per cell plus a sweep
 //! rollup under DIR (see `perf_inspect`). Both replays are outcome-
 //! neutral — the CSVs are untouched.
-//! `--engine` selects the slot engine (default: event);
-//! `--medium-workers` shards per-slot medium resolution inside a run
-//! (default: off for sweeps, auto when `--trials 1`). Both knobs are
-//! outcome-neutral: the CSVs are bit-identical under every setting,
-//! only wall clock differs. `--faults` injects a seeded churn / frame-
-//! loss schedule (deterministic per seed; the re-convergence columns of
-//! fig3.csv report how fast each protocol recovers).
-
-use ffd2d_experiments::sweep::run_paper_sweep;
+//! `--engine` selects the slot engine (default: event) and
+//! `--gain-cache` the medium's link-state cache (default: epoch). Both
+//! knobs are outcome-neutral: the CSVs are bit-identical under every
+//! setting, only wall clock differs. Trials run in parallel on the
+//! trial pool (`FFD2D_WORKERS` caps it). A malformed value or an
+//! unknown flag exits with status 2 before the sweep runs. `--faults`
+//! injects a seeded churn / frame-loss schedule (deterministic per
+//! seed; the re-convergence columns of fig3.csv report how fast each
+//! protocol recovers).
 
 fn main() {
-    // Validate `--trace` / `--telemetry` usage before paying for the
-    // sweep.
-    let trace_dir = ffd2d_experiments::trace_dir_from_args();
-    let telemetry_dir = ffd2d_experiments::telemetry_dir_from_args();
-    let params = ffd2d_experiments::sweep_params_from_args();
-    eprintln!(
-        "running paired sweep: n = {:?}, {} trials, horizon {} slots ...",
-        params.node_counts, params.trials, params.horizon.0
-    );
-    let report = run_paper_sweep(&params);
-    println!("{}", report.to_table().to_markdown());
-    if let Some(x) = report.crossover(false) {
-        println!("time crossover (ST below FST) at n = {x}");
-    }
-    let _ = std::fs::create_dir_all("results");
-    let _ = std::fs::write("results/fig3.csv", report.fig3_csv());
-    let _ = std::fs::write("results/fig4.csv", report.fig4_csv());
-    eprintln!("wrote results/fig3.csv and results/fig4.csv (shared sweep)");
-    if let Some(dir) = trace_dir {
-        match ffd2d_experiments::write_sweep_traces(&params, &dir) {
-            Ok(paths) => eprintln!(
-                "traced trial 0 of each cell: {} JSONL logs under {} + timeline CSVs under results/",
-                paths.len(),
-                dir.display()
-            ),
-            Err(e) => {
-                eprintln!("--trace failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(dir) = telemetry_dir {
-        match ffd2d_experiments::write_sweep_telemetry(&params, &dir) {
-            Ok(paths) => eprintln!(
-                "profiled trial 0 of each cell: {} manifests under {} (render with perf_inspect)",
-                paths.len(),
-                dir.display()
-            ),
-            Err(e) => {
-                eprintln!("--telemetry failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
+    ffd2d_experiments::sweep_main("fig3", false);
 }

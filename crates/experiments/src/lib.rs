@@ -29,73 +29,184 @@ pub mod telemetry;
 pub mod trace;
 
 pub use sweep::{run_paper_sweep, SweepParams, SweepReport};
-pub use telemetry::{telemetry_dir_from_args, write_sweep_telemetry};
-pub use trace::{trace_dir_from_args, write_sweep_traces};
+pub use telemetry::write_sweep_telemetry;
+pub use trace::write_sweep_traces;
 
-/// Parse the common sweep flags shared by the `fig3`/`fig4` binaries:
-/// `--quick`, `--trials N`, `--max-n M`, `--nodes LIST` (replace the
-/// sweep's node counts with an explicit comma-separated list, e.g.
-/// `--nodes 5000` to profile one out-of-sweep cell), `--horizon SLOTS`,
-/// `--engine stepped|event`, `--medium-workers off|auto|K`,
-/// `--gain-cache epoch|off`,
-/// `--faults churn-light|churn-heavy|lossy|PLAN.json` (see
-/// [`trace_dir_from_args`] for the `--trace DIR` flag).
+use std::path::PathBuf;
+
+use ffd2d_core::{EngineMode, FaultPlan, GainCacheMode};
+
+/// Every flag the `fig3` and `fig4` binaries accept.
+const SWEEP_FLAGS: &[&str] = &[
+    "--quick",
+    "--trials",
+    "--max-n",
+    "--nodes",
+    "--horizon",
+    "--engine",
+    "--gain-cache",
+    "--faults",
+    "--trace",
+    "--telemetry",
+];
+
+/// The `fig3` / `fig4` flag synopsis, printed with a usage error.
+const SWEEP_USAGE: &str = "[--quick] [--trials N] [--max-n M] [--nodes LIST] \
+[--horizon SLOTS] [--engine stepped|event] [--gain-cache epoch|off] \
+[--faults churn-light|churn-heavy|lossy|PLAN.json] [--trace DIR] [--telemetry DIR]";
+
+/// Unwrap a command-line parse result, or print the error and
+/// `usage` to stderr and exit with status 2.
+pub fn or_usage_exit<T>(parsed: Result<T, String>, usage: &str) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("{e}\nusage: {usage}");
+        std::process::exit(2);
+    })
+}
+
+/// The value that follows flag `name` in `args`: `Ok(None)` when the
+/// flag is absent, an error when it is last or followed by another
+/// flag.
+pub fn flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Ok(Some(v)),
+        _ => Err(format!("{name} requires a value")),
+    }
+}
+
+/// An error naming the first `--flag` in `args` that is not in
+/// `known`, so a misspelt or retired flag fails instead of being
+/// silently ignored.
+pub fn reject_unknown_flags(args: &[String], known: &[&str]) -> Result<(), String> {
+    match args
+        .iter()
+        .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
+    {
+        Some(flag) => Err(format!("unknown flag {flag}")),
+        None => Ok(()),
+    }
+}
+
+/// The positive integer that follows flag `name`: `Ok(None)` when the
+/// flag is absent; an error on a missing, non-numeric, zero or
+/// out-of-range value.
+fn positive_flag<T>(args: &[String], name: &str) -> Result<Option<T>, String>
+where
+    T: std::str::FromStr + Default + PartialEq,
+{
+    let Some(v) = flag_value(args, name)? else {
+        return Ok(None);
+    };
+    match v.parse::<T>() {
+        Ok(x) if x != T::default() => Ok(Some(x)),
+        _ => Err(format!("{name} must be a positive integer, got {v:?}")),
+    }
+}
+
+/// Parse the sweep flags of the `fig3`/`fig4` binaries from `args`
+/// (argv, program name first): `--quick`, `--trials N`, `--max-n M`,
+/// `--nodes LIST` (replace the sweep's node counts with an explicit
+/// comma-separated list, e.g. `--nodes 5000` to profile one
+/// out-of-sweep cell), `--horizon SLOTS`, `--engine stepped|event`,
+/// `--gain-cache epoch|off` and
+/// `--faults churn-light|churn-heavy|lossy|PLAN.json`. `--trace DIR`
+/// and `--telemetry DIR` are accepted here and read by [`sweep_main`].
 ///
-/// Medium parallelism defaults by workload shape: a multi-trial sweep
-/// keeps it `Off` (the trial layer already fills the cores), while
-/// `--trials 1` flips it to `Auto` so a single run can use them. An
-/// explicit `--medium-workers` always wins. Either way the results are
-/// bit-identical (locked by `tests/medium_equivalence.rs` and
-/// `tests/engine_equivalence.rs`) — only wall clock moves.
-pub fn sweep_params_from_args() -> SweepParams {
-    let args: Vec<String> = std::env::args().collect();
+/// Every error is a usage error: an unknown flag, a flag without its
+/// value, a non-numeric, zero or out-of-range count, a `--max-n` below
+/// every node count, or an unknown engine, cache mode or fault spec.
+pub fn sweep_params_from_args(args: &[String]) -> Result<SweepParams, String> {
+    reject_unknown_flags(args, SWEEP_FLAGS)?;
     let mut params = if args.iter().any(|a| a == "--quick") {
         SweepParams::quick()
     } else {
         SweepParams::default()
     };
-    let value_of = |flag: &str| -> Option<u64> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-    };
-    if let Some(t) = value_of("--trials") {
-        params.trials = t as u32;
+    if let Some(t) = positive_flag(args, "--trials")? {
+        params.trials = t;
     }
-    if let Some(m) = value_of("--max-n") {
-        params.node_counts.retain(|&n| n as u64 <= m);
+    if let Some(list) = flag_value(args, "--nodes")? {
+        params.node_counts = list
+            .split(',')
+            .map(|n| n.trim().parse().ok().filter(|&n| n > 0))
+            .collect::<Option<_>>()
+            .ok_or_else(|| {
+                format!("--nodes requires a comma-separated list of positive counts, got {list:?}")
+            })?;
     }
-    if let Some(i) = args.iter().position(|a| a == "--nodes") {
-        let parsed: Option<Vec<usize>> = args
-            .get(i + 1)
-            .filter(|v| !v.starts_with("--"))
-            .map(|v| v.split(',').map(|n| n.trim().parse().ok()).collect())
-            .unwrap_or(None);
-        match parsed {
-            Some(counts) if !counts.is_empty() => params.node_counts = counts,
-            _ => {
-                eprintln!("--nodes requires a comma-separated list of node counts, e.g. 1000,5000");
-                std::process::exit(2);
+    if let Some(m) = positive_flag::<usize>(args, "--max-n")? {
+        params.node_counts.retain(|&n| n <= m);
+        if params.node_counts.is_empty() {
+            return Err(format!("--max-n {m} is below every node count"));
+        }
+    }
+    if let Some(h) = positive_flag(args, "--horizon")? {
+        params.horizon = ffd2d_sim::time::SlotDuration(h);
+    }
+    if let Some(engine) = engine_from_args(args)? {
+        params.engine = engine;
+    }
+    if let Some(mode) = gain_cache_from_args(args)? {
+        params.gain_cache = mode;
+    }
+    params.faults = faults_from_args(args)?;
+    Ok(params)
+}
+
+/// The `main` of the `fig3` (`messages = false`) and `fig4`
+/// (`messages = true`) binaries: parse argv, run the paired sweep,
+/// print its table and the time or message crossover, write both CSVs
+/// under `results/`, then run the `--trace` / `--telemetry` replays.
+/// Every flag is validated before the sweep runs.
+pub fn sweep_main(bin: &str, messages: bool) {
+    let args: Vec<String> = std::env::args().collect();
+    let usage = format!("{bin} {SWEEP_USAGE}");
+    let params = or_usage_exit(sweep_params_from_args(&args), &usage);
+    let trace_dir = or_usage_exit(flag_value(&args, "--trace"), &usage).map(PathBuf::from);
+    let telemetry_dir = or_usage_exit(flag_value(&args, "--telemetry"), &usage).map(PathBuf::from);
+    eprintln!(
+        "running paired sweep: n = {:?}, {} trials, horizon {} slots ...",
+        params.node_counts, params.trials, params.horizon.0
+    );
+    let report = run_paper_sweep(&params);
+    println!("{}", report.to_table().to_markdown());
+    if let Some(x) = report.crossover(messages) {
+        let what = if messages { "message" } else { "time" };
+        println!("{what} crossover (ST below FST) at n = {x}");
+    }
+    let _ = std::fs::create_dir_all("results");
+    let _ = std::fs::write("results/fig3.csv", report.fig3_csv());
+    let _ = std::fs::write("results/fig4.csv", report.fig4_csv());
+    eprintln!("wrote results/fig3.csv and results/fig4.csv (shared sweep)");
+    if let Some(dir) = trace_dir {
+        match write_sweep_traces(&params, &dir) {
+            Ok(paths) => eprintln!(
+                "traced trial 0 of each cell: {} JSONL logs under {} + timeline CSVs under results/",
+                paths.len(),
+                dir.display()
+            ),
+            Err(e) => {
+                eprintln!("--trace failed: {e}");
+                std::process::exit(1);
             }
         }
     }
-    if let Some(h) = value_of("--horizon") {
-        params.horizon = ffd2d_sim::time::SlotDuration(h);
+    if let Some(dir) = telemetry_dir {
+        match write_sweep_telemetry(&params, &dir) {
+            Ok(paths) => eprintln!(
+                "profiled trial 0 of each cell: {} manifests under {} (render with perf_inspect)",
+                paths.len(),
+                dir.display()
+            ),
+            Err(e) => {
+                eprintln!("--telemetry failed: {e}");
+                std::process::exit(1);
+            }
+        }
     }
-    if let Some(engine) = engine_from_args() {
-        params.engine = engine;
-    }
-    params.medium = match medium_workers_from_args() {
-        Some(p) => p,
-        None if params.trials == 1 => ffd2d_core::Parallelism::Auto,
-        None => params.medium,
-    };
-    if let Some(mode) = gain_cache_from_args() {
-        params.gain_cache = mode;
-    }
-    params.faults = faults_from_args();
-    params
 }
 
 /// Parse the `--faults <spec>` flag shared by the experiment binaries:
@@ -104,85 +215,120 @@ pub fn sweep_params_from_args() -> SweepParams {
 /// representative population so a typo fails here, not after the sweep
 /// has burned CPU; presets are re-resolved per node count inside the
 /// sweep (they scale with the population).
-pub fn faults_from_args() -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let i = args.iter().position(|a| a == "--faults")?;
-    match args.get(i + 1) {
-        Some(spec) if !spec.starts_with("--") => {
-            if let Err(e) = ffd2d_core::FaultPlan::resolve(spec, 50, 30_000) {
-                eprintln!("--faults: {e}");
-                std::process::exit(2);
-            }
-            Some(spec.clone())
-        }
-        _ => {
-            eprintln!(
-                "--faults requires a value: 'churn-light', 'churn-heavy', 'lossy', or a .json path"
-            );
-            std::process::exit(2);
-        }
-    }
+pub fn faults_from_args(args: &[String]) -> Result<Option<String>, String> {
+    let Some(spec) = flag_value(args, "--faults")? else {
+        return Ok(None);
+    };
+    FaultPlan::resolve(spec, 50, 30_000).map_err(|e| format!("--faults: {e}"))?;
+    Ok(Some(spec.to_string()))
 }
 
 /// Parse the `--engine stepped|event` flag shared by the experiment
 /// binaries. `None` when the flag is absent (callers keep their
-/// default, [`ffd2d_core::EngineMode::EventDriven`]); exits with a
-/// usage error on an unrecognized value — both engines produce
-/// identical results (see `tests/engine_equivalence.rs`), so a typo
-/// silently falling back would be invisible in the output.
-pub fn engine_from_args() -> Option<ffd2d_core::EngineMode> {
-    let args: Vec<String> = std::env::args().collect();
-    let i = args.iter().position(|a| a == "--engine")?;
-    match args
-        .get(i + 1)
-        .and_then(|v| ffd2d_core::EngineMode::from_flag(v))
-    {
-        Some(mode) => Some(mode),
-        None => {
-            eprintln!("--engine must be one of 'stepped', 'event'");
-            std::process::exit(2);
-        }
-    }
+/// default, [`EngineMode::EventDriven`]); an unrecognized value is an
+/// error — both engines produce identical results (see
+/// `tests/engine_equivalence.rs`), so a typo silently falling back
+/// would be invisible in the output.
+pub fn engine_from_args(args: &[String]) -> Result<Option<EngineMode>, String> {
+    flag_value(args, "--engine")?
+        .map(|v| {
+            EngineMode::from_flag(v).ok_or("--engine must be one of 'stepped', 'event'".into())
+        })
+        .transpose()
 }
 
 /// Parse the `--gain-cache epoch|off` flag shared by the experiment
 /// binaries. `None` when the flag is absent (callers keep their
-/// default, [`ffd2d_core::GainCacheMode::Epoch`]); exits with a usage
-/// error on an unrecognized value — the cache is outcome-neutral
-/// (locked by `tests/gain_cache.rs`), so a typo silently falling back
-/// would be invisible in the output. `off` exists for A/B timing and
-/// for proving neutrality in CI, not for production runs.
-pub fn gain_cache_from_args() -> Option<ffd2d_core::GainCacheMode> {
-    let args: Vec<String> = std::env::args().collect();
-    let i = args.iter().position(|a| a == "--gain-cache")?;
-    match args
-        .get(i + 1)
-        .and_then(|v| ffd2d_core::GainCacheMode::from_flag(v))
-    {
-        Some(mode) => Some(mode),
-        None => {
-            eprintln!("--gain-cache requires a value: 'epoch' (or 'on') or 'off'");
-            std::process::exit(2);
-        }
-    }
+/// default, [`GainCacheMode::Epoch`]); an unrecognized value is an
+/// error — the cache is outcome-neutral (locked by
+/// `tests/gain_cache.rs`), so a typo silently falling back would be
+/// invisible in the output. `off` exists for A/B timing and for proving
+/// neutrality in CI, not for production runs.
+pub fn gain_cache_from_args(args: &[String]) -> Result<Option<GainCacheMode>, String> {
+    flag_value(args, "--gain-cache")?
+        .map(|v| {
+            GainCacheMode::from_flag(v)
+                .ok_or("--gain-cache must be 'epoch' (or 'on') or 'off'".into())
+        })
+        .transpose()
 }
 
-/// Parse the `--medium-workers off|auto|K` flag shared by the
-/// experiment binaries. `None` when the flag is absent (callers apply
-/// their workload-shaped default); exits with a usage error on an
-/// unrecognized value — the knob is outcome-neutral, so a typo
-/// silently falling back would be invisible in the output.
-pub fn medium_workers_from_args() -> Option<ffd2d_core::Parallelism> {
-    let args: Vec<String> = std::env::args().collect();
-    let i = args.iter().position(|a| a == "--medium-workers")?;
-    match args
-        .get(i + 1)
-        .and_then(|v| ffd2d_core::Parallelism::from_flag(v))
-    {
-        Some(p) => Some(p),
-        None => {
-            eprintln!("--medium-workers requires a value: 'off', 'auto', or a worker count");
-            std::process::exit(2);
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        std::iter::once("fig3")
+            .chain(args.iter().copied())
+            .map(String::from)
+            .collect()
+    }
+
+    fn parse(args: &[&str]) -> Result<SweepParams, String> {
+        sweep_params_from_args(&argv(args))
+    }
+
+    #[test]
+    fn flags_set_the_sweep() {
+        let p = parse(&[
+            "--quick",
+            "--trials",
+            "3",
+            "--max-n",
+            "50",
+            "--horizon",
+            "900",
+            "--engine",
+            "stepped",
+        ])
+        .unwrap();
+        assert_eq!(p.trials, 3);
+        assert_eq!(p.node_counts, vec![20, 50]);
+        assert_eq!(p.horizon.0, 900);
+        assert_eq!(p.engine, EngineMode::Stepped);
+        assert_eq!(parse(&["--nodes", "7, 9"]).unwrap().node_counts, vec![7, 9]);
+        assert_eq!(parse(&[]).unwrap().trials, SweepParams::default().trials);
+    }
+
+    #[test]
+    fn malformed_counts_are_usage_errors() {
+        for bad in [
+            &["--quick", "--trials", "0"][..],
+            &["--trials", "4294967296"],
+            &["--trials", "abc"],
+            &["--trials", "-1"],
+            &["--trials"],
+            &["--trials", "--quick"],
+            &["--max-n", "x"],
+            &["--max-n", "0"],
+            &["--quick", "--max-n", "10"],
+            &["--horizon", "0"],
+            &["--horizon", "1e3"],
+            &["--nodes", "5,0"],
+            &["--nodes", "5,,6"],
+            &["--engine", "adaptive"],
+            &["--gain-cache", "lru"],
+            &["--faults", "no-such-plan"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
         }
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        // The retired intra-run sharding flag must fail loudly, not be
+        // silently ignored.
+        let retired = "--medium-workers";
+        let err = parse(&["--quick", retired, "2"]).unwrap_err();
+        assert!(err.contains(retired), "{err}");
+        assert!(parse(&["--quick", "--trace", "out", "--telemetry", "telem"]).is_ok());
+    }
+
+    #[test]
+    fn flag_value_needs_a_value() {
+        let args = argv(&["--trace", "dir", "--telemetry"]);
+        assert_eq!(flag_value(&args, "--trace"), Ok(Some("dir")));
+        assert_eq!(flag_value(&args, "--faults"), Ok(None));
+        assert!(flag_value(&args, "--telemetry").is_err());
     }
 }

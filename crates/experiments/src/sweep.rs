@@ -25,7 +25,7 @@ use ffd2d_core::{
     EngineMode, FaultPlan, GainCacheMode, Parallelism, ScenarioConfig, StProtocol, World,
 };
 use ffd2d_metrics::{Figure, Series, Summary, Table};
-use ffd2d_parallel::{run_trials, SweepConfig};
+use ffd2d_parallel::{run_trials, SweepConfig, TrialCtx};
 use ffd2d_sim::time::SlotDuration;
 
 /// Sweep parameters.
@@ -43,11 +43,10 @@ pub struct SweepParams {
     /// `tests/engine_equivalence.rs`): the published CSVs are identical
     /// under both modes, only wall clock changes.
     pub engine: EngineMode,
-    /// Intra-run medium parallelism. Also outcome-neutral. `Off` by
-    /// default: the sweep already parallelizes across trials, and a
-    /// second layer would oversubscribe the cores. Single-run
-    /// invocations (`--trials 1`) flip this to `Auto` via
-    /// [`crate::sweep_params_from_args`].
+    /// A stub with no effect: nothing reads it, since the medium always
+    /// resolves on one thread and the sweep's only parallel layer is the
+    /// trial pool. It survives only because the perf harness still sets
+    /// it; the change that next edits the harness deletes it.
     pub medium: Parallelism,
     /// Fault-injection spec (`--faults`): a churn preset name or a
     /// `.json` plan path, resolved per node count via
@@ -78,6 +77,45 @@ impl Default for SweepParams {
 }
 
 impl SweepParams {
+    /// The fault plan of the cell with `n` devices: the `--faults`
+    /// preset scaled to `n` and the horizon, or the loaded `.json` plan.
+    pub(crate) fn fault_plan(&self, n: usize) -> Result<FaultPlan, String> {
+        match &self.faults {
+            Some(spec) => FaultPlan::resolve(spec, n, self.horizon.0)
+                .map_err(|e| format!("--faults {spec:?}: {e}")),
+            None => Ok(FaultPlan::none()),
+        }
+    }
+
+    /// The scenario of one trial with `n` devices under trial seed
+    /// `seed` and fault plan `faults`.
+    pub(crate) fn scenario(&self, n: usize, seed: u64, faults: FaultPlan) -> ScenarioConfig {
+        ScenarioConfig::table1(n)
+            .seeded(seed)
+            .with_max_slots(self.horizon)
+            .with_engine(self.engine)
+            .with_gain_cache(self.gain_cache)
+            .with_faults(faults)
+    }
+
+    /// Trial 0 of every cell, exactly as the sweep runs it: one
+    /// `(n, scenario)` per node count. The `--trace` and `--telemetry`
+    /// replays re-run these.
+    pub(crate) fn replay_scenarios(&self) -> Result<Vec<(usize, ScenarioConfig)>, String> {
+        let sweep = SweepConfig {
+            master_seed: self.master_seed,
+            trials: self.trials,
+        };
+        self.node_counts
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| {
+                let seed = TrialCtx::new(&sweep, i, 0).seed;
+                Ok((n, self.scenario(n, seed, self.fault_plan(n)?)))
+            })
+            .collect()
+    }
+
     /// A fast configuration for tests and smoke runs.
     pub fn quick() -> SweepParams {
         SweepParams {
@@ -151,30 +189,17 @@ pub fn run_paper_sweep(params: &SweepParams) -> SweepReport {
         trials: params.trials,
     };
     let horizon = params.horizon;
-    let engine = params.engine;
-    let medium = params.medium;
-    let gain_cache = params.gain_cache;
     // Presets scale with the cell's population and horizon, so the plan
     // is resolved once per node count, up front — a bad spec fails the
     // whole sweep before any trial runs.
     let plans: Vec<FaultPlan> = params
         .node_counts
         .iter()
-        .map(|&n| match &params.faults {
-            Some(spec) => FaultPlan::resolve(spec, n, horizon.0)
-                .unwrap_or_else(|e| panic!("--faults {spec:?}: {e}")),
-            None => FaultPlan::none(),
-        })
+        .map(|&n| params.fault_plan(n).unwrap_or_else(|e| panic!("{e}")))
         .collect();
     let plans = &plans;
     let grouped = run_trials(&params.node_counts, &cfg, |&n, ctx| {
-        let scenario = ScenarioConfig::table1(n)
-            .seeded(ctx.seed)
-            .with_max_slots(horizon)
-            .with_engine(engine)
-            .with_parallelism(medium)
-            .with_gain_cache(gain_cache)
-            .with_faults(plans[ctx.param_index].clone());
+        let scenario = params.scenario(n, ctx.seed, plans[ctx.param_index].clone());
         let world = World::new(&scenario);
         let st = StProtocol::run_in(&world);
         let fst = FstProtocol::run_in(&world);
@@ -453,19 +478,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_csvs_identical_under_medium_parallelism() {
-        // The intra-run medium sharding is outcome-neutral too: forcing
-        // it on cannot move the published CSVs.
-        let mut p = SweepParams::quick();
-        p.node_counts = vec![20, 50];
-        let off = run_paper_sweep(&p);
-        p.medium = Parallelism::Fixed(2);
-        let sharded = run_paper_sweep(&p);
-        assert_eq!(off.fig3().to_csv(), sharded.fig3().to_csv());
-        assert_eq!(off.fig4_csv(), sharded.fig4_csv());
-    }
-
-    #[test]
     fn sweep_csvs_identical_with_gain_cache_off() {
         // The gain cache is outcome-neutral: disabling it
         // recomputes every mean link gain but cannot move the CSVs.
@@ -486,10 +498,7 @@ mod tests {
             trials: 2,
             horizon: SlotDuration(60_000),
             master_seed: 3,
-            engine: EngineMode::default(),
-            medium: Parallelism::default(),
-            faults: None,
-            gain_cache: GainCacheMode::default(),
+            ..SweepParams::default()
         };
         let report = run_paper_sweep(&params);
         let (_, st, fst) = report.cells[0];

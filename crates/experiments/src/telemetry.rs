@@ -3,7 +3,7 @@
 //! The sweep itself runs unrecorded (self-profiling hundreds of trials
 //! would only profile the profiler). When `--telemetry <dir>` is
 //! passed, the binaries additionally **replay trial 0 of every node
-//! count** — under the exact [`TrialCtx`] seed the sweep used, so the
+//! count** — under the exact trial seed the sweep used, so the
 //! profiled run is the same simulation the figure's first sample came
 //! from — with an enabled [`Telemetry`] recorder attached to both
 //! protocols:
@@ -26,25 +26,9 @@ use std::time::Instant;
 
 use ffd2d_baseline::FstProtocol;
 use ffd2d_core::{ScenarioConfig, StProtocol, World};
-use ffd2d_parallel::{SweepConfig, TrialCtx};
 use ffd2d_telemetry::{RunManifest, Telemetry};
 
 use crate::sweep::SweepParams;
-
-/// Parse `--telemetry <dir>` from argv. `None` when the flag is absent.
-/// A bare `--telemetry` with no directory (or with another flag where
-/// the directory should be) is a hard usage error, not a silent no-op.
-pub fn telemetry_dir_from_args() -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    let i = args.iter().position(|a| a == "--telemetry")?;
-    match args.get(i + 1) {
-        Some(dir) if !dir.starts_with("--") => Some(PathBuf::from(dir)),
-        _ => {
-            eprintln!("--telemetry requires a directory argument");
-            std::process::exit(2);
-        }
-    }
-}
 
 /// One profiled cell, as aggregated into the sweep rollup.
 struct CellRecord {
@@ -62,36 +46,12 @@ struct CellRecord {
 /// node count).
 pub fn write_sweep_telemetry(params: &SweepParams, dir: &Path) -> io::Result<Vec<PathBuf>> {
     fs::create_dir_all(dir)?;
-    let cfg = SweepConfig {
-        master_seed: params.master_seed,
-        trials: params.trials,
-    };
-    // Replays are single runs: upgrade `Off` to `Auto` so the sharded
-    // medium (and its per-shard telemetry) is exercised. Outcome-
-    // neutral; an explicit `--medium-workers` choice is kept as-is.
-    let medium = match params.medium {
-        ffd2d_core::Parallelism::Off => ffd2d_core::Parallelism::Auto,
-        chosen => chosen,
-    };
     let cells = params.node_counts.len() * 2;
     let t_sweep = Instant::now();
     let mut done = 0usize;
     let mut records: Vec<CellRecord> = Vec::new();
     let mut written = Vec::new();
-    for (param_index, &n) in params.node_counts.iter().enumerate() {
-        let seed = TrialCtx::new(&cfg, param_index, 0).seed;
-        let faults = match &params.faults {
-            Some(spec) => ffd2d_core::FaultPlan::resolve(spec, n, params.horizon.0)
-                .map_err(|e| io::Error::other(format!("--faults {spec:?}: {e}")))?,
-            None => ffd2d_core::FaultPlan::none(),
-        };
-        let scenario = ScenarioConfig::table1(n)
-            .seeded(seed)
-            .with_max_slots(params.horizon)
-            .with_engine(params.engine)
-            .with_parallelism(medium)
-            .with_gain_cache(params.gain_cache)
-            .with_faults(faults);
+    for (n, scenario) in params.replay_scenarios().map_err(io::Error::other)? {
         let world = World::new(&scenario);
         for (proto, stem) in [("st", format!("st_n{n}")), ("fst", format!("fst_n{n}"))] {
             let mut rec = Telemetry::new();
@@ -182,14 +142,6 @@ fn scenario_config_echo(proto: &str, scenario: &ScenarioConfig) -> Vec<(String, 
             match scenario.engine {
                 ffd2d_core::EngineMode::Stepped => "stepped".to_string(),
                 ffd2d_core::EngineMode::EventDriven => "event".to_string(),
-            },
-        ),
-        (
-            "medium_workers".to_string(),
-            match scenario.parallelism {
-                ffd2d_core::Parallelism::Off => "off".to_string(),
-                ffd2d_core::Parallelism::Auto => "auto".to_string(),
-                ffd2d_core::Parallelism::Fixed(k) => k.to_string(),
             },
         ),
         (

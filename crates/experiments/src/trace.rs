@@ -3,7 +3,7 @@
 //! The sweep itself runs untraced (tracing one representative trial is
 //! cheap; tracing hundreds is not). When `--trace <dir>` is passed, the
 //! binaries additionally **replay trial 0 of every node count** — under
-//! the exact [`TrialCtx`] seed the sweep used, so the traced run is the
+//! the exact trial seed the sweep used, so the traced run is the
 //! same simulation the figure's first sample came from — with a
 //! [`JsonlSink`] + [`TimelineSink`] tee attached to both protocols:
 //!
@@ -22,26 +22,10 @@ use std::path::{Path, PathBuf};
 
 use ffd2d_baseline::FstProtocol;
 use ffd2d_core::{RunOutcome, ScenarioConfig, StProtocol, World};
-use ffd2d_parallel::{SweepConfig, TrialCtx};
 use ffd2d_telemetry::NullRecorder;
 use ffd2d_trace::{JsonlSink, TeeSink, TimelineSink};
 
 use crate::sweep::SweepParams;
-
-/// Parse `--trace <dir>` from argv. `None` when the flag is absent.
-/// A bare `--trace` with no directory (or with another flag where the
-/// directory should be) is a hard usage error, not a silent no-op.
-pub fn trace_dir_from_args() -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    let i = args.iter().position(|a| a == "--trace")?;
-    match args.get(i + 1) {
-        Some(dir) if !dir.starts_with("--") => Some(PathBuf::from(dir)),
-        _ => {
-            eprintln!("--trace requires a directory argument");
-            std::process::exit(2);
-        }
-    }
-}
 
 /// Replay trial 0 of every sweep cell with tracing enabled, writing
 /// JSONL logs under `dir` and timeline CSVs under `results/`. Returns
@@ -49,35 +33,11 @@ pub fn trace_dir_from_args() -> Option<PathBuf> {
 pub fn write_sweep_traces(params: &SweepParams, dir: &Path) -> io::Result<Vec<PathBuf>> {
     std::fs::create_dir_all(dir)?;
     std::fs::create_dir_all("results")?;
-    let cfg = SweepConfig {
-        master_seed: params.master_seed,
-        trials: params.trials,
-    };
     let mut written = Vec::new();
-    // Replays are single runs, so there is no trial layer to oversubscribe:
-    // upgrade `Off` to `Auto` (sharding is byte-identical on the JSONL —
-    // locked by `tests/medium_equivalence.rs` — so this is pure wall clock).
-    // An explicit `--medium-workers` choice is kept as-is.
-    let medium = match params.medium {
-        ffd2d_core::Parallelism::Off => ffd2d_core::Parallelism::Auto,
-        chosen => chosen,
-    };
-    for (param_index, &n) in params.node_counts.iter().enumerate() {
-        let seed = TrialCtx::new(&cfg, param_index, 0).seed;
-        // Faulted sweeps replay under the same per-cell fault plan, so
-        // the trace shows the same churn/drops the figure's first
-        // sample experienced.
-        let faults = match &params.faults {
-            Some(spec) => ffd2d_core::FaultPlan::resolve(spec, n, params.horizon.0)
-                .map_err(|e| io::Error::other(format!("--faults {spec:?}: {e}")))?,
-            None => ffd2d_core::FaultPlan::none(),
-        };
-        let scenario = ScenarioConfig::table1(n)
-            .seeded(seed)
-            .with_max_slots(params.horizon)
-            .with_parallelism(medium)
-            .with_gain_cache(params.gain_cache)
-            .with_faults(faults);
+    // Faulted sweeps replay under the same per-cell fault plan, so the
+    // trace shows the same churn/drops the figure's first sample
+    // experienced.
+    for (n, scenario) in params.replay_scenarios().map_err(io::Error::other)? {
         let world = World::new(&scenario);
         let protocols: [(&str, Replay); 2] = [
             ("st", StProtocol::run_in_instrumented),

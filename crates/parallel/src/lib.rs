@@ -12,19 +12,14 @@
 //!   land in their own slots, so the output is identical to the
 //!   sequential map regardless of thread count
 //!   ([`pool::parallel_map_with_workers`] pins the count for the
-//!   determinism suite), plus [`pool::sharded_for_each`] and its
-//!   weight-balanced sibling [`pool::sharded_for_each_weighted`]:
-//!   contiguous chunks with per-shard scratch state, the primitives
-//!   behind deterministic *intra-run* medium sharding.
+//!   determinism suite).
 //! * [`sweep`] — the experiment-shaped layer: a parameter grid × trial
 //!   count, each cell reduced with `ffd2d-metrics`-style mergeable
 //!   accumulators, with deterministic per-trial seeds derived from
 //!   `(master seed, param index, trial index)` — thread schedule cannot
 //!   perturb any random draw.
-//! * [`parallelism`] — the [`Parallelism`] knob (`Off | Fixed(k) |
-//!   Auto`) by which a *single* run shards its per-slot medium
-//!   resolution; `Off` by default so the two layers never
-//!   oversubscribe the cores.
+//! * [`parallelism`] — the [`Parallelism`] stub: a single `Off` value
+//!   with no effect, kept only for the perf harness.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,10 +29,7 @@ pub mod pool;
 pub mod sweep;
 
 pub use parallelism::Parallelism;
-pub use pool::{
-    available_workers, parallel_map, parallel_map_with_workers, sharded_for_each,
-    sharded_for_each_weighted,
-};
+pub use pool::{available_workers, parallel_map, parallel_map_with_workers};
 pub use sweep::{
     run_sweep, run_trials, run_trials_with_workers, SweepConfig, SweepResult, TrialCtx,
 };

@@ -1,112 +1,16 @@
-//! The intra-run parallelism knob.
-//!
-//! The workspace has two parallelism layers. *Trial-level* parallelism
-//! ([`crate::run_trials`]) spreads independent Monte-Carlo trials over
-//! the pool and is what sweeps use. [`Parallelism`] governs the second
-//! layer: sharding the per-slot medium resolution *inside* a single
-//! run. Both layers are deterministic — results are a pure function of
-//! the inputs, never of the worker count — but they compete for the
-//! same cores, so sweeps keep intra-run parallelism [`Parallelism::Off`]
-//! (the default) and single-run workloads (trace replays, benches,
-//! `--trials 1`) turn it on.
+//! The retired intra-run parallelism knob.
 
 use serde::{Deserialize, Serialize};
 
-use crate::pool::available_workers;
-
-/// How a single run shards its per-slot medium resolution.
+/// Intra-run medium parallelism: a stub with no effect.
 ///
-/// Every mode produces bit-identical results (locked by
-/// `tests/medium_equivalence.rs` and `tests/engine_equivalence.rs`);
-/// the choice is purely about wall clock and core contention.
+/// A run resolves its medium on one thread; the only parallel layer is
+/// the trial pool ([`crate::run_trials`]). The type survives only
+/// because the perf harness (`perfbench/`) still names it; the change
+/// that next edits the harness deletes it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Parallelism {
-    /// Never shard — the sequential resolver. The default: in a sweep,
-    /// trial-level parallelism already owns the cores, and a second
-    /// layer would only oversubscribe them.
+    /// The only value: sequential medium resolution.
     #[default]
     Off,
-    /// Always shard with exactly this many workers (`0` is treated as
-    /// `1`). An explicit pin bypasses the [`Parallelism::Auto`]
-    /// engagement threshold — benches and the determinism suites use it
-    /// to force the sharded path at any problem size.
-    Fixed(usize),
-    /// Shard with every available core ([`available_workers`], so
-    /// `FFD2D_WORKERS` is honored) once a slot's candidate work exceeds
-    /// [`Parallelism::AUTO_ENGAGE_PAIRS`]; below the cutoff the slot
-    /// runs sequentially, so small populations and near-idle slots pay
-    /// no thread overhead.
-    Auto,
-}
-
-impl Parallelism {
-    /// `Auto` engagement cutoff, in candidate `(transmission, receiver)`
-    /// pairs per slot. Below this, spawn overhead rivals the work.
-    pub const AUTO_ENGAGE_PAIRS: u64 = 16 * 1024;
-
-    /// Worker count for a slot with `pairs` candidate
-    /// `(transmission, receiver)` pairs. `1` means "run sequentially".
-    pub fn workers_for(self, pairs: u64) -> usize {
-        match self {
-            Parallelism::Off => 1,
-            Parallelism::Fixed(k) => k.max(1),
-            Parallelism::Auto => {
-                if pairs >= Self::AUTO_ENGAGE_PAIRS {
-                    available_workers(usize::MAX)
-                } else {
-                    1
-                }
-            }
-        }
-    }
-
-    /// Parse a `--medium-workers` flag value: `off`, `auto`, or a
-    /// positive worker count.
-    pub fn from_flag(flag: &str) -> Option<Parallelism> {
-        match flag {
-            "off" => Some(Parallelism::Off),
-            "auto" => Some(Parallelism::Auto),
-            k => k
-                .parse::<usize>()
-                .ok()
-                .filter(|&k| k > 0)
-                .map(Parallelism::Fixed),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn off_is_the_default_and_never_shards() {
-        assert_eq!(Parallelism::default(), Parallelism::Off);
-        assert_eq!(Parallelism::Off.workers_for(u64::MAX), 1);
-    }
-
-    #[test]
-    fn fixed_bypasses_the_threshold() {
-        assert_eq!(Parallelism::Fixed(8).workers_for(0), 8);
-        assert_eq!(Parallelism::Fixed(2).workers_for(1), 2);
-        assert_eq!(Parallelism::Fixed(0).workers_for(0), 1, "0 means 1");
-    }
-
-    #[test]
-    fn auto_engages_only_above_the_cutoff() {
-        let p = Parallelism::Auto;
-        assert_eq!(p.workers_for(0), 1);
-        assert_eq!(p.workers_for(Parallelism::AUTO_ENGAGE_PAIRS - 1), 1);
-        assert!(p.workers_for(Parallelism::AUTO_ENGAGE_PAIRS) >= 1);
-    }
-
-    #[test]
-    fn flag_parsing() {
-        assert_eq!(Parallelism::from_flag("off"), Some(Parallelism::Off));
-        assert_eq!(Parallelism::from_flag("auto"), Some(Parallelism::Auto));
-        assert_eq!(Parallelism::from_flag("4"), Some(Parallelism::Fixed(4)));
-        assert_eq!(Parallelism::from_flag("0"), None);
-        assert_eq!(Parallelism::from_flag("fast"), None);
-        assert_eq!(Parallelism::from_flag("-2"), None);
-    }
 }

@@ -108,132 +108,6 @@ where
         .collect()
 }
 
-/// Shard `items` into `scratches.len()` contiguous chunks and run
-/// `f(chunk_start, chunk, scratch)` for each non-empty chunk, one
-/// scoped thread per shard, each with exclusive access to its own
-/// scratch state.
-///
-/// This is the primitive behind deterministic *intra-run* parallelism:
-/// the chunk boundaries are a pure function of `items.len()` and the
-/// shard count (near-equal contiguous splits, earlier chunks take the
-/// remainder), each scratch is written by exactly one thread, and the
-/// caller merges the scratches in shard order — which *is* input order,
-/// because the chunks are contiguous. Whatever the thread schedule, the
-/// merged result is identical to running the chunks sequentially.
-///
-/// With a single scratch the chunk runs inline on the caller's thread —
-/// no spawn, no synchronization — so an unengaged parallel path costs
-/// nothing over the plain loop.
-///
-/// Panics in workers propagate to the caller when the scope joins.
-pub fn sharded_for_each<T, C, F>(items: &[T], scratches: &mut [C], f: F)
-where
-    T: Sync,
-    C: Send,
-    F: Fn(usize, &[T], &mut C) + Sync,
-{
-    let shards = scratches.len();
-    assert!(shards > 0, "sharded_for_each needs at least one scratch");
-    let len = items.len();
-    if shards == 1 || len <= 1 {
-        if len > 0 {
-            f(0, items, &mut scratches[0]);
-        }
-        return;
-    }
-    let base = len / shards;
-    let rem = len % shards;
-    let f = &f;
-    std::thread::scope(|scope| {
-        let mut rest = &mut scratches[..];
-        let mut start = 0;
-        for i in 0..shards {
-            let size = base + usize::from(i < rem);
-            let (scratch, tail) = rest.split_first_mut().expect("shard count checked");
-            rest = tail;
-            if size == 0 {
-                continue;
-            }
-            let chunk = &items[start..start + size];
-            let chunk_start = start;
-            scope.spawn(move || f(chunk_start, chunk, scratch));
-            start += size;
-        }
-    });
-}
-
-/// [`sharded_for_each`] with per-item weights: chunk boundaries are
-/// chosen so each shard carries a near-equal share of the total weight
-/// instead of a near-equal item count.
-///
-/// `weights` is parallel to `items` (panics on length mismatch). The
-/// boundaries are a pure function of the weights and the shard count —
-/// a greedy front-to-back cut at the remaining-weight / remaining-shards
-/// target — so the split is deterministic and, as with
-/// [`sharded_for_each`], chunks are contiguous and merge in shard order
-/// = input order. Zero-weight items ride along with whichever chunk
-/// reaches them; trailing shards may receive no chunk when earlier ones
-/// absorb everything (their scratches are simply not visited).
-///
-/// The caller's merged result cannot depend on which variant split the
-/// items — only wall-clock balance moves — provided its per-item work
-/// is chunk-independent (true of everything in this workspace: each
-/// scratch key is owned by exactly one item).
-pub fn sharded_for_each_weighted<T, C, F>(items: &[T], weights: &[u64], scratches: &mut [C], f: F)
-where
-    T: Sync,
-    C: Send,
-    F: Fn(usize, &[T], &mut C) + Sync,
-{
-    let shards = scratches.len();
-    assert!(shards > 0, "sharded_for_each_weighted needs a scratch");
-    assert_eq!(
-        items.len(),
-        weights.len(),
-        "weights must be parallel to items"
-    );
-    let len = items.len();
-    if shards == 1 || len <= 1 {
-        if len > 0 {
-            f(0, items, &mut scratches[0]);
-        }
-        return;
-    }
-    let mut remaining: u64 = weights.iter().sum();
-    let f = &f;
-    std::thread::scope(|scope| {
-        let mut rest = &mut scratches[..];
-        let mut start = 0usize;
-        for i in 0..shards {
-            let (scratch, tail) = rest.split_first_mut().expect("shard count checked");
-            rest = tail;
-            if start >= len {
-                break;
-            }
-            let shards_left = (shards - i) as u64;
-            // Last shard takes the tail; earlier shards fill to the
-            // per-shard target, always making progress (>= 1 item).
-            let end = if i == shards - 1 {
-                len
-            } else {
-                let target = remaining.div_ceil(shards_left);
-                let mut end = start;
-                let mut acc = 0u64;
-                while end < len && (end == start || acc < target) {
-                    acc += weights[end];
-                    end += 1;
-                }
-                remaining -= acc;
-                end
-            };
-            let chunk = &items[start..end];
-            let chunk_start = start;
-            scope.spawn(move || f(chunk_start, chunk, scratch));
-            start = end;
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,129 +192,6 @@ mod tests {
         std::env::set_var("FFD2D_WORKERS", "not-a-number");
         assert!(available_workers(64) >= 1, "garbage is ignored");
         std::env::remove_var("FFD2D_WORKERS");
-    }
-
-    #[test]
-    fn sharded_chunks_cover_input_in_order() {
-        let items: Vec<u32> = (0..103).collect();
-        for shards in [1usize, 2, 3, 8, 103, 200] {
-            let mut scratches: Vec<Vec<(usize, Vec<u32>)>> = vec![Vec::new(); shards];
-            sharded_for_each(&items, &mut scratches, |start, chunk, scratch| {
-                scratch.push((start, chunk.to_vec()));
-            });
-            // Each shard got at most one contiguous chunk; concatenated
-            // in shard order they reproduce the input exactly.
-            let mut rebuilt: Vec<(usize, Vec<u32>)> = Vec::new();
-            for s in &scratches {
-                assert!(s.len() <= 1, "shards={shards}");
-                rebuilt.extend(s.iter().cloned());
-            }
-            let mut expect_start = 0;
-            let mut flat = Vec::new();
-            for (start, chunk) in rebuilt {
-                assert_eq!(start, expect_start, "shards={shards}");
-                expect_start += chunk.len();
-                flat.extend(chunk);
-            }
-            assert_eq!(flat, items, "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn sharded_scratches_merge_like_sequential() {
-        // Summing per shard and merging equals the sequential sum,
-        // whatever the shard count.
-        let items: Vec<u64> = (0..1000).map(|x| x * x + 1).collect();
-        let expect: u64 = items.iter().sum();
-        for shards in [1usize, 2, 5, 8, 32] {
-            let mut sums = vec![0u64; shards];
-            sharded_for_each(&items, &mut sums, |_, chunk, sum| {
-                *sum += chunk.iter().sum::<u64>();
-            });
-            assert_eq!(sums.iter().sum::<u64>(), expect, "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn sharded_empty_input_is_a_no_op() {
-        let mut scratches = vec![0u32; 4];
-        sharded_for_each(&[] as &[u8], &mut scratches, |_, _, s| *s += 1);
-        assert_eq!(scratches, vec![0; 4]);
-    }
-
-    #[test]
-    fn weighted_chunks_cover_input_in_order() {
-        let items: Vec<u32> = (0..103).collect();
-        // A heavily skewed weight profile: a few huge cells up front.
-        let weights: Vec<u64> = (0..103u64)
-            .map(|i| if i < 3 { 1000 } else { i % 7 })
-            .collect();
-        for shards in [1usize, 2, 3, 8, 103, 200] {
-            let mut scratches: Vec<Vec<(usize, Vec<u32>)>> = vec![Vec::new(); shards];
-            sharded_for_each_weighted(&items, &weights, &mut scratches, |start, chunk, scratch| {
-                scratch.push((start, chunk.to_vec()));
-            });
-            let mut expect_start = 0;
-            let mut flat = Vec::new();
-            for s in &scratches {
-                assert!(s.len() <= 1, "shards={shards}");
-                for (start, chunk) in s {
-                    assert_eq!(*start, expect_start, "shards={shards}");
-                    expect_start += chunk.len();
-                    flat.extend(chunk.iter().copied());
-                }
-            }
-            assert_eq!(flat, items, "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn weighted_split_balances_weight_not_count() {
-        // One giant item followed by many small ones: the even-count
-        // split would put the giant plus half the small ones on shard 0;
-        // the weighted split isolates the giant.
-        let items: Vec<u32> = (0..64).collect();
-        let mut weights = vec![1u64; 64];
-        weights[0] = 1_000;
-        let mut chunks: Vec<Vec<u32>> = vec![Vec::new(); 4];
-        sharded_for_each_weighted(&items, &weights, &mut chunks, |_, chunk, out| {
-            out.extend_from_slice(chunk);
-        });
-        assert_eq!(chunks[0], vec![0], "the giant cell gets its own shard");
-        let rest: usize = chunks[1..].iter().map(Vec::len).sum();
-        assert_eq!(rest, 63, "remaining items spread over the other shards");
-    }
-
-    #[test]
-    fn weighted_zero_weights_still_assign_every_item() {
-        let items: Vec<u32> = (0..10).collect();
-        let weights = vec![0u64; 10];
-        for shards in [2usize, 3, 10, 16] {
-            let mut counts = vec![0usize; shards];
-            sharded_for_each_weighted(&items, &weights, &mut counts, |_, chunk, c| {
-                *c += chunk.len();
-            });
-            assert_eq!(counts.iter().sum::<usize>(), 10, "shards={shards}");
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn weighted_length_mismatch_panics() {
-        let mut scratches = vec![(); 2];
-        sharded_for_each_weighted(&[1u32, 2, 3], &[1u64], &mut scratches, |_, _, _| {});
-    }
-
-    #[test]
-    #[should_panic]
-    fn sharded_worker_panic_propagates() {
-        let items: Vec<u32> = (0..64).collect();
-        let mut scratches = vec![(); 4];
-        sharded_for_each(&items, &mut scratches, |start, _, _| {
-            if start > 0 {
-                panic!("boom");
-            }
-        });
     }
 
     #[test]

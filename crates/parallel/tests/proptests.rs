@@ -1,60 +1,12 @@
-//! Property-based tests for the sharded-merge contract.
-//!
-//! The intra-run parallel medium tallies a private [`Counters`] per
-//! shard and merges them in shard order. These properties pin the
-//! algebra that makes that bit-identical to the sequential tally: for
-//! any event stream and any contiguous sharding, per-shard tallies
-//! merged in order equal tallying the whole stream sequentially.
+//! Property-based tests for merging [`Counters`] tallies: far from
+//! saturation, the merge does not depend on its order.
 
 use proptest::prelude::*;
 
-use ffd2d_parallel::sharded_for_each;
 use ffd2d_sim::counters::Counters;
 
-/// One medium outcome, as the resolver would tally it: which counter
-/// moves and by how much.
-fn apply(c: &mut Counters, ev: (u8, u64)) {
-    let (kind, amount) = ev;
-    match kind % 8 {
-        0 => c.rach1_tx += amount,
-        1 => c.rach2_tx += amount,
-        2 => c.unicast_tx += amount,
-        3 => c.rx_ok += amount,
-        4 => c.rx_collision += amount,
-        5 => c.rx_below_threshold += amount,
-        6 => c.fault_dropped_frames += amount,
-        _ => c.fault_dup_frames += amount,
-    }
-}
-
 proptest! {
-    /// Sharded tallies merged in shard order equal the sequential
-    /// tally, for any event stream and any shard count.
-    #[test]
-    fn sharded_counters_merge_equals_sequential_tally(
-        events in proptest::collection::vec((any::<u8>(), 0u64..1 << 40), 0..300),
-        shards in 1usize..12,
-    ) {
-        let mut sequential = Counters::new();
-        for &ev in &events {
-            apply(&mut sequential, ev);
-        }
-
-        let mut per_shard = vec![Counters::new(); shards];
-        sharded_for_each(&events, &mut per_shard, |_, chunk, c| {
-            for &ev in chunk {
-                apply(c, ev);
-            }
-        });
-        let mut merged = Counters::new();
-        for shard in &per_shard {
-            merged.merge(shard);
-        }
-        prop_assert_eq!(merged, sequential);
-    }
-
-    /// Merging is order-insensitive far from saturation (the resolver
-    /// merges in shard order; this shows nothing depends on it).
+    /// Merging is order-insensitive far from saturation.
     #[test]
     fn merge_commutes_below_saturation(
         a in proptest::collection::vec(0u64..1 << 30, 8),

@@ -2,7 +2,7 @@
 //!
 //! `ffd2d-trace` answers *what the protocol did* (fires, decodes,
 //! merges); this crate answers *where the simulator's wall clock went*
-//! (slot loop, medium resolution, calendar-queue churn, shard balance).
+//! (slot loop, medium resolution, gain-cache fills, calendar-queue churn).
 //! The two layers are deliberately parallel in design and disjoint in
 //! content:
 //!
@@ -31,7 +31,7 @@
 //!   (the analogue of `TraceSink` / `NullSink`).
 //! * [`LogHistogram`] — power-of-two-bucketed `u64` histogram for
 //!   nanosecond timings and per-slot magnitudes; saturating, mergeable
-//!   across shards.
+//!   across trials.
 //! * [`Telemetry`] — the in-memory registry: monotonic counters,
 //!   gauges, timer histograms and value observations keyed by
 //!   `&'static str`.

@@ -7,13 +7,12 @@
 //! 1. **None-neutrality** — a [`FaultPlan::none`] attached to a
 //!    scenario is *provably inert*: bit-identical [`RunOutcome`]s and
 //!    byte-identical JSONL traces versus a config that never mentions
-//!    faults at all, for both protocols, both engines, and both medium
-//!    worker counts.
+//!    faults at all, for both protocols and both engines.
 //! 2. **Seeded determinism** — a faulted run is a pure function of
 //!    `(scenario, plan, seed)`: re-running byte-identically reproduces
 //!    it, and like the clean path it is invariant to the engine mode
-//!    and the medium worker count (frame fates are stateless keyed
-//!    draws, so delivery order can't leak in).
+//!    (frame fates are stateless keyed draws, so delivery order can't
+//!    leak in).
 //!
 //! On top of the contract, the re-convergence tests check graceful
 //! degradation: after the last churn event the population must converge
@@ -22,7 +21,7 @@
 
 use ffd2d::baseline::FstProtocol;
 use ffd2d::chaos::{ChurnEvent, ChurnKind, ClockSkew, FaultPlan, PowerDroop};
-use ffd2d::core::{EngineMode, Parallelism, RunOutcome, ScenarioConfig, StProtocol, World};
+use ffd2d::core::{EngineMode, RunOutcome, ScenarioConfig, StProtocol, World};
 use ffd2d::sim::time::SlotDuration;
 use ffd2d::telemetry::NullRecorder;
 use ffd2d::trace::JsonlSink;
@@ -84,59 +83,54 @@ fn spicy_plan(horizon: u64) -> FaultPlan {
 
 /// `FaultPlan::none()` must be indistinguishable — in outcome bits and
 /// trace bytes — from a scenario that never mentions faults, across
-/// protocols × engines × worker counts.
+/// protocols × engines.
 #[test]
 fn none_plan_is_outcome_and_byte_neutral() {
     for engine in [EngineMode::Stepped, EngineMode::EventDriven] {
-        for workers in [1usize, 2] {
-            let base = cfg(50, 0xA11CE, 12_000)
-                .with_engine(engine)
-                .with_parallelism(Parallelism::Fixed(workers));
-            let with_none = base.clone().with_faults(FaultPlan::none());
-            let label = format!("{engine:?}/workers={workers}");
+        let base = cfg(50, 0xA11CE, 12_000).with_engine(engine);
+        let with_none = base.clone().with_faults(FaultPlan::none());
+        let label = format!("{engine:?}");
 
-            let st_base = StProtocol::run(&base);
-            assert_eq!(st_base, StProtocol::run(&with_none), "ST {label}");
-            assert_eq!(st_base.reconvergence_time, None, "ST {label}");
-            assert_eq!(st_base.orphaned_fragments, 0, "ST {label}");
-            assert_eq!(st_base.counters.fault_dropped_frames, 0, "ST {label}");
-            assert_eq!(st_base.counters.fault_dup_frames, 0, "ST {label}");
-            let (st_out_a, st_log_a) = st_traced(&base);
-            let (st_out_b, st_log_b) = st_traced(&with_none);
-            assert_eq!(st_out_a, st_out_b, "ST traced {label}");
-            assert_eq!(st_log_a, st_log_b, "ST JSONL bytes {label}");
-            assert!(!st_log_a.is_empty(), "ST empty trace {label}");
+        let st_base = StProtocol::run(&base);
+        assert_eq!(st_base, StProtocol::run(&with_none), "ST {label}");
+        assert_eq!(st_base.reconvergence_time, None, "ST {label}");
+        assert_eq!(st_base.orphaned_fragments, 0, "ST {label}");
+        assert_eq!(st_base.counters.fault_dropped_frames, 0, "ST {label}");
+        assert_eq!(st_base.counters.fault_dup_frames, 0, "ST {label}");
+        let (st_out_a, st_log_a) = st_traced(&base);
+        let (st_out_b, st_log_b) = st_traced(&with_none);
+        assert_eq!(st_out_a, st_out_b, "ST traced {label}");
+        assert_eq!(st_log_a, st_log_b, "ST JSONL bytes {label}");
+        assert!(!st_log_a.is_empty(), "ST empty trace {label}");
 
-            let fst_base = FstProtocol::run(&base);
-            assert_eq!(fst_base, FstProtocol::run(&with_none), "FST {label}");
-            assert_eq!(fst_base.reconvergence_time, None, "FST {label}");
-            assert_eq!(fst_base.counters.fault_dropped_frames, 0, "FST {label}");
-            let (fst_out_a, fst_log_a) = fst_traced(&base);
-            let (fst_out_b, fst_log_b) = fst_traced(&with_none);
-            assert_eq!(fst_out_a, fst_out_b, "FST traced {label}");
-            assert_eq!(fst_log_a, fst_log_b, "FST JSONL bytes {label}");
-            assert!(!fst_log_a.is_empty(), "FST empty trace {label}");
-        }
+        let fst_base = FstProtocol::run(&base);
+        assert_eq!(fst_base, FstProtocol::run(&with_none), "FST {label}");
+        assert_eq!(fst_base.reconvergence_time, None, "FST {label}");
+        assert_eq!(fst_base.counters.fault_dropped_frames, 0, "FST {label}");
+        let (fst_out_a, fst_log_a) = fst_traced(&base);
+        let (fst_out_b, fst_log_b) = fst_traced(&with_none);
+        assert_eq!(fst_out_a, fst_out_b, "FST traced {label}");
+        assert_eq!(fst_log_a, fst_log_b, "FST JSONL bytes {label}");
+        assert!(!fst_log_a.is_empty(), "FST empty trace {label}");
     }
 }
 
 /// A faulted run is deterministic per seed and invariant to the engine
-/// mode and the medium worker count — same contract the clean path
-/// honors, now with drops, dups, churn, skew and droops all active.
+/// mode — same contract the clean path honors, now with drops, dups,
+/// churn, skew and droops all active.
 #[test]
 fn faulted_runs_are_deterministic_and_engine_invariant() {
     let horizon = 9_000;
     let plan = spicy_plan(horizon);
-    let mk = |engine, workers| {
+    let mk = |engine| {
         cfg(30, 0xFA57, horizon)
             .with_engine(engine)
-            .with_parallelism(Parallelism::Fixed(workers))
             .with_faults(plan.clone())
     };
 
     // Reference run; every variant must match it bit for bit.
-    let st_ref = StProtocol::run(&mk(EngineMode::Stepped, 1));
-    let fst_ref = FstProtocol::run(&mk(EngineMode::Stepped, 1));
+    let st_ref = StProtocol::run(&mk(EngineMode::Stepped));
+    let fst_ref = FstProtocol::run(&mk(EngineMode::Stepped));
     // The faults actually fired (the plan is not accidentally inert).
     assert!(
         st_ref.counters.fault_dropped_frames > 0,
@@ -149,25 +143,19 @@ fn faulted_runs_are_deterministic_and_engine_invariant() {
     assert!(fst_ref.counters.fault_dropped_frames > 0);
 
     for engine in [EngineMode::Stepped, EngineMode::EventDriven] {
-        for workers in [1usize, 2] {
-            let c = mk(engine, workers);
-            let label = format!("{engine:?}/workers={workers}");
-            assert_eq!(StProtocol::run(&c), st_ref, "ST {label}");
-            assert_eq!(FstProtocol::run(&c), fst_ref, "FST {label}");
-        }
+        let c = mk(engine);
+        assert_eq!(StProtocol::run(&c), st_ref, "ST {engine:?}");
+        assert_eq!(FstProtocol::run(&c), fst_ref, "FST {engine:?}");
     }
 
     // Same seed ⇒ byte-identical JSONL, including the FaultInjected /
-    // DeviceLeft / DeviceJoined events, across engines and workers.
-    let (st_out, st_log) = st_traced(&mk(EngineMode::Stepped, 1));
+    // DeviceLeft / DeviceJoined events, across engines.
+    let (st_out, st_log) = st_traced(&mk(EngineMode::Stepped));
     assert_eq!(st_out, st_ref, "tracing perturbed the faulted ST run");
     for engine in [EngineMode::Stepped, EngineMode::EventDriven] {
-        for workers in [1usize, 2] {
-            let (out, log) = st_traced(&mk(engine, workers));
-            let label = format!("{engine:?}/workers={workers}");
-            assert_eq!(out, st_ref, "ST traced {label}");
-            assert_eq!(log, st_log, "ST JSONL bytes {label}");
-        }
+        let (out, log) = st_traced(&mk(engine));
+        assert_eq!(out, st_ref, "ST traced {engine:?}");
+        assert_eq!(log, st_log, "ST JSONL bytes {engine:?}");
     }
     let log_text = String::from_utf8(st_log).unwrap();
     assert!(
@@ -180,9 +168,9 @@ fn faulted_runs_are_deterministic_and_engine_invariant() {
         "no DeviceJoined event"
     );
 
-    let (fst_out, fst_log) = fst_traced(&mk(EngineMode::Stepped, 1));
+    let (fst_out, fst_log) = fst_traced(&mk(EngineMode::Stepped));
     assert_eq!(fst_out, fst_ref, "tracing perturbed the faulted FST run");
-    let (fst_out2, fst_log2) = fst_traced(&mk(EngineMode::EventDriven, 2));
+    let (fst_out2, fst_log2) = fst_traced(&mk(EngineMode::EventDriven));
     assert_eq!(fst_out2, fst_ref);
     assert_eq!(fst_log2, fst_log, "FST JSONL bytes diverged");
 }

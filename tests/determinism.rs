@@ -2,7 +2,7 @@
 //! number must be a pure function of `(scenario, master seed)`.
 
 use ffd2d::baseline::FstProtocol;
-use ffd2d::core::{ScenarioConfig, StProtocol, World};
+use ffd2d::core::{Parallelism, ScenarioConfig, StProtocol, World};
 use ffd2d::experiments::sweep::{run_paper_sweep, SweepParams};
 use ffd2d::sim::time::SlotDuration;
 
@@ -109,4 +109,15 @@ fn protocol_outcome_does_not_depend_on_unrelated_streams() {
     let _: f64 = unrelated.gen();
     let b = StProtocol::run(&scenario(7));
     assert_eq!(a, b);
+}
+
+/// The perf harness still builds its scenarios through
+/// `with_parallelism`; the stub must leave every run untouched.
+#[test]
+fn with_parallelism_stub_changes_no_outcome() {
+    let cfg = scenario(42);
+    let stubbed = cfg.clone().with_parallelism(Parallelism::Off);
+    assert_eq!(format!("{cfg:?}"), format!("{stubbed:?}"));
+    assert_eq!(StProtocol::run(&cfg), StProtocol::run(&stubbed));
+    assert_eq!(FstProtocol::run(&cfg), FstProtocol::run(&stubbed));
 }

@@ -34,7 +34,7 @@
 
 use ffd2d::baseline::FstProtocol;
 use ffd2d::chaos::{ChurnEvent, ChurnKind, ClockSkew, FaultPlan};
-use ffd2d::core::{EngineMode, Parallelism, RunOutcome, ScenarioConfig, StProtocol, World};
+use ffd2d::core::{EngineMode, RunOutcome, ScenarioConfig, StProtocol, World};
 use ffd2d::radio::fading::FadingModel;
 use ffd2d::sim::deployment::Meters;
 use ffd2d::sim::time::SlotDuration;
@@ -265,85 +265,10 @@ fn engines_agree_at_n500_sparse_shadowed() {
     assert_engines_agree("n=500 sparse-shadowed", &sparse_shadowed_cfg(500, 9, 2_000));
 }
 
-/// Assert the intra-run medium parallelism knob is outcome-neutral on
-/// `cfg`: bit-identical [`ffd2d::core::RunOutcome`]s and byte-identical
-/// JSONL traces for both protocols under worker counts {1, 2, 8}
-/// versus `Off`. (`Fixed` bypasses the auto-engagement threshold, so
-/// even small-n cells genuinely run the threaded path.)
-fn assert_parallelism_neutral(label: &str, cfg: &ScenarioConfig) {
-    let run_all = |p: Parallelism| {
-        let cfg = cfg.clone().with_parallelism(p);
-        let st = StProtocol::run(&cfg);
-        let fst = FstProtocol::run(&cfg);
-        let mut st_sink = JsonlSink::new(Vec::new());
-        let st_traced =
-            StProtocol::run_in_instrumented(&World::new(&cfg), &mut st_sink, &mut NullRecorder);
-        assert!(st_sink.io_error().is_none());
-        let mut fst_sink = JsonlSink::new(Vec::new());
-        let fst_traced =
-            FstProtocol::run_in_instrumented(&World::new(&cfg), &mut fst_sink, &mut NullRecorder);
-        assert!(fst_sink.io_error().is_none());
-        assert_eq!(st, st_traced, "tracing perturbed ST: {label}");
-        assert_eq!(fst, fst_traced, "tracing perturbed FST: {label}");
-        (st, fst, st_sink.into_inner(), fst_sink.into_inner())
-    };
-
-    let baseline = run_all(Parallelism::Off);
-    assert!(!baseline.2.is_empty(), "empty ST trace: {label}");
-    for workers in [1usize, 2, 8] {
-        let sharded = run_all(Parallelism::Fixed(workers));
-        assert_eq!(
-            sharded.0, baseline.0,
-            "ST outcomes diverged: {label}, {workers} workers"
-        );
-        assert_eq!(
-            sharded.1, baseline.1,
-            "FST outcomes diverged: {label}, {workers} workers"
-        );
-        assert_eq!(
-            sharded.2, baseline.2,
-            "ST JSONL bytes diverged: {label}, {workers} workers"
-        );
-        assert_eq!(
-            sharded.3, baseline.3,
-            "FST JSONL bytes diverged: {label}, {workers} workers"
-        );
-    }
-}
-
 /// A dense Table-I cell where some device fires in nearly every slot:
 /// the event engine materializes almost the whole horizon and must
-/// still match the stepped loop bit for bit — plain, traced, and under
-/// medium sharding at workers {1, 2}.
+/// still match the stepped loop bit for bit, plain and traced.
 #[test]
 fn engines_agree_on_a_dense_cell() {
-    let cfg = table1_cfg(1000, 0xDE45E, 600);
-    assert_engines_agree("n=1000 dense", &cfg);
-
-    let event = cfg.with_engine(EngineMode::EventDriven);
-    let st_base = StProtocol::run(&event);
-    let fst_base = FstProtocol::run(&event);
-    for workers in [1usize, 2] {
-        let sharded = event.clone().with_parallelism(Parallelism::Fixed(workers));
-        assert_eq!(
-            st_base,
-            StProtocol::run(&sharded),
-            "ST event diverged under {workers} workers"
-        );
-        assert_eq!(
-            fst_base,
-            FstProtocol::run(&sharded),
-            "FST event diverged under {workers} workers"
-        );
-    }
-}
-
-#[test]
-fn parallelism_is_outcome_neutral_at_n50() {
-    assert_parallelism_neutral("n=50 table1", &table1_cfg(50, 0xA11CE, 30_000));
-}
-
-#[test]
-fn parallelism_is_outcome_neutral_at_n500() {
-    assert_parallelism_neutral("n=500 table1", &table1_cfg(500, 0x5EED, 2_000));
+    assert_engines_agree("n=1000 dense", &table1_cfg(1000, 0xDE45E, 600));
 }

@@ -23,7 +23,6 @@
 
 use ffd2d_core::scenario::ScenarioConfig;
 use ffd2d_core::world::{FastMedium, World};
-use ffd2d_parallel::Parallelism;
 use ffd2d_phy::codec::ServiceClass;
 use ffd2d_phy::frame::{FrameKind, ProximitySignal};
 use ffd2d_phy::medium::{Medium, Transmission};
@@ -32,7 +31,7 @@ use ffd2d_sim::counters::Counters;
 use ffd2d_sim::deployment::Meters;
 use ffd2d_sim::time::{Slot, SlotDuration};
 use ffd2d_telemetry::NullRecorder;
-use ffd2d_trace::{JsonlSink, NullSink};
+use ffd2d_trace::NullSink;
 
 /// Deterministic schedule: for each slot, a seed-derived subset of
 /// devices transmits, alternating between the two RACH codecs so both
@@ -213,88 +212,6 @@ fn equivalent_at_n100_sparse_shadowed() {
 #[test]
 fn equivalent_at_n500_sparse_shadowed() {
     assert_equivalent(&sparse_shadowed_cfg(500, 9), 9, 40);
-}
-
-/// Drive the fast resolver over `slots` slots under one parallelism
-/// setting, returning everything observable: deliveries (in order, with
-/// the decoded power's exact bits), counters, and the traced JSONL bytes.
-fn run_fast_sharded(
-    cfg: &ScenarioConfig,
-    seed: u64,
-    slots: u64,
-    parallelism: Parallelism,
-) -> (Vec<(u32, u32, u64)>, Counters, Vec<u8>) {
-    let cfg = cfg.clone().with_parallelism(parallelism);
-    let world = World::new(&cfg);
-    let n = world.n() as u32;
-    let mut fast = FastMedium::new(n as usize);
-    let mut counters = Counters::new();
-    let mut sink = JsonlSink::new(Vec::new());
-    let mut delivered = Vec::new();
-    for slot in 0..slots {
-        let txs = schedule(n, seed, slot);
-        fast.resolve(
-            &world,
-            Slot(slot),
-            &txs,
-            None,
-            &mut counters,
-            &mut sink,
-            &mut NullRecorder,
-            |rx, sig, p, _| delivered.push((rx, sig.sender, p.to_bits())),
-        );
-    }
-    assert!(sink.io_error().is_none());
-    (delivered, counters, sink.into_inner())
-}
-
-/// Worker-count determinism, fast resolver: deliveries (order and
-/// power bits), counters and traced JSONL bytes must not depend on the
-/// sharding of the touched-cell walk.
-fn assert_fast_sharding_neutral(cfg: &ScenarioConfig, seed: u64, slots: u64) {
-    let baseline = run_fast_sharded(cfg, seed, slots, Parallelism::Off);
-    assert!(baseline.1.rx_ok > 0, "vacuous run: nothing ever decoded");
-    for workers in [1usize, 2, 8] {
-        let sharded = run_fast_sharded(cfg, seed, slots, Parallelism::Fixed(workers));
-        assert_eq!(
-            sharded.0, baseline.0,
-            "deliveries diverged, {workers} workers"
-        );
-        assert_eq!(
-            sharded.1, baseline.1,
-            "counters diverged, {workers} workers"
-        );
-        assert_eq!(
-            sharded.2, baseline.2,
-            "trace bytes diverged, {workers} workers"
-        );
-    }
-}
-
-#[test]
-fn fast_sharding_neutral_at_n50_table1() {
-    assert_fast_sharding_neutral(&table1_cfg(50, 0xF00), 0xF00, 60);
-}
-
-#[test]
-fn fast_sharding_neutral_at_n500_table1() {
-    assert_fast_sharding_neutral(&table1_cfg(500, 0xF500), 0xF500, 15);
-}
-
-#[test]
-fn fast_sharding_neutral_at_n500_sparse_ideal() {
-    // The pruning regime: many grid cells, so the cell-chunked shards
-    // genuinely split the walk.
-    assert_fast_sharding_neutral(&sparse_ideal_cfg(500, 0x5CA7), 0x5CA7, 15);
-}
-
-#[test]
-fn auto_parallelism_is_equivalent_to_reference() {
-    // End-to-end: the fast medium under `Auto` still matches the
-    // reference resolver bit for bit (Auto stays sequential below the
-    // pair cutoff and shards above it; either way nothing may move).
-    let cfg = table1_cfg(100, 0xAA10).with_parallelism(Parallelism::Auto);
-    assert_equivalent(&cfg, 0xAA10, 60);
 }
 
 #[test]

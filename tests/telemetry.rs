@@ -1,9 +1,8 @@
 //! Telemetry guarantees: self-profiling never perturbs the simulation.
 //!
 //! * A recorded run's [`RunOutcome`] is bit-identical to an unrecorded
-//!   one — for both protocols, both engine modes, and sharded medium
-//!   resolution at several worker counts (telemetry reads the clock but
-//!   never an RNG stream or any protocol state).
+//!   one — for both protocols and both engine modes (telemetry reads
+//!   the clock but never an RNG stream or any protocol state).
 //! * With a trace sink attached as well, the JSONL bytes are identical
 //!   whether or not a recorder is listening.
 //! * Same `(scenario, seed)` ⇒ identical telemetry *structure*: every
@@ -14,9 +13,9 @@
 //!   to instrument are present with plausible magnitudes.
 
 use ffd2d::baseline::FstProtocol;
-use ffd2d::core::{EngineMode, Parallelism, ScenarioConfig, StProtocol, World};
+use ffd2d::core::{EngineMode, ScenarioConfig, StProtocol, World};
 use ffd2d::sim::time::SlotDuration;
-use ffd2d::telemetry::{NullRecorder, Telemetry};
+use ffd2d::telemetry::{NullRecorder, Recorder, Telemetry};
 use ffd2d::trace::{JsonlSink, NullSink};
 use proptest::prelude::*;
 
@@ -26,39 +25,34 @@ fn scenario(n: usize, seed: u64) -> ScenarioConfig {
         .with_max_slots(SlotDuration(30_000))
 }
 
-/// The full (protocol × engine × workers) matrix for one scenario.
+/// The full (protocol × engine) matrix for one scenario.
 fn assert_outcome_neutral(cfg: &ScenarioConfig) {
     for engine in [EngineMode::Stepped, EngineMode::EventDriven] {
-        for workers in [1usize, 4] {
-            let cfg = cfg
-                .clone()
-                .with_engine(engine)
-                .with_parallelism(Parallelism::Fixed(workers));
-            let label = format!("{engine:?}, workers={workers}");
-            let world = World::new(&cfg);
+        let cfg = cfg.clone().with_engine(engine);
+        let label = format!("{engine:?}");
+        let world = World::new(&cfg);
 
-            let plain = StProtocol::run(&cfg);
-            let mut rec = Telemetry::new();
-            let recorded = StProtocol::run_in_instrumented(&world, &mut NullSink, &mut rec);
-            assert_eq!(plain, recorded, "telemetry perturbed ST ({label})");
-            let null = StProtocol::run_in_instrumented(&world, &mut NullSink, &mut NullRecorder);
-            assert_eq!(plain, null, "NullRecorder perturbed ST ({label})");
-            assert!(
-                rec.counter("engine.slots_materialized") > 0,
-                "ST recorded nothing ({label})"
-            );
+        let plain = StProtocol::run(&cfg);
+        let mut rec = Telemetry::new();
+        let recorded = StProtocol::run_in_instrumented(&world, &mut NullSink, &mut rec);
+        assert_eq!(plain, recorded, "telemetry perturbed ST ({label})");
+        let null = StProtocol::run_in_instrumented(&world, &mut NullSink, &mut NullRecorder);
+        assert_eq!(plain, null, "NullRecorder perturbed ST ({label})");
+        assert!(
+            rec.counter("engine.slots_materialized") > 0,
+            "ST recorded nothing ({label})"
+        );
 
-            let plain = FstProtocol::run(&cfg);
-            let mut rec = Telemetry::new();
-            let recorded = FstProtocol::run_in_instrumented(&world, &mut NullSink, &mut rec);
-            assert_eq!(plain, recorded, "telemetry perturbed FST ({label})");
-            let null = FstProtocol::run_in_instrumented(&world, &mut NullSink, &mut NullRecorder);
-            assert_eq!(plain, null, "NullRecorder perturbed FST ({label})");
-            assert!(
-                rec.counter("engine.slots_materialized") > 0,
-                "FST recorded nothing ({label})"
-            );
-        }
+        let plain = FstProtocol::run(&cfg);
+        let mut rec = Telemetry::new();
+        let recorded = FstProtocol::run_in_instrumented(&world, &mut NullSink, &mut rec);
+        assert_eq!(plain, recorded, "telemetry perturbed FST ({label})");
+        let null = FstProtocol::run_in_instrumented(&world, &mut NullSink, &mut NullRecorder);
+        assert_eq!(plain, null, "NullRecorder perturbed FST ({label})");
+        assert!(
+            rec.counter("engine.slots_materialized") > 0,
+            "FST recorded nothing ({label})"
+        );
     }
 }
 
@@ -153,7 +147,7 @@ fn structure(t: &Telemetry) -> Vec<(String, u64)> {
 
 #[test]
 fn same_seed_reruns_have_identical_telemetry_structure() {
-    let cfg = scenario(60, 7).with_parallelism(Parallelism::Fixed(4));
+    let cfg = scenario(60, 7);
     let run = || {
         let mut rec = Telemetry::new();
         StProtocol::run_in_instrumented(&World::new(&cfg), &mut NullSink, &mut rec);
@@ -175,10 +169,8 @@ fn same_seed_reruns_have_identical_telemetry_structure() {
 
 #[test]
 fn hot_path_keys_are_recorded_with_plausible_magnitudes() {
-    // Event-driven + sharded medium exercises every instrumented path.
-    let cfg = scenario(80, 5)
-        .with_engine(EngineMode::EventDriven)
-        .with_parallelism(Parallelism::Fixed(4));
+    // The event-driven engine exercises every instrumented path.
+    let cfg = scenario(80, 5).with_engine(EngineMode::EventDriven);
     let mut rec = Telemetry::new();
     let out = StProtocol::run_in_instrumented(&World::new(&cfg), &mut NullSink, &mut rec);
     assert!(out.converged());
@@ -225,12 +217,18 @@ fn hot_path_keys_are_recorded_with_plausible_magnitudes() {
         Some(1),
         "one total-run timer sample"
     );
+    // The perf harness nests spans by arrival order: each resolved
+    // slot records one accumulation window, at most one gain-fill time
+    // inside it, then its resolution time.
+    let samples = |k: &str| rec.timer(k).map_or(0, |h| h.count());
+    let resolved = rec.counter("medium.slots_resolved");
+    assert!(resolved > 0);
+    assert_eq!(samples("medium.shard_busy_ns"), resolved);
+    assert_eq!(samples("medium.resolve_ns"), resolved);
+    let fill_samples = samples("medium.gain_fill_ns");
     assert!(
-        rec.timer("medium.shard_busy_ns")
-            .map(|h| h.count())
-            .unwrap_or(0)
-            > 0,
-        "sharded medium recorded no per-shard busy time"
+        fill_samples > 0 && fill_samples <= resolved,
+        "{fill_samples} gain-fill samples over {resolved} resolved slots"
     );
 }
 
@@ -251,4 +249,74 @@ fn event_engine_materializes_only_wake_slots() {
         "only {materialized} slots materialized"
     );
     assert_eq!(materialized, rec.counter("engine.wakeups_fired"));
+}
+
+/// Logs the order in which the medium's timer samples arrive — the
+/// order the perf harness rebuilds its span tree from.
+#[derive(Default)]
+struct MediumSampleOrder {
+    timers: Vec<&'static str>,
+    slots_resolved: u64,
+}
+
+impl Recorder for MediumSampleOrder {
+    fn add(&mut self, key: &'static str, delta: u64) {
+        if key == "medium.slots_resolved" {
+            self.slots_resolved += delta;
+        }
+    }
+
+    fn gauge(&mut self, _key: &'static str, _value: f64) {}
+
+    fn observe(&mut self, _key: &'static str, _value: u64) {}
+
+    fn record_ns(&mut self, key: &'static str, _ns: u64) {
+        if key.starts_with("medium.") {
+            self.timers.push(key);
+        }
+    }
+}
+
+/// Every resolved slot emits its medium timers as one span group, in
+/// this order: the accumulation window, the gain-fill time when a row
+/// was filled, then the slot's resolution time.
+#[test]
+fn medium_timer_samples_arrive_in_span_order() {
+    for engine in [EngineMode::Stepped, EngineMode::EventDriven] {
+        let cfg = scenario(60, 11).with_engine(engine);
+        let world = World::new(&cfg);
+        for (proto, mut rec) in [
+            ("ST", MediumSampleOrder::default()),
+            ("FST", Default::default()),
+        ] {
+            match proto {
+                "ST" => StProtocol::run_in_instrumented(&world, &mut NullSink, &mut rec),
+                _ => FstProtocol::run_in_instrumented(&world, &mut NullSink, &mut rec),
+            };
+            let label = format!("{proto} {engine:?}");
+            let (mut groups, mut fills) = (0u64, 0u64);
+            let mut samples = rec.timers.iter().copied().peekable();
+            while let Some(first) = samples.next() {
+                assert_eq!(
+                    first, "medium.shard_busy_ns",
+                    "group {groups} opens outside an accumulation window ({label})"
+                );
+                if samples.next_if_eq(&"medium.gain_fill_ns").is_some() {
+                    fills += 1;
+                }
+                assert_eq!(
+                    samples.next(),
+                    Some("medium.resolve_ns"),
+                    "group {groups} does not close with its resolution time ({label})"
+                );
+                groups += 1;
+            }
+            assert!(groups > 0, "no slot resolved ({label})");
+            assert_eq!(
+                groups, rec.slots_resolved,
+                "one group per resolved slot ({label})"
+            );
+            assert!(fills > 0, "no gain row was ever filled ({label})");
+        }
+    }
 }
