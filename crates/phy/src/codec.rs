@@ -7,14 +7,13 @@
 //! trees whereas RACH1 for regular operation for firefly algorithm."*
 //!
 //! Application-level discovery rides the same preambles: *"Different
-//! codecs scheme indicate different services in the application."* We
-//! model a service-interest space multiplexed onto cyclic shifts of the
-//! codec's root, so devices advertising the same service transmit
-//! correlated preambles a listener can classify.
+//! codecs scheme indicate different services in the application."*
+//! [`ServiceClass`] is that service-interest space, sized to LTE's 64
+//! preamble indices. The medium keys its collision accumulators by
+//! [`RachCodec`]: different codecs never interfere, the same codec in
+//! the same slot does.
 
 use serde::{Deserialize, Serialize};
-
-use crate::zadoffchu::{ZcSequence, LTE_PRACH_NZC};
 
 /// The two proximity-signal codecs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -37,25 +36,6 @@ impl RachCodec {
             RachCodec::Rach1 => ffd2d_trace::Codec::Rach1,
             RachCodec::Rach2 => ffd2d_trace::Codec::Rach2,
         }
-    }
-
-    /// The Zadoff–Chu root assigned to this codec. Distinct roots give
-    /// the `1/√N` cross-correlation that makes the codecs mutually
-    /// non-interfering (tested in [`crate::zadoffchu`]).
-    pub fn zc_root(self) -> u32 {
-        match self {
-            RachCodec::Rach1 => 129,
-            RachCodec::Rach2 => 421,
-        }
-    }
-
-    /// Generate the on-air preamble for this codec and a service class.
-    pub fn preamble(self, service: ServiceClass) -> ZcSequence {
-        // Cyclic shifts are spaced so that delay spread cannot alias one
-        // service into another (LTE's N_cs concept); 64 shifts of 13
-        // samples fit in N_zc = 839.
-        let shift = (service.0 as usize * 13) % LTE_PRACH_NZC;
-        ZcSequence::new(self.zc_root(), shift, LTE_PRACH_NZC)
     }
 }
 
@@ -95,36 +75,6 @@ impl ServiceClass {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn codec_roots_differ() {
-        assert_ne!(RachCodec::Rach1.zc_root(), RachCodec::Rach2.zc_root());
-    }
-
-    #[test]
-    fn codec_preambles_are_orthogonal_between_codecs() {
-        let p1 = RachCodec::Rach1.preamble(ServiceClass::KEEP_ALIVE);
-        let p2 = RachCodec::Rach2.preamble(ServiceClass::KEEP_ALIVE);
-        let c = p1.correlate(&p2);
-        assert!(
-            c < 2.0 / (LTE_PRACH_NZC as f64).sqrt(),
-            "cross-codec correlation {c}"
-        );
-    }
-
-    #[test]
-    fn service_shifts_are_orthogonal_within_codec() {
-        let a = RachCodec::Rach1.preamble(ServiceClass::new(3));
-        let b = RachCodec::Rach1.preamble(ServiceClass::new(4));
-        assert!(a.correlate(&b) < 1e-9);
-    }
-
-    #[test]
-    fn same_service_same_preamble() {
-        let a = RachCodec::Rach1.preamble(ServiceClass::new(9));
-        let b = RachCodec::Rach1.preamble(ServiceClass::new(9));
-        assert!((a.correlate(&b) - 1.0).abs() < 1e-12);
-    }
 
     #[test]
     fn service_class_matching() {

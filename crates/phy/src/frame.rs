@@ -3,9 +3,8 @@
 //! A proximity signal is physically a RACH preamble plus a small payload
 //! (the paper's devices piggyback fragment/head information on their
 //! PSs, as MEMFIS \[14\] multiplexes sync words with data). This module
-//! defines the frame vocabulary of Algorithms 1–3 and a compact wire
-//! format over [`bytes`] so frames can be serialised exactly as a real
-//! implementation would put them on the air.
+//! defines the frame vocabulary of Algorithms 1–3; the engines hand
+//! [`ProximitySignal`] values to the medium, never bytes.
 //!
 //! | Kind | Codec | Cast | Role |
 //! |------|-------|------|------|
@@ -17,7 +16,6 @@
 //! | `HAccept` | RACH2 | broadcast | Algorithm 2 handshake acknowledgement |
 //! | `NewFragment` | RACH1 | unicast | flood of the merged fragment's identity down the tree |
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
 use crate::codec::{RachCodec, ServiceClass};
@@ -135,18 +133,6 @@ impl FrameKind {
             | FrameKind::NewFragment { to, .. } => Some(to),
         }
     }
-
-    fn tag(&self) -> u8 {
-        match self {
-            FrameKind::Fire { .. } => 0,
-            FrameKind::DiscoveryReply { .. } => 1,
-            FrameKind::Report { .. } => 2,
-            FrameKind::MergeCmd { .. } => 3,
-            FrameKind::HConnect { .. } => 4,
-            FrameKind::HAccept { .. } => 5,
-            FrameKind::NewFragment { .. } => 6,
-        }
-    }
 }
 
 /// A complete on-air proximity signal.
@@ -160,178 +146,10 @@ pub struct ProximitySignal {
     pub kind: FrameKind,
 }
 
-/// Errors raised while decoding a frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FrameError {
-    /// Fewer bytes than the fixed header.
-    Truncated,
-    /// Unknown frame-kind tag.
-    BadTag(u8),
-    /// Service class outside the preamble index space.
-    BadService(u8),
-}
-
-impl core::fmt::Display for FrameError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            FrameError::Truncated => write!(f, "frame truncated"),
-            FrameError::BadTag(t) => write!(f, "unknown frame tag {t}"),
-            FrameError::BadService(s) => write!(f, "service class {s} out of range"),
-        }
-    }
-}
-
-impl std::error::Error for FrameError {}
-
 impl ProximitySignal {
     /// The codec this signal is transmitted on.
     pub fn codec(&self) -> RachCodec {
         self.kind.codec()
-    }
-
-    /// Serialise to the wire format.
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(28);
-        b.put_u32_le(self.sender);
-        b.put_u8(self.service.0);
-        b.put_u8(self.kind.tag());
-        match self.kind {
-            FrameKind::Fire { fragment, age } => {
-                b.put_u32_le(fragment);
-                b.put_u8(age);
-            }
-            FrameKind::DiscoveryReply { to } => b.put_u32_le(to),
-            FrameKind::Report {
-                to,
-                best_u,
-                best_v,
-                weight,
-            } => {
-                b.put_u32_le(to);
-                b.put_u32_le(best_u);
-                b.put_u32_le(best_v);
-                b.put_i32_le(weight);
-            }
-            FrameKind::MergeCmd { to, u, v } => {
-                b.put_u32_le(to);
-                b.put_u32_le(u);
-                b.put_u32_le(v);
-            }
-            FrameKind::HConnect {
-                to,
-                fragment,
-                fragment_size,
-                head,
-            }
-            | FrameKind::HAccept {
-                to,
-                fragment,
-                fragment_size,
-                head,
-            } => {
-                b.put_u32_le(to);
-                b.put_u32_le(fragment);
-                b.put_u32_le(fragment_size);
-                b.put_u32_le(head);
-            }
-            FrameKind::NewFragment { to, fragment, head } => {
-                b.put_u32_le(to);
-                b.put_u32_le(fragment);
-                b.put_u32_le(head);
-            }
-        }
-        b.freeze()
-    }
-
-    /// Deserialise from the wire format.
-    pub fn decode(mut buf: Bytes) -> Result<ProximitySignal, FrameError> {
-        if buf.remaining() < 6 {
-            return Err(FrameError::Truncated);
-        }
-        let sender = buf.get_u32_le();
-        let service_raw = buf.get_u8();
-        if service_raw >= ServiceClass::COUNT {
-            return Err(FrameError::BadService(service_raw));
-        }
-        let service = ServiceClass(service_raw);
-        let tag = buf.get_u8();
-        let need = |buf: &Bytes, n: usize| {
-            if buf.remaining() < n {
-                Err(FrameError::Truncated)
-            } else {
-                Ok(())
-            }
-        };
-        let kind = match tag {
-            0 => {
-                need(&buf, 5)?;
-                FrameKind::Fire {
-                    fragment: buf.get_u32_le(),
-                    age: buf.get_u8(),
-                }
-            }
-            1 => {
-                need(&buf, 4)?;
-                FrameKind::DiscoveryReply {
-                    to: buf.get_u32_le(),
-                }
-            }
-            2 => {
-                need(&buf, 16)?;
-                FrameKind::Report {
-                    to: buf.get_u32_le(),
-                    best_u: buf.get_u32_le(),
-                    best_v: buf.get_u32_le(),
-                    weight: buf.get_i32_le(),
-                }
-            }
-            3 => {
-                need(&buf, 12)?;
-                FrameKind::MergeCmd {
-                    to: buf.get_u32_le(),
-                    u: buf.get_u32_le(),
-                    v: buf.get_u32_le(),
-                }
-            }
-            4 | 5 => {
-                need(&buf, 16)?;
-                let (to, fragment, fragment_size, head) = (
-                    buf.get_u32_le(),
-                    buf.get_u32_le(),
-                    buf.get_u32_le(),
-                    buf.get_u32_le(),
-                );
-                if tag == 4 {
-                    FrameKind::HConnect {
-                        to,
-                        fragment,
-                        fragment_size,
-                        head,
-                    }
-                } else {
-                    FrameKind::HAccept {
-                        to,
-                        fragment,
-                        fragment_size,
-                        head,
-                    }
-                }
-            }
-            6 => {
-                need(&buf, 12)?;
-                FrameKind::NewFragment {
-                    to: buf.get_u32_le(),
-                    fragment: buf.get_u32_le(),
-                    head: buf.get_u32_le(),
-                }
-            }
-            t => return Err(FrameError::BadTag(t)),
-        };
-        Ok(ProximitySignal {
-            sender,
-            service,
-            kind,
-        })
     }
 }
 
@@ -374,19 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_round_trip_every_kind() {
-        for kind in all_kinds() {
-            let sig = ProximitySignal {
-                sender: 42,
-                service: ServiceClass::new(17),
-                kind,
-            };
-            let decoded = ProximitySignal::decode(sig.encode()).unwrap();
-            assert_eq!(decoded, sig, "round trip failed for {kind:?}");
-        }
-    }
-
-    #[test]
     fn codec_assignment_follows_section_iv() {
         for kind in all_kinds() {
             let expect = matches!(kind, FrameKind::HConnect { .. } | FrameKind::HAccept { .. });
@@ -409,56 +214,5 @@ mod tests {
             FrameKind::MergeCmd { to: 9, u: 1, v: 2 }.unicast_to(),
             Some(9)
         );
-    }
-
-    #[test]
-    fn truncated_frames_rejected() {
-        let sig = ProximitySignal {
-            sender: 1,
-            service: ServiceClass::KEEP_ALIVE,
-            kind: FrameKind::Report {
-                to: 1,
-                best_u: 2,
-                best_v: 3,
-                weight: -5,
-            },
-        };
-        let full = sig.encode();
-        for cut in 0..full.len() {
-            let res = ProximitySignal::decode(full.slice(0..cut));
-            assert_eq!(res, Err(FrameError::Truncated), "cut at {cut}");
-        }
-    }
-
-    #[test]
-    fn bad_tag_rejected() {
-        let mut raw = BytesMut::new();
-        raw.put_u32_le(1);
-        raw.put_u8(0); // service
-        raw.put_u8(250); // bogus tag
-        raw.put_u32_le(0);
-        assert_eq!(
-            ProximitySignal::decode(raw.freeze()),
-            Err(FrameError::BadTag(250))
-        );
-    }
-
-    #[test]
-    fn bad_service_rejected() {
-        let mut raw = BytesMut::new();
-        raw.put_u32_le(1);
-        raw.put_u8(64); // out of range
-        raw.put_u8(0);
-        raw.put_u32_le(0);
-        assert_eq!(
-            ProximitySignal::decode(raw.freeze()),
-            Err(FrameError::BadService(64))
-        );
-    }
-
-    #[test]
-    fn error_display() {
-        assert_eq!(FrameError::Truncated.to_string(), "frame truncated");
-        assert!(FrameError::BadTag(9).to_string().contains('9'));
     }
 }

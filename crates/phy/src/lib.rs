@@ -11,19 +11,12 @@
 //! 2. *Intra-codec collisions*: two devices transmitting the same codec
 //!    in the same slot interfere unless one captures the receiver.
 //!
-//! This crate builds that substrate from scratch:
+//! This crate models exactly those two properties:
 //!
-//! * [`cplx`] — a minimal complex-number type (no external dependency).
-//! * [`zadoffchu`] — Zadoff–Chu sequence generation and correlation
-//!   detection: constant amplitude, zero cyclic autocorrelation, and
-//!   `1/√N_zc` cross-correlation between coprime roots — the actual
-//!   mathematical reason LTE preambles with different roots do not
-//!   interfere, reproduced and tested here.
-//! * [`codec`] — the RACH1/RACH2 codec pair mapped onto ZC roots, plus
-//!   service-interest classes multiplexed onto cyclic shifts
-//!   (application-level discovery).
-//! * [`frame`] — proximity-signal frame encode/decode (`bytes`-based
-//!   wire format) carrying the protocol fields of Algorithms 1–3.
+//! * [`codec`] — the RACH1/RACH2 codec pair, plus the service-interest
+//!   classes of application-level discovery.
+//! * [`frame`] — the proximity-signal frame vocabulary carrying the
+//!   protocol fields of Algorithms 1–3.
 //! * [`medium`] — the shared-medium resolver: per-slot, per-receiver
 //!   decoding with orthogonal codecs, same-codec collisions and a
 //!   configurable capture margin.
@@ -32,12 +25,9 @@
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod cplx;
 pub mod frame;
 pub mod medium;
-pub mod zadoffchu;
 
 pub use codec::{RachCodec, ServiceClass};
 pub use frame::{FrameKind, ProximitySignal};
 pub use medium::{DeliveryReport, Medium, Transmission};
-pub use zadoffchu::ZcSequence;

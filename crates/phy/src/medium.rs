@@ -4,8 +4,7 @@
 //! and decides, for every potential receiver, what decodes:
 //!
 //! * transmissions on **different codecs** never interfere (orthogonal
-//!   Zadoff–Chu roots, §III's OFDMA argument — validated quantitatively
-//!   in [`crate::zadoffchu`]);
+//!   RACH preambles, §III's OFDMA argument);
 //! * within one codec, a receiver hearing **exactly one**
 //!   above-threshold transmission decodes it;
 //! * hearing **several**, the strongest decodes only if it beats the

@@ -9,16 +9,12 @@
 //! systems whose slot length (1 ms) is below the channel coherence time
 //! (tens of ms for pedestrian mobility).
 //!
-//! A Rician variant covers the LOS ablation: with K-factor `k` the power
-//! gain is the squared magnitude of a unit-mean complex Gaussian with a
-//! deterministic component.
-//!
 //! As with shadowing, every draw is a pure function of
 //! `(seed, link, block)` so trials replay identically.
 
 use serde::{Deserialize, Serialize};
 
-use crate::shadowing::{max_abs_standard_normal, standard_normal, to_unit_open};
+use crate::shadowing::to_unit_open;
 use crate::units::Db;
 use ffd2d_sim::deployment::DeviceId;
 use ffd2d_sim::rng::SplitMix64;
@@ -31,13 +27,6 @@ pub enum FadingModel {
     None,
     /// Rayleigh block fading — the Table-I UMi-NLOS case.
     Rayleigh {
-        /// Slots per coherence block.
-        coherence_slots: u64,
-    },
-    /// Rician block fading with linear K-factor `k` (LOS ablation).
-    Rician {
-        /// Ratio of deterministic to scattered power (linear).
-        k: f64,
         /// Slots per coherence block.
         coherence_slots: u64,
     },
@@ -56,10 +45,7 @@ impl FadingModel {
     fn block(&self, slot: Slot) -> u64 {
         match *self {
             FadingModel::None => 0,
-            FadingModel::Rayleigh { coherence_slots }
-            | FadingModel::Rician {
-                coherence_slots, ..
-            } => slot.0 / coherence_slots.max(1),
+            FadingModel::Rayleigh { coherence_slots } => slot.0 / coherence_slots.max(1),
         }
     }
 
@@ -93,8 +79,6 @@ impl FadingModel {
     /// * `Rayleigh` draws `−ln u` with `u ≥ 2⁻⁵³` (see
     ///   `shadowing::to_unit_open`), so the power gain is at
     ///   most `53·ln 2` linear ⇒ `10·log10(53·ln 2) ≈ 15.65` dB.
-    /// * `Rician` is bounded by setting both Gaussian components to the
-    ///   extreme of [`max_abs_standard_normal`].
     ///
     /// Unlike a statistical fade margin, candidate pruning with this
     /// bound is *exact*: a link whose mean power sits below
@@ -103,14 +87,6 @@ impl FadingModel {
         match *self {
             FadingModel::None => 0.0,
             FadingModel::Rayleigh { .. } => 10.0 * (53.0 * core::f64::consts::LN_2).log10() + 1e-9,
-            FadingModel::Rician { k, .. } => {
-                let nmax = max_abs_standard_normal();
-                let scatter = 1.0 / (k + 1.0);
-                let los = (k / (k + 1.0)).sqrt();
-                let amp = (scatter / 2.0).sqrt() * nmax;
-                let p = (los + amp) * (los + amp) + amp * amp;
-                10.0 * p.log10() + 1e-9
-            }
         }
     }
 }
@@ -135,23 +111,10 @@ impl SlotFade {
             FadingModel::None => 0.0,
             FadingModel::Rayleigh { .. } => {
                 let key = link_block_key(a, b, self.block_term);
-                // ffd2d-lint: allow(rng-discipline) — stateless keyed field sampler (pure in (seed, link, block)); the constant domain-separates Rayleigh draws from the Rician quadratures
+                // ffd2d-lint: allow(rng-discipline) — stateless keyed field sampler (pure in (seed, link, block)); the constant domain-separates fading draws from the shadowing field
                 let u = to_unit_open(SplitMix64::mix(self.seed ^ 0xFAD1_4EED ^ key));
                 // Inverse-CDF of Exp(1); clamp to avoid -inf dB in the tail.
                 let p = (-u.ln()).max(1e-12);
-                10.0 * p.log10()
-            }
-            FadingModel::Rician { k, .. } => {
-                // h = sqrt(k/(k+1)) + CN(0, 1/(k+1)); power = |h|^2.
-                let key = link_block_key(a, b, self.block_term);
-                // ffd2d-lint: allow(rng-discipline) — stateless keyed field sampler: a pure function of (seed, link, block) that consumes no stream, so evaluation order cannot matter; the tags separate the two quadrature components
-                let re = standard_normal(self.seed ^ 0x51C1_A0B4, key);
-                let im = standard_normal(self.seed ^ 0x1C1A_77EE, key ^ 0xABCD); // ffd2d-lint: allow(rng-discipline) — second quadrature tag of the draw above
-                let scatter = 1.0 / (k + 1.0);
-                let los = (k / (k + 1.0)).sqrt();
-                let h_re = los + re * (scatter / 2.0).sqrt();
-                let h_im = im * (scatter / 2.0).sqrt();
-                let p = (h_re * h_re + h_im * h_im).max(1e-12);
                 10.0 * p.log10()
             }
         }
@@ -229,33 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn rician_high_k_is_nearly_deterministic() {
-        let f = FadingModel::Rician {
-            k: 1000.0,
-            coherence_slots: 1,
-        };
-        for s in 0..100 {
-            let g = f.gain(5, 0, 1, Slot(s)).0;
-            assert!(g.abs() < 1.0, "gain {g} dB too far from 0 at high K");
-        }
-    }
-
-    #[test]
-    fn rician_unit_mean_linear() {
-        let f = FadingModel::Rician {
-            k: 3.0,
-            coherence_slots: 1,
-        };
-        let n = 50_000u64;
-        let mut sum = 0.0;
-        for s in 0..n {
-            sum += f.gain(17, 0, 1, Slot(s)).as_linear();
-        }
-        let mean = sum / n as f64;
-        assert!((mean - 1.0).abs() < 0.05, "mean {mean}");
-    }
-
-    #[test]
     fn different_links_decorrelated() {
         let f = FadingModel::umi_nlos();
         assert_ne!(f.gain(1, 0, 1, Slot(0)), f.gain(1, 0, 2, Slot(0)));
@@ -274,15 +210,6 @@ mod tests {
                 let u = to_unit_open(SplitMix64::mix(seed ^ 0xFAD1_4EED ^ key));
                 10.0 * (-u.ln()).max(1e-12).log10()
             }
-            FadingModel::Rician { k, .. } => {
-                let re = standard_normal(seed ^ 0x51C1_A0B4, key);
-                let im = standard_normal(seed ^ 0x1C1A_77EE, key ^ 0xABCD);
-                let scatter = 1.0 / (k + 1.0);
-                let los = (k / (k + 1.0)).sqrt();
-                let h_re = los + re * (scatter / 2.0).sqrt();
-                let h_im = im * (scatter / 2.0).sqrt();
-                10.0 * (h_re * h_re + h_im * h_im).max(1e-12).log10()
-            }
         }
     }
 
@@ -292,10 +219,6 @@ mod tests {
             FadingModel::None,
             FadingModel::Rayleigh { coherence_slots: 1 },
             FadingModel::Rayleigh {
-                coherence_slots: 20,
-            },
-            FadingModel::Rician {
-                k: 3.0,
                 coherence_slots: 20,
             },
         ];
@@ -337,14 +260,6 @@ mod tests {
         let models = [
             FadingModel::None,
             FadingModel::Rayleigh { coherence_slots: 1 },
-            FadingModel::Rician {
-                k: 3.0,
-                coherence_slots: 1,
-            },
-            FadingModel::Rician {
-                k: 0.1,
-                coherence_slots: 1,
-            },
         ];
         for f in models {
             let bound = f.max_gain_db();

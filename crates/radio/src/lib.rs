@@ -11,14 +11,13 @@
 //!   outdoor model (Table I) is piecewise:
 //!   `PL(d) = 4.35 + 25·log10(d)` for `d < 6 m`, else
 //!   `PL(d) = 40.0 + 40·log10(d)`; the general log-distance model of
-//!   eq. (7) (`p** = p* + 10·n·log10(r/r0)`) and free-space loss are also
-//!   provided for ablations.
+//!   eq. (7) (`p** = p* + 10·n·log10(r/r0)`) serves the RSSI-error
+//!   experiment.
 //! * [`shadowing`] — per-link log-normal (Gaussian-in-dB) shadowing with
 //!   the Table-I standard deviation of 10 dB; symmetric and constant per
 //!   link within a trial, derived deterministically from the trial seed.
-//! * [`fading`] — UMi-NLOS fast fading as Rayleigh block fading (and a
-//!   Rician variant for LOS ablations), one power draw per link per
-//!   coherence block.
+//! * [`fading`] — UMi-NLOS fast fading as Rayleigh block fading, one
+//!   power draw per link per coherence block.
 //! * [`rssi`] — the paper's ranging model, eqs. (6)–(12): distance
 //!   estimation by path-loss inversion and the closed-form relative
 //!   error `ε = 10^{x/(10·n)} − 1` under shadowing `x`.

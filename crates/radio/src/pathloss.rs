@@ -11,9 +11,9 @@
 //!
 //! §III additionally uses the classic log-distance model of eq. (7)
 //! (`p** = p* + 10·n·log10(r/r0)` with path-loss exponent `n` = 2 indoor
-//! / 4 outdoor) for the RSSI error derivation; both are implemented, as
-//! is free-space loss for sanity baselines. Each model is invertible —
-//! inversion is exactly what RSSI ranging does (eq. (11)).
+//! / 4 outdoor) for the RSSI error derivation; both are implemented.
+//! Each model is invertible — inversion is exactly what RSSI ranging
+//! does (eq. (11)).
 
 use serde::{Deserialize, Serialize};
 
@@ -37,11 +37,6 @@ pub enum PathLoss {
         exponent: f64,
         /// Reference distance in meters.
         r0: f64,
-    },
-    /// Free-space loss at carrier frequency `freq_ghz` GHz.
-    FreeSpace {
-        /// Carrier frequency in GHz.
-        freq_ghz: f64,
     },
 }
 
@@ -67,7 +62,6 @@ impl PathLoss {
             // 40 dB/decade, i.e. exponent 4 (outdoor, as stated in §III).
             PathLoss::PaperPiecewise => 4.0,
             PathLoss::LogDistance { exponent, .. } => exponent,
-            PathLoss::FreeSpace { .. } => 2.0,
         }
     }
 
@@ -83,10 +77,6 @@ impl PathLoss {
                 }
             }
             PathLoss::LogDistance { pl0, exponent, r0 } => pl0 + 10.0 * exponent * (d / r0).log10(),
-            PathLoss::FreeSpace { freq_ghz } => {
-                // FSPL(dB) = 20·log10(d_km) + 20·log10(f_MHz) + 32.44
-                32.44 + 20.0 * (d / 1000.0).log10() + 20.0 * (freq_ghz * 1000.0).log10()
-            }
         };
         Db(db)
     }
@@ -118,9 +108,6 @@ impl PathLoss {
             }
             PathLoss::LogDistance { pl0, exponent, r0 } => {
                 r0 * 10f64.powf((l - pl0) / (10.0 * exponent))
-            }
-            PathLoss::FreeSpace { freq_ghz } => {
-                1000.0 * 10f64.powf((l - 32.44 - 20.0 * (freq_ghz * 1000.0).log10()) / 20.0)
             }
         };
         Meters(d.max(MIN_DISTANCE_M))
@@ -214,15 +201,6 @@ mod tests {
         };
         let delta = m.loss(Meters(20.0)).0 - m.loss(Meters(10.0)).0;
         assert!((delta - 20.0 * 2f64.log10()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn free_space_reference_value() {
-        // FSPL at 1 km, 2.4 GHz ≈ 100.05 dB.
-        let m = PathLoss::FreeSpace { freq_ghz: 2.4 };
-        assert!((m.loss(Meters(1000.0)).0 - 100.04).abs() < 0.1);
-        let back = m.invert(m.loss(Meters(333.0)));
-        assert!((back.0 - 333.0).abs() < 1e-6);
     }
 
     #[test]

@@ -18,7 +18,6 @@ fn models() -> impl Strategy<Value = PathLoss> {
             exponent,
             r0: 1.0
         }),
-        (0.5..6.0f64).prop_map(|freq_ghz| PathLoss::FreeSpace { freq_ghz }),
     ]
 }
 

@@ -12,8 +12,9 @@
 //! * [`radio`] — path loss (Table I piecewise model), log-normal
 //!   shadowing, UMi-NLOS fast fading, RSSI ranging with the paper's
 //!   error model (eqs. 6–12), link budgets.
-//! * [`phy`] — Zadoff–Chu RACH preambles, the two-codec proximity-signal
-//!   scheme (RACH1/RACH2), collision model, resource grid.
+//! * [`phy`] — the two-codec proximity-signal scheme (RACH1/RACH2), the
+//!   frame vocabulary of Algorithms 1–3, and the shared-medium collision
+//!   and capture model.
 //! * [`graph`] — weighted proximity graphs, union–find, maximum spanning
 //!   tree algorithms (Borůvka / Kruskal / Prim) and GHS-style fragments.
 //! * [`osc`] — Mirollo–Strogatz pulse-coupled oscillators with the
