@@ -36,8 +36,6 @@ use serde::{Deserialize, Serialize};
 
 use ffd2d_sim::rng::{SplitMix64, StreamId, StreamRng};
 
-mod json;
-
 /// Direction of a churn event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ChurnKind {
@@ -286,15 +284,9 @@ impl FaultPlan {
         }
     }
 
-    /// Parse a plan from its JSON representation (see `json` module
-    /// docs for the schema).
-    pub fn from_json(text: &str) -> Result<FaultPlan, String> {
-        json::plan_from_json(text)
-    }
-
-    /// Resolve a `--faults` CLI spec: a preset name (`churn-light`,
-    /// `churn-heavy`, `lossy`) scaled to the scenario, or a path ending
-    /// in `.json` holding a serialized plan.
+    /// Resolve a preset by name (`churn-light`, `churn-heavy`, `lossy`),
+    /// scaled to `n` devices and the horizon. Plans written out as JSON
+    /// are read by `ffd2d-experiments`, which owns `--faults`.
     pub fn resolve(spec: &str, n: usize, horizon_slots: u64) -> Result<FaultPlan, String> {
         match spec {
             "churn-light" => Ok(Self::churn_preset(n, horizon_slots, 20, true, 0.0)),
@@ -304,11 +296,6 @@ impl FaultPlan {
                 dup_prob: 0.02,
                 ..FaultPlan::none()
             }),
-            path if path.ends_with(".json") => {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("reading fault plan {path}: {e}"))?;
-                Self::from_json(&text)
-            }
             other => Err(format!(
                 "unknown fault spec {other:?} (expected churn-light, churn-heavy, lossy, or a .json path)"
             )),

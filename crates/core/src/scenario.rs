@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-pub use ffd2d_chaos::FaultPlan;
+pub use ffd2d_chaos::{ChurnEvent, ChurnKind, ClockSkew, FaultPlan, PowerDroop};
 pub use ffd2d_parallel::Parallelism;
 use ffd2d_phy::codec::ServiceClass;
 use ffd2d_radio::channel::ChannelConfig;

@@ -22,13 +22,13 @@
 
 use std::path::PathBuf;
 
-use ffd2d_core::ScenarioConfig;
+use ffd2d_core::{FaultPlan, ScenarioConfig};
 use ffd2d_experiments::ablation::{
     coupling_sweep, density_sweep, shadowing_sweep, topology_comparison, AblationParams,
 };
+use ffd2d_experiments::faults::fault_plan;
 use ffd2d_experiments::{
-    engine_from_args, faults_from_args, flag_value, gain_cache_from_args, or_usage_exit,
-    reject_unknown_flags,
+    engine_from_args, flag_value, gain_cache_from_args, or_usage_exit, reject_unknown_flags,
 };
 use ffd2d_sim::time::SlotDuration;
 
@@ -54,7 +54,8 @@ fn main() {
     or_usage_exit(reject_unknown_flags(&args, FLAGS), USAGE);
     let trace_dir = or_usage_exit(flag_value(&args, "--trace"), USAGE).map(PathBuf::from);
     let telemetry_dir = or_usage_exit(flag_value(&args, "--telemetry"), USAGE).map(PathBuf::from);
-    let fault_spec = or_usage_exit(faults_from_args(&args), USAGE);
+    let fault_spec = or_usage_exit(flag_value(&args, "--faults"), USAGE);
+    let baseline = or_usage_exit(baseline_scenario(fault_spec), USAGE);
     // A leading flag (e.g. `ablation --engine stepped`) means "all".
     let which = match args.get(1).filter(|a| !a.starts_with("--")) {
         None => "all",
@@ -138,23 +139,8 @@ fn main() {
         );
     }
     if trace_dir.is_some() || telemetry_dir.is_some() {
-        let params = AblationParams::default();
-        let faults = match &fault_spec {
-            Some(spec) => match ffd2d_core::FaultPlan::resolve(spec, params.n, params.horizon.0) {
-                Ok(plan) => plan,
-                Err(e) => {
-                    eprintln!("--faults: {e}");
-                    std::process::exit(2);
-                }
-            },
-            None => ffd2d_core::FaultPlan::none(),
-        };
-        let scenario = ScenarioConfig::table1(params.n)
-            .seeded(params.seed)
-            .with_max_slots(params.horizon)
-            .with_faults(faults);
         if let Some(dir) = trace_dir {
-            match ffd2d_experiments::trace::write_st_trace(&scenario, &dir, "ablation_st") {
+            match ffd2d_experiments::trace::write_st_trace(&baseline, &dir, "ablation_st") {
                 Ok(path) => eprintln!(
                     "traced baseline ST trial: {} + results/timeline_ablation_st.csv",
                     path.display()
@@ -166,7 +152,7 @@ fn main() {
             }
         }
         if let Some(dir) = telemetry_dir {
-            match ffd2d_experiments::telemetry::write_st_telemetry(&scenario, &dir, "ablation_st") {
+            match ffd2d_experiments::telemetry::write_st_telemetry(&baseline, &dir, "ablation_st") {
                 Ok(path) => eprintln!(
                     "profiled baseline ST trial: {} (render with perf_inspect)",
                     path.display()
@@ -178,6 +164,24 @@ fn main() {
             }
         }
     }
+}
+
+/// The Table-I baseline scenario the `--trace` / `--telemetry` trial
+/// runs, under the `--faults` plan. The plan is resolved and checked
+/// while flags are parsed, so one that does not fit the scenario is a
+/// usage error before any ablation runs.
+fn baseline_scenario(fault_spec: Option<&str>) -> Result<ScenarioConfig, String> {
+    let params = AblationParams::default();
+    let faults = match fault_spec {
+        Some(spec) => fault_plan(spec, params.n, params.horizon.0),
+        None => Ok(FaultPlan::none()),
+    };
+    let scenario = ScenarioConfig::table1(params.n)
+        .seeded(params.seed)
+        .with_max_slots(params.horizon)
+        .with_faults(faults.map_err(|e| format!("--faults: {e}"))?);
+    scenario.validate().map_err(|e| format!("--faults: {e}"))?;
+    Ok(scenario)
 }
 
 #[cfg(test)]
@@ -192,5 +196,40 @@ mod tests {
         assert!(reject_unknown_flags(&foreign, FLAGS).is_err());
         let known = argv(&["ablation", "sigma", "--engine", "event", "--trace", "t"]);
         assert!(reject_unknown_flags(&known, FLAGS).is_ok());
+    }
+
+    #[test]
+    fn plans_that_do_not_fit_are_usage_errors() {
+        let dir = std::env::temp_dir().join(format!("ablation_plans_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let n = AblationParams::default().n;
+        for (name, plan, needle) in [
+            (
+                "drop.json",
+                r#"{"drop_prob": 1.5}"#.to_string(),
+                "drop_prob",
+            ),
+            (
+                "device.json",
+                format!(r#"{{"churn": [{{"slot": 1000, "device": {n}, "kind": "leave"}}]}}"#),
+                "references device",
+            ),
+        ] {
+            let path = dir.join(name);
+            std::fs::write(&path, plan).unwrap();
+            let err = baseline_scenario(path.to_str()).unwrap_err();
+            assert!(
+                err.starts_with("--faults: ") && err.contains(needle),
+                "{err}"
+            );
+        }
+        assert!(baseline_scenario(Some("no-such-plan")).is_err());
+        let fits = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/data/fault_plan.json"
+        );
+        assert!(!baseline_scenario(Some(fits)).unwrap().faults.is_none());
+        assert!(baseline_scenario(None).unwrap().faults.is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,5 +1,5 @@
 //! Summarize a JSONL protocol trace written by `--trace` (or any
-//! [`ffd2d_trace::JsonlSink`] log).
+//! [`JsonlSink`](ffd2d_experiments::trace::JsonlSink) log).
 //!
 //! Usage: trace_inspect <trace.jsonl>
 //!
@@ -21,8 +21,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader};
 use std::process::ExitCode;
 
+use ffd2d_experiments::trace::parse_event;
 use ffd2d_metrics::Percentiles;
-use ffd2d_trace::{parse_event, TimelineSink, TraceEvent, TraceSink};
+use ffd2d_trace::{TimelineSink, TraceEvent, TraceSink};
 
 /// Message tallies for one protocol phase.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]

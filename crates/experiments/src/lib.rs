@@ -21,6 +21,7 @@
 
 pub mod ablation;
 pub mod complexity;
+pub mod faults;
 pub mod fig2;
 pub mod rssi_error;
 pub mod sweep;
@@ -34,7 +35,7 @@ pub use trace::write_sweep_traces;
 
 use std::path::PathBuf;
 
-use ffd2d_core::{EngineMode, FaultPlan, GainCacheMode};
+use ffd2d_core::{EngineMode, GainCacheMode};
 
 /// Every flag the `fig3` and `fig4` binaries accept.
 const SWEEP_FLAGS: &[&str] = &[
@@ -117,7 +118,8 @@ where
 ///
 /// Every error is a usage error: an unknown flag, a flag without its
 /// value, a non-numeric, zero or out-of-range count, a `--max-n` below
-/// every node count, or an unknown engine, cache mode or fault spec.
+/// every node count, an unknown engine, cache mode or fault spec, or a
+/// fault plan that does not fit some cell (see [`faults::fault_plan`]).
 pub fn sweep_params_from_args(args: &[String]) -> Result<SweepParams, String> {
     reject_unknown_flags(args, SWEEP_FLAGS)?;
     let mut params = if args.iter().any(|a| a == "--quick") {
@@ -152,7 +154,15 @@ pub fn sweep_params_from_args(args: &[String]) -> Result<SweepParams, String> {
     if let Some(mode) = gain_cache_from_args(args)? {
         params.gain_cache = mode;
     }
-    params.faults = faults_from_args(args)?;
+    params.faults = flag_value(args, "--faults")?.map(String::from);
+    // Resolve the plan for every cell and check that it fits, so a plan
+    // naming a device a cell lacks fails here instead of panicking
+    // inside the trial pool.
+    for (n, scenario) in params.replay_scenarios()? {
+        scenario
+            .validate()
+            .map_err(|e| format!("--faults at n = {n}: {e}"))?;
+    }
     Ok(params)
 }
 
@@ -207,20 +217,6 @@ pub fn sweep_main(bin: &str, messages: bool) {
             }
         }
     }
-}
-
-/// Parse the `--faults <spec>` flag shared by the experiment binaries:
-/// a churn preset (`churn-light`, `churn-heavy`, `lossy`) or a path to
-/// a `.json` fault plan. The spec is validated eagerly against a
-/// representative population so a typo fails here, not after the sweep
-/// has burned CPU; presets are re-resolved per node count inside the
-/// sweep (they scale with the population).
-pub fn faults_from_args(args: &[String]) -> Result<Option<String>, String> {
-    let Some(spec) = flag_value(args, "--faults")? else {
-        return Ok(None);
-    };
-    FaultPlan::resolve(spec, 50, 30_000).map_err(|e| format!("--faults: {e}"))?;
-    Ok(Some(spec.to_string()))
 }
 
 /// Parse the `--engine stepped|event` flag shared by the experiment
@@ -330,5 +326,41 @@ mod tests {
         assert_eq!(flag_value(&args, "--trace"), Ok(Some("dir")));
         assert_eq!(flag_value(&args, "--faults"), Ok(None));
         assert!(flag_value(&args, "--telemetry").is_err());
+    }
+
+    #[test]
+    fn plans_that_do_not_fit_a_cell_are_usage_errors() {
+        let dir = std::env::temp_dir().join(format!("sweep_plans_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // Device 80 exists only in the quick sweep's n = 100 cell.
+        for (name, plan, needle) in [
+            ("drop.json", r#"{"drop_prob": 1.5}"#, "at n = 20: drop_prob"),
+            (
+                "device.json",
+                r#"{"churn": [{"slot": 1000, "device": 80, "kind": "leave"}]}"#,
+                "at n = 20: churn event references device 80",
+            ),
+        ] {
+            let path = dir.join(name);
+            std::fs::write(&path, plan).unwrap();
+            let err = parse(&["--quick", "--faults", path.to_str().unwrap()]).unwrap_err();
+            assert!(err.contains(needle), "{err}");
+        }
+        let device = dir.join("device.json");
+        assert!(parse(&[
+            "--quick",
+            "--nodes",
+            "100",
+            "--faults",
+            device.to_str().unwrap()
+        ])
+        .is_ok());
+        let example = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/data/fault_plan.json"
+        );
+        let p = parse(&["--quick", "--faults", example]).unwrap();
+        assert_eq!(p.faults.as_deref(), Some(example));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

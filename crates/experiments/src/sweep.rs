@@ -50,9 +50,9 @@ pub struct SweepParams {
     pub medium: Parallelism,
     /// Fault-injection spec (`--faults`): a churn preset name or a
     /// `.json` plan path, resolved per node count via
-    /// [`FaultPlan::resolve`]. `None` runs the clean sweep (and is then
-    /// provably outcome-neutral — the CSVs are bit-identical to a build
-    /// without the chaos subsystem at all).
+    /// [`crate::faults::fault_plan`]. `None` runs the clean sweep (and
+    /// is then provably outcome-neutral — the CSVs are bit-identical to
+    /// a build without the chaos subsystem at all).
     pub faults: Option<String>,
     /// Gain cache in the fast medium. Outcome-neutral (locked by
     /// `tests/gain_cache.rs`): `Off` recomputes every mean link gain
@@ -81,7 +81,7 @@ impl SweepParams {
     /// preset scaled to `n` and the horizon, or the loaded `.json` plan.
     pub(crate) fn fault_plan(&self, n: usize) -> Result<FaultPlan, String> {
         match &self.faults {
-            Some(spec) => FaultPlan::resolve(spec, n, self.horizon.0)
+            Some(spec) => crate::faults::fault_plan(spec, n, self.horizon.0)
                 .map_err(|e| format!("--faults {spec:?}: {e}")),
             None => Ok(FaultPlan::none()),
         }

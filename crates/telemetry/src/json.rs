@@ -1,11 +1,13 @@
-//! Minimal JSON reader for run manifests.
+//! The workspace's one JSON reader.
 //!
 //! The workspace's `serde` is an inert offline stub (derives compile
-//! but do nothing), so manifests are written by hand in
-//! [`crate::manifest`] and read back here — the same approach
-//! `ffd2d-chaos` takes for `--faults PLAN.json` files. Only the subset
-//! the manifest schema needs is implemented: objects, arrays, strings
-//! without escapes, numbers, `true`/`false`/`null`.
+//! but do nothing), so every JSON document is read by hand, here: run
+//! manifests ([`crate::manifest`]), `--faults PLAN.json` fault plans
+//! and the JSONL trace logs `trace_inspect` reads back (both in
+//! `ffd2d-experiments`). Only the subset those formats need is
+//! implemented: objects, arrays, strings without escapes, numbers,
+//! `true`/`false`/`null`. Errors start with `JSON:`; callers prefix
+//! what they were reading.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,10 +57,19 @@ impl Value {
         }
     }
 
-    /// The number as a non-negative integer.
+    /// The number as a non-negative integer. `u64::MAX as f64` rounds
+    /// up to 2^64, which is out of range, so the bound is strict.
     pub fn as_u64(&self) -> Option<u64> {
         let n = self.as_f64()?;
-        (n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64).then_some(n as u64)
+        (n >= 0.0 && n.fract() == 0.0 && n < u64::MAX as f64).then_some(n as u64)
+    }
+
+    /// The boolean, if this is one.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
     }
 
     /// The string, if this is one.
@@ -85,7 +96,7 @@ struct Parser<'a> {
 
 impl<'a> Parser<'a> {
     fn err(&self, msg: &str) -> String {
-        format!("manifest JSON: {msg} at byte {}", self.pos)
+        format!("JSON: {msg} at byte {}", self.pos)
     }
 
     fn skip_ws(&mut self) {
@@ -243,7 +254,7 @@ mod tests {
         );
         match v.get("b") {
             Some(Value::Arr(items)) => {
-                assert_eq!(items[0], Value::Bool(true));
+                assert_eq!(items[0].as_bool(), Some(true));
                 assert_eq!(items[1], Value::Null);
                 assert_eq!(items[2].as_str(), Some("x"));
             }
@@ -264,4 +275,33 @@ mod tests {
         assert_eq!(v.get("n").and_then(Value::as_u64), None);
         assert_eq!(v.get("n").and_then(Value::as_f64), Some(-3.0));
     }
+
+    #[test]
+    fn two_to_the_64_is_not_u64() {
+        let at = |text: &str| Value::parse(text).unwrap().as_u64();
+        assert_eq!(at("18446744073709551616"), None);
+        assert_eq!(at("1e300"), None);
+        // The largest f64 below 2^64 still fits.
+        assert_eq!(at("18446744073709549568"), Some(18_446_744_073_709_549_568));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn parse_never_panics(
+            picks in proptest::collection::vec(0usize..TOKENS.len(), 0..48),
+            bytes in proptest::collection::vec(proptest::strategy::any::<u8>(), 0..48),
+        ) {
+            let text: String = picks.iter().map(|&i| TOKENS[i]).collect();
+            let _ = Value::parse(&text);
+            let _ = Value::parse(&String::from_utf8_lossy(&bytes));
+        }
+    }
+
+    /// Fragments arbitrary documents are assembled from: every byte
+    /// the grammar branches on, plus a multi-byte character and a
+    /// backslash.
+    const TOKENS: &[&str] = &[
+        "{", "}", "[", "]", "\"", ":", ",", " ", "-", "+", ".", "e", "E", "0", "7", "1e999", "t",
+        "true", "f", "false", "n", "null", "x", "\\", "é", "\n",
+    ];
 }

@@ -222,7 +222,7 @@ fn summary_from(name: &str, v: &Value) -> Result<HistogramSummary, String> {
 impl ManifestSummary {
     /// Parse a manifest JSON document.
     pub fn parse(text: &str) -> Result<ManifestSummary, String> {
-        let root = Value::parse(text)?;
+        let root = Value::parse(text).map_err(|e| format!("manifest {e}"))?;
         match root.get("schema").and_then(Value::as_str) {
             Some("ffd2d-telemetry/1") => {}
             Some(other) => return Err(format!("manifest JSON: unknown schema {other:?}")),

@@ -26,20 +26,20 @@
 //! * [`TimelineSink`] — per-slot aggregation (fragment count, sync
 //!   error, discovery completeness, collision rate) with CSV export,
 //!   the raw material of convergence-dynamics plots.
-//! * [`JsonlSink`] — replayable event log, one JSON object per line,
-//!   written through any `std::io::Write`. Same seed + same scenario ⇒
-//!   byte-identical log. [`jsonl::parse_event`] reads it back.
 //! * [`TeeSink`] — fan one event stream into two sinks.
+//!
+//! The replayable JSONL event log (`JsonlSink`, `encode_event`,
+//! `parse_event`) lives in `ffd2d-experiments`' `trace` module, beside
+//! the `--trace` replays that write it and the JSON reader that parses
+//! it back.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod event;
-pub mod jsonl;
 pub mod sink;
 pub mod timeline;
 
 pub use event::{Codec, FaultKind, FrameLabel, ProtoPhase, RejectReason, TraceEvent};
-pub use jsonl::{encode_event, parse_event, JsonlSink};
 pub use sink::{CountingSink, NullSink, TeeSink, TraceSink};
 pub use timeline::{TimelineRow, TimelineSink};

@@ -22,9 +22,9 @@
 use ffd2d::baseline::FstProtocol;
 use ffd2d::chaos::{ChurnEvent, ChurnKind, ClockSkew, FaultPlan, PowerDroop};
 use ffd2d::core::{EngineMode, RunOutcome, ScenarioConfig, StProtocol, World};
+use ffd2d::experiments::trace::JsonlSink;
 use ffd2d::sim::time::SlotDuration;
 use ffd2d::telemetry::NullRecorder;
-use ffd2d::trace::JsonlSink;
 
 fn cfg(n: usize, seed: u64, horizon: u64) -> ScenarioConfig {
     ScenarioConfig::table1(n)
@@ -239,4 +239,33 @@ fn fst_reconverges_after_churn_at_n50() {
         .unwrap_or_else(|| panic!("no re-convergence after slot {last_fault}: {out:?}"));
     assert!(reconv.0 <= horizon - last_fault);
     assert!(out.tree_edges.is_empty());
+}
+
+/// The checked-in schema example loads through the `--faults` loader
+/// to exactly the plan it spells out.
+#[test]
+fn checked_in_plan_loads_exactly() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/fault_plan.json");
+    let plan = ffd2d::experiments::faults::fault_plan(path, 50, 30_000).expect("plan loads");
+    let expected = FaultPlan {
+        drop_prob: 0.05,
+        dup_prob: 0.01,
+        churn: vec![ChurnEvent {
+            slot: 1000,
+            device: 3,
+            kind: ChurnKind::Leave,
+        }],
+        skew: vec![ClockSkew {
+            device: 1,
+            extra_slots: -4,
+        }],
+        droop: vec![PowerDroop {
+            device: 2,
+            from_slot: 100,
+            until_slot: 400,
+            droop_db: 12.0,
+        }],
+    };
+    assert_eq!(plan, expected);
+    assert!(cfg(50, 1, 30_000).with_faults(plan).validate().is_ok());
 }

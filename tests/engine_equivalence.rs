@@ -35,11 +35,12 @@
 use ffd2d::baseline::FstProtocol;
 use ffd2d::chaos::{ChurnEvent, ChurnKind, ClockSkew, FaultPlan};
 use ffd2d::core::{EngineMode, RunOutcome, ScenarioConfig, StProtocol, World};
+use ffd2d::experiments::trace::JsonlSink;
 use ffd2d::radio::fading::FadingModel;
 use ffd2d::sim::deployment::Meters;
 use ffd2d::sim::time::SlotDuration;
 use ffd2d::telemetry::{NullRecorder, Telemetry};
-use ffd2d::trace::{JsonlSink, NullSink};
+use ffd2d::trace::NullSink;
 
 /// Table-I channel in the paper arena (dense, heavy shadowing+fading).
 fn table1_cfg(n: usize, seed: u64, horizon: u64) -> ScenarioConfig {

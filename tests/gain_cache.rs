@@ -20,13 +20,14 @@
 use ffd2d::baseline::FstProtocol;
 use ffd2d::core::world::FastMedium;
 use ffd2d::core::{EngineMode, FaultPlan, GainCacheMode, ScenarioConfig, StProtocol, World};
+use ffd2d::experiments::trace::JsonlSink;
 use ffd2d::phy::codec::ServiceClass;
 use ffd2d::phy::frame::{FrameKind, ProximitySignal};
 use ffd2d::sim::counters::Counters;
 use ffd2d::sim::deployment::Meters;
 use ffd2d::sim::time::{Slot, SlotDuration};
 use ffd2d::telemetry::{NullRecorder, Telemetry};
-use ffd2d::trace::{JsonlSink, NullSink};
+use ffd2d::trace::NullSink;
 use proptest::prelude::*;
 
 /// Table-I arena under a churn-heavy plan: joins and leaves force the

@@ -16,11 +16,12 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use ffd2d::core::{ScenarioConfig, StProtocol, World};
+use ffd2d::experiments::trace::{parse_event, JsonlSink};
 use ffd2d::experiments::{write_sweep_telemetry, write_sweep_traces, SweepParams};
 use ffd2d::parallel::{SweepConfig, TrialCtx};
 use ffd2d::sim::time::SlotDuration;
 use ffd2d::telemetry::{ManifestSummary, NullRecorder, Telemetry};
-use ffd2d::trace::{parse_event, JsonlSink, NullSink, TraceEvent};
+use ffd2d::trace::{NullSink, TraceEvent};
 
 /// This binary's working directory, entered on first use.
 fn workdir() -> &'static Path {

@@ -14,9 +14,10 @@
 
 use ffd2d::baseline::FstProtocol;
 use ffd2d::core::{EngineMode, ScenarioConfig, StProtocol, World};
+use ffd2d::experiments::trace::JsonlSink;
 use ffd2d::sim::time::SlotDuration;
 use ffd2d::telemetry::{NullRecorder, Recorder, Telemetry};
-use ffd2d::trace::{JsonlSink, NullSink};
+use ffd2d::trace::NullSink;
 use proptest::prelude::*;
 
 fn scenario(n: usize, seed: u64) -> ScenarioConfig {

@@ -11,11 +11,10 @@
 
 use ffd2d::baseline::FstProtocol;
 use ffd2d::core::{ScenarioConfig, StProtocol, World};
+use ffd2d::experiments::trace::{encode_event, parse_event, JsonlSink};
 use ffd2d::sim::time::SlotDuration;
 use ffd2d::telemetry::NullRecorder;
-use ffd2d::trace::{
-    encode_event, parse_event, CountingSink, JsonlSink, NullSink, TeeSink, TimelineSink,
-};
+use ffd2d::trace::{CountingSink, NullSink, TeeSink, TimelineSink};
 
 fn scenario(n: usize, seed: u64) -> ScenarioConfig {
     ScenarioConfig::table1(n)
