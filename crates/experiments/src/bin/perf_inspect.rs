@@ -3,6 +3,10 @@
 //!
 //! Usage: perf_inspect <manifest.json> [more.json ...]
 //!
+//! A sweep rollup (`<dir>/sweep.json`) renders as a per-cell table:
+//! label, n, wall clock, slots per second and manifest path, so
+//! `perf_inspect telem/*.json` reads a whole `--telemetry` directory.
+//!
 //! For each manifest, prints the config echo, the total wall clock, a
 //! stage table (stage, calls, total ms, p50/p95/p99, % of run — timers
 //! sorted by total time), the work counters, and the workload-shape
@@ -13,6 +17,7 @@
 
 use std::process::ExitCode;
 
+use ffd2d_experiments::telemetry::{parse_rollup, CellRecord};
 use ffd2d_telemetry::{HistogramSummary, ManifestSummary};
 
 fn main() -> ExitCode {
@@ -30,6 +35,21 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
+        if !first {
+            println!();
+        }
+        first = false;
+        match parse_rollup(&text) {
+            Ok(Some(cells)) => {
+                print_rollup(path, &cells);
+                continue;
+            }
+            Ok(None) => {}
+            Err(e) => {
+                eprintln!("perf_inspect: {path}: {e}");
+                return ExitCode::from(2);
+            }
+        }
         let manifest = match ManifestSummary::parse(&text) {
             Ok(m) => m,
             Err(e) => {
@@ -37,10 +57,6 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        if !first {
-            println!();
-        }
-        first = false;
         print_manifest(path, &manifest);
     }
     ExitCode::SUCCESS
@@ -48,6 +64,26 @@ fn main() -> ExitCode {
 
 fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
+}
+
+fn print_rollup(path: &str, cells: &[CellRecord]) {
+    let total: u64 = cells.iter().map(|c| c.wall_clock_ns).sum();
+    println!("sweep rollup: {path}");
+    println!("wall clock: {:.3} ms over {} runs", ms(total), cells.len());
+    println!(
+        "  {:<16} {:>8} {:>12} {:>14}  manifest",
+        "run", "n", "wall ms", "slots/s"
+    );
+    for c in cells {
+        println!(
+            "  {:<16} {:>8} {:>12.3} {:>14.1}  {}",
+            c.label,
+            c.n,
+            ms(c.wall_clock_ns),
+            c.slots_per_sec(),
+            c.manifest.display()
+        );
+    }
 }
 
 fn print_manifest(path: &str, m: &ManifestSummary) {

@@ -28,6 +28,8 @@ use ffd2d_metrics::{Figure, Series, Summary, Table};
 use ffd2d_parallel::{run_trials, SweepConfig, TrialCtx};
 use ffd2d_sim::time::SlotDuration;
 
+use crate::faults::FaultSpec;
+
 /// Sweep parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SweepParams {
@@ -48,12 +50,12 @@ pub struct SweepParams {
     /// trial pool. It survives only because the perf harness still sets
     /// it; the change that next edits the harness deletes it.
     pub medium: Parallelism,
-    /// Fault-injection spec (`--faults`): a churn preset name or a
-    /// `.json` plan path, resolved per node count via
-    /// [`crate::faults::fault_plan`]. `None` runs the clean sweep (and
-    /// is then provably outcome-neutral — the CSVs are bit-identical to
-    /// a build without the chaos subsystem at all).
-    pub faults: Option<String>,
+    /// Fault-injection spec (`--faults`): a churn preset, scaled per
+    /// node count, or a `.json` plan read once at flag parsing (see
+    /// [`FaultSpec`]). `None` runs the clean sweep (and is then provably
+    /// outcome-neutral — the CSVs are bit-identical to a build without
+    /// the chaos subsystem at all).
+    pub faults: Option<FaultSpec>,
     /// Gain cache in the fast medium. Outcome-neutral (locked by
     /// `tests/gain_cache.rs`): `Off` recomputes every mean link gain
     /// per slot, `Epoch` (the default) reuses rows across slots until
@@ -79,10 +81,12 @@ impl Default for SweepParams {
 impl SweepParams {
     /// The fault plan of the cell with `n` devices: the `--faults`
     /// preset scaled to `n` and the horizon, or the loaded `.json` plan.
+    /// Reads no file.
     pub(crate) fn fault_plan(&self, n: usize) -> Result<FaultPlan, String> {
         match &self.faults {
-            Some(spec) => crate::faults::fault_plan(spec, n, self.horizon.0)
-                .map_err(|e| format!("--faults {spec:?}: {e}")),
+            Some(spec) => spec
+                .plan(n, self.horizon.0)
+                .map_err(|e| format!("--faults: {e}")),
             None => Ok(FaultPlan::none()),
         }
     }

@@ -26,17 +26,79 @@ use std::time::Instant;
 
 use ffd2d_baseline::FstProtocol;
 use ffd2d_core::{ScenarioConfig, StProtocol, World};
+use ffd2d_telemetry::json::Value;
 use ffd2d_telemetry::{RunManifest, Telemetry};
 
 use crate::sweep::SweepParams;
 
+/// Schema tag of the sweep rollup, `<dir>/sweep.json`.
+const SWEEP_ROLLUP_SCHEMA: &str = "ffd2d-telemetry-sweep/1";
+
 /// One profiled cell, as aggregated into the sweep rollup.
-struct CellRecord {
-    label: String,
-    n: usize,
-    wall_clock_ns: u64,
-    slots: u64,
-    manifest: PathBuf,
+#[derive(Debug, Clone, PartialEq)]
+pub struct CellRecord {
+    /// Run label, e.g. `st_n100`.
+    pub label: String,
+    /// Devices in the cell.
+    pub n: usize,
+    /// Wall clock of the replayed run.
+    pub wall_clock_ns: u64,
+    /// Slots the run materialized.
+    pub slots: u64,
+    /// Path of the cell's run manifest.
+    pub manifest: PathBuf,
+}
+
+impl CellRecord {
+    /// Materialized slots per second of wall clock (0 for an instant run).
+    pub fn slots_per_sec(&self) -> f64 {
+        let secs = self.wall_clock_ns as f64 / 1e9;
+        if secs > 0.0 {
+            self.slots as f64 / secs
+        } else {
+            0.0
+        }
+    }
+}
+
+/// The cells of a sweep rollup document, or `None` when `text` is JSON
+/// of another schema (a run manifest, say).
+pub fn parse_rollup(text: &str) -> Result<Option<Vec<CellRecord>>, String> {
+    let root = Value::parse(text)?;
+    if root.get("schema").and_then(Value::as_str) != Some(SWEEP_ROLLUP_SCHEMA) {
+        return Ok(None);
+    }
+    let Some(Value::Arr(cells)) = root.get("cells") else {
+        return Err("sweep rollup: \"cells\" is not an array".into());
+    };
+    fn field<'v>(cell: &'v Value, key: &str) -> Result<&'v Value, String> {
+        cell.get(key)
+            .ok_or_else(|| format!("sweep rollup: a cell lacks {key:?}"))
+    }
+    let count = |cell: &Value, key: &str| {
+        field(cell, key)?
+            .as_u64()
+            .ok_or_else(|| format!("sweep rollup: {key:?} is not a count"))
+    };
+    let text_of = |cell: &Value, key: &str| {
+        field(cell, key)?
+            .as_str()
+            .map(String::from)
+            .ok_or_else(|| format!("sweep rollup: {key:?} is not a string"))
+    };
+    cells
+        .iter()
+        .map(|cell| {
+            Ok(CellRecord {
+                label: text_of(cell, "label")?,
+                n: usize::try_from(count(cell, "n")?).map_err(|e| e.to_string())?,
+                wall_clock_ns: count(cell, "wall_clock_ns")?,
+                slots: count(cell, "slots_materialized")?,
+                manifest: PathBuf::from(text_of(cell, "manifest")?),
+            })
+        })
+        .collect::<Result<_, String>>()
+        .map(Some)
 }
 
 /// Replay trial 0 of every sweep cell with telemetry enabled, writing
@@ -196,29 +258,53 @@ fn progress_line(
 fn rollup_json(records: &[CellRecord]) -> String {
     let total_ns: u64 = records.iter().map(|r| r.wall_clock_ns).sum();
     let mut out = String::with_capacity(1024);
-    out.push_str("{\n  \"schema\": \"ffd2d-telemetry-sweep/1\",\n");
+    out.push_str(&format!("{{\n  \"schema\": \"{SWEEP_ROLLUP_SCHEMA}\",\n"));
     out.push_str(&format!("  \"total_wall_clock_ns\": {total_ns},\n"));
     out.push_str("  \"cells\": [");
     for (i, r) in records.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let secs = r.wall_clock_ns as f64 / 1e9;
-        let throughput = if secs > 0.0 {
-            r.slots as f64 / secs
-        } else {
-            0.0
-        };
         out.push_str(&format!(
             "\n    {{\"label\": \"{}\", \"n\": {}, \"wall_clock_ns\": {}, \"slots_materialized\": {}, \"slots_per_sec\": {:.1}, \"manifest\": \"{}\"}}",
             r.label,
             r.n,
             r.wall_clock_ns,
             r.slots,
-            throughput,
+            r.slots_per_sec(),
             r.manifest.display()
         ));
     }
     out.push_str("\n  ]\n}\n");
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rollup_round_trips_through_its_reader() {
+        let records = vec![
+            CellRecord {
+                label: "st_n20".into(),
+                n: 20,
+                wall_clock_ns: 2_500_000,
+                slots: 1_000,
+                manifest: PathBuf::from("telem/st_n20.json"),
+            },
+            CellRecord {
+                label: "fst_n20".into(),
+                n: 20,
+                wall_clock_ns: 0,
+                slots: 0,
+                manifest: PathBuf::from("telem/fst_n20.json"),
+            },
+        ];
+        let text = rollup_json(&records);
+        assert_eq!(parse_rollup(&text), Ok(Some(records)));
+        assert_eq!(parse_rollup(r#"{"schema": "ffd2d-telemetry/1"}"#), Ok(None));
+        let bad = text.replace("\"slots_materialized\"", "\"slots\"");
+        assert!(parse_rollup(&bad).is_err());
+    }
 }
