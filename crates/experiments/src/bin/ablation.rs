@@ -26,7 +26,7 @@ use ffd2d_core::{FaultPlan, ScenarioConfig};
 use ffd2d_experiments::ablation::{
     coupling_sweep, density_sweep, shadowing_sweep, topology_comparison, AblationParams,
 };
-use ffd2d_experiments::faults::fault_plan;
+use ffd2d_experiments::faults::FaultSpec;
 use ffd2d_experiments::{
     engine_from_args, flag_value, gain_cache_from_args, or_usage_exit, reject_unknown_flags,
 };
@@ -173,7 +173,7 @@ fn main() {
 fn baseline_scenario(fault_spec: Option<&str>) -> Result<ScenarioConfig, String> {
     let params = AblationParams::default();
     let faults = match fault_spec {
-        Some(spec) => fault_plan(spec, params.n, params.horizon.0),
+        Some(spec) => FaultSpec::load(spec).and_then(|s| s.plan(params.n, params.horizon.0)),
         None => Ok(FaultPlan::none()),
     };
     let scenario = ScenarioConfig::table1(params.n)

@@ -246,7 +246,9 @@ fn fst_reconverges_after_churn_at_n50() {
 #[test]
 fn checked_in_plan_loads_exactly() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/fault_plan.json");
-    let plan = ffd2d::experiments::faults::fault_plan(path, 50, 30_000).expect("plan loads");
+    let plan = ffd2d::experiments::faults::FaultSpec::load(path)
+        .and_then(|spec| spec.plan(50, 30_000))
+        .expect("plan loads");
     let expected = FaultPlan {
         drop_prob: 0.05,
         dup_prob: 0.01,
