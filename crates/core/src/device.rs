@@ -3,7 +3,7 @@
 //! A [`Device`] bundles what one UE carries through a trial: its
 //! oscillator (eqs. (3)–(5)), its neighbour table, its service interest,
 //! and its view of the spanning structure (fragment id, fragment head,
-//! tree parent/children). The coupling policy ([`CouplingMode`]) is the
+//! tree parent). The coupling policy ([`CouplingMode`]) is the
 //! single behavioural difference between the baseline FST (mesh: apply
 //! the PRC to every decoded fire) and the proposed ST after tree
 //! construction (tree: apply it only to tree neighbours) — §IV's
@@ -47,8 +47,6 @@ pub struct Device {
     pub head: DeviceId,
     /// Tree parent toward the head (`None` at the head).
     pub parent: Option<DeviceId>,
-    /// Tree children.
-    pub children: Vec<DeviceId>,
     /// Active coupling policy.
     pub coupling: CouplingMode,
 }
@@ -71,7 +69,6 @@ impl Device {
             fragment: id,
             head: id,
             parent: None,
-            children: Vec::new(),
             coupling: CouplingMode::Isolated,
         }
     }
@@ -80,22 +77,6 @@ impl Device {
     #[inline]
     pub fn is_head(&self) -> bool {
         self.head == self.id
-    }
-
-    /// All tree neighbours (parent + children).
-    pub fn tree_neighbors(&self) -> impl Iterator<Item = DeviceId> + '_ {
-        self.parent.into_iter().chain(self.children.iter().copied())
-    }
-
-    /// True if `other` is a tree neighbour.
-    pub fn is_tree_neighbor(&self, other: DeviceId) -> bool {
-        self.parent == Some(other) || self.children.contains(&other)
-    }
-
-    /// Attach a tree edge toward `child`.
-    pub fn add_child(&mut self, child: DeviceId) {
-        debug_assert!(!self.children.contains(&child), "duplicate child {child}");
-        self.children.push(child);
     }
 
     /// Should a decoded fire from `sender` affect the oscillator under
@@ -152,21 +133,7 @@ mod tests {
         let d = device(3);
         assert_eq!(d.fragment, 3);
         assert!(d.is_head());
-        assert_eq!(d.tree_neighbors().count(), 0);
         assert_eq!(d.coupling, CouplingMode::Isolated);
-    }
-
-    #[test]
-    fn tree_neighbor_bookkeeping() {
-        let mut d = device(0);
-        d.parent = Some(7);
-        d.add_child(3);
-        d.add_child(5);
-        let nbrs: Vec<DeviceId> = d.tree_neighbors().collect();
-        assert_eq!(nbrs, vec![7, 3, 5]);
-        assert!(d.is_tree_neighbor(7));
-        assert!(d.is_tree_neighbor(5));
-        assert!(!d.is_tree_neighbor(9));
     }
 
     #[test]
@@ -191,14 +158,5 @@ mod tests {
 
         d.coupling = CouplingMode::Mesh;
         assert!(d.couples_to(2));
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "duplicate child")]
-    fn duplicate_child_rejected() {
-        let mut d = device(0);
-        d.add_child(1);
-        d.add_child(1);
     }
 }

@@ -581,7 +581,6 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
             }
             let children: Vec<DeviceId> = self.st.tree[id as usize].clone();
             self.rt.devices[id as usize].parent = None;
-            self.rt.devices[id as usize].children = children.clone();
             self.st.m[id as usize].pending_children = children.len() as u32;
             for c in children {
                 self.send(
@@ -716,7 +715,6 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
                     .copied()
                     .filter(|&u| u != from)
                     .collect();
-                self.rt.devices[v as usize].children = children.clone();
                 self.st.m[v as usize].pending_children = children.len() as u32;
                 let round = self.st.round;
                 for c in children {
@@ -985,7 +983,6 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
                     .copied()
                     .filter(|&u| u != from)
                     .collect();
-                self.rt.devices[v as usize].children = fwd.clone();
                 for c in fwd {
                     self.send(v, c, Msg::NewFragment { head });
                 }
@@ -1084,16 +1081,10 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
         }
         self.st.m[x as usize].committed = true;
         self.st.m[x as usize].hs_peer = NONE;
-        if self.rt.devices[x as usize].head == survivor {
-            // Winning side: the peer becomes a child.
-            if !self.rt.devices[x as usize].children.contains(&y)
-                && self.rt.devices[x as usize].parent != Some(y)
-            {
-                self.rt.devices[x as usize].children.push(y);
-            }
-        } else {
+        if self.rt.devices[x as usize].head != survivor {
             // Losing side: adopt the surviving identity and flood it
-            // into the old fragment.
+            // into the old fragment. The winning side keeps its
+            // identity; `tree` already holds the new edge.
             self.rt.devices[x as usize].fragment = survivor;
             self.rt.devices[x as usize].head = survivor;
             self.rt.devices[x as usize].parent = Some(y);
@@ -1102,7 +1093,6 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
                 .copied()
                 .filter(|&u| u != y)
                 .collect();
-            self.rt.devices[x as usize].children = fwd.clone();
             for c in fwd {
                 self.send(x, c, Msg::NewFragment { head: survivor });
             }
@@ -1214,10 +1204,8 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
             if dev.parent == Some(d) {
                 dev.parent = None;
             }
-            dev.children.retain(|&x| x != d);
         }
         self.rt.devices[d as usize].parent = None;
-        self.rt.devices[d as usize].children.clear();
         let orphaned = self.refragment_after_leave(&nbrs);
         self.st.orphaned_fragments += orphaned;
         orphaned
@@ -1232,7 +1220,6 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
         dev.fragment = d;
         dev.head = d;
         dev.parent = None;
-        dev.children.clear();
         dev.coupling = if self.st.phase == Phase::Discovery {
             CouplingMode::Isolated
         } else {
@@ -1304,7 +1291,6 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
                 .copied()
                 .filter(|&u| self.rt.active[u as usize] && !seen[u as usize])
                 .collect();
-            self.rt.devices[v as usize].children = children.clone();
             for c in children {
                 seen[c as usize] = true;
                 self.rt.devices[c as usize].parent = Some(v);

@@ -1,10 +1,13 @@
 //! The per-trial world and its fast shared medium.
 //!
-//! [`World`] instantiates one trial of a scenario: the deployment, a
-//! spatial-grid neighbor index over it, the ground-truth proximity graph
-//! of §IV (edges where the long-term PS strength clears the −95 dBm
-//! threshold, weighted by that strength; built lazily on first use) and
-//! the per-device service interests.
+//! [`World`] instantiates one trial of a scenario: the radio
+//! [`Channel`] over the deployment, a spatial-grid neighbor index over
+//! the positions, the ground-truth proximity graph of §IV (edges where
+//! the long-term PS strength clears the −95 dBm threshold, weighted by
+//! that strength; built lazily on first use) and the per-device service
+//! interests. Every link power the world reports, and every power the
+//! fast medium below decides with, is read from that one `Channel`
+//! ([`World::channel`]), which the reference resolver also takes.
 //!
 //! ## Why a second medium implementation
 //!
@@ -49,7 +52,7 @@
 //!    the fading draws of neighbouring pairs overlap, then the admit
 //!    pass does the half-duplex/liveness/threshold/capture bookkeeping
 //!    over the lane. The slot's fade state is hoisted once
-//!    ([`FadingModel::at`]). A fading channel fills every lane with
+//!    ([`Channel::slot_fade`]). A fading channel fills every lane with
 //!    [`SlotFade::approx_db`] instead of the exact
 //!    [`SlotFade::gain_db`]: the same keyed uniform, but an
 //!    exponent/mantissa split and a degree-5 polynomial in place of
@@ -103,11 +106,8 @@ use ffd2d_graph::spatial::SpatialGrid;
 use ffd2d_graph::weight::W;
 use ffd2d_phy::codec::{RachCodec, ServiceClass};
 use ffd2d_phy::frame::ProximitySignal;
-use ffd2d_radio::channel::{Channel, ChannelConfig};
+use ffd2d_radio::channel::Channel;
 use ffd2d_radio::fading::{FadingModel, SlotFade};
-use ffd2d_radio::pathloss::PathLoss;
-use ffd2d_radio::shadowing::ShadowingField;
-use ffd2d_radio::units::Dbm;
 use ffd2d_sim::counters::Counters;
 use ffd2d_sim::deployment::{Deployment, DeviceId, Meters};
 use ffd2d_sim::rng::{StreamId, StreamRng};
@@ -126,7 +126,8 @@ const MAX_CELLS_PER_AXIS: f64 = 256.0;
 #[derive(Debug, Clone)]
 pub struct World {
     cfg: ScenarioConfig,
-    deployment: Deployment,
+    /// The trial's radio channel; owns the deployment.
+    channel: Channel,
     /// Spatial index over device positions; cell side = worst-case
     /// audibility radius (clamped to the arena diagonal).
     grid: SpatialGrid,
@@ -135,13 +136,6 @@ pub struct World {
     graph: OnceLock<WeightedGraph>,
     /// Per-device service interests.
     services: Vec<ServiceClass>,
-    // Decomposed channel state, so mean powers are computable on demand
-    // without re-borrowing the deployment through a `Channel`.
-    tx_power: Dbm,
-    pathloss: PathLoss,
-    shadowing: ShadowingField,
-    fading: FadingModel,
-    fading_seed: u64,
     threshold_dbm: f64,
     capture_margin_db: f64,
     /// Provable fading headroom: mean below `threshold − headroom` can
@@ -179,18 +173,10 @@ impl World {
             .collect();
 
         World {
-            deployment,
+            channel: Channel::new(deployment, cfg.channel.clone(), seed),
             grid,
             graph: OnceLock::new(),
             services,
-            tx_power: cfg.channel.tx_power,
-            pathloss: cfg.channel.pathloss,
-            // Mirrors `Channel::new` exactly, so on-demand means are
-            // bit-identical to `Channel::mean_rx_power`.
-            // ffd2d-lint: allow(rng-discipline) — domain-separation tags mirroring Channel::new byte for byte; routing through a helper would decouple the two copies the comment above ties together
-            shadowing: ShadowingField::new(seed ^ 0x5AD0, cfg.channel.shadowing_sigma_db),
-            fading: cfg.channel.fading,
-            fading_seed: seed ^ 0xFAD0, // ffd2d-lint: allow(rng-discipline) — same Channel::new mirror as the shadowing tag above
             threshold_dbm: cfg.channel.detection_threshold.get(),
             capture_margin_db: 6.0,
             fade_headroom_db: cfg.channel.fade_headroom_db(),
@@ -203,7 +189,7 @@ impl World {
     /// Number of devices.
     #[inline]
     pub fn n(&self) -> usize {
-        self.deployment.len()
+        self.channel.deployment().len()
     }
 
     /// The scenario this world was built from.
@@ -213,7 +199,12 @@ impl World {
 
     /// The deployment.
     pub fn deployment(&self) -> &Deployment {
-        &self.deployment
+        self.channel.deployment()
+    }
+
+    /// The trial's radio channel.
+    pub fn channel(&self) -> &Channel {
+        &self.channel
     }
 
     /// The spatial neighbor index over the current positions.
@@ -234,7 +225,7 @@ impl World {
         let mut g = WeightedGraph::new(n);
         let mut candidates: Vec<DeviceId> = Vec::new();
         for a in 0..n as DeviceId {
-            let p = self.deployment.position(a);
+            let p = self.deployment().position(a);
             candidates.clear();
             self.grid
                 .within(p.x, p.y, self.mean_link_range_m, &mut candidates);
@@ -280,67 +271,33 @@ impl World {
     /// audibility radius, ascending, excluding `tx` itself. A device
     /// outside this set can never detect `tx`, for any seed.
     pub fn audible_candidates(&self, tx: DeviceId) -> Vec<DeviceId> {
-        let p = self.deployment.position(tx);
+        let p = self.deployment().position(tx);
         let mut out = Vec::new();
         self.grid.within(p.x, p.y, self.audible_range_m, &mut out);
         out.retain(|&b| b != tx);
         out
     }
 
-    /// Long-term mean received power of link `a → b` in dBm, computed
-    /// on demand (path loss + shadowing; bit-identical to
-    /// `Channel::mean_rx_power`). `NEG_INFINITY` on the diagonal.
+    /// Long-term mean received power of link `a → b` in dBm
+    /// ([`Channel::mean_rx_power`]). `NEG_INFINITY` on the diagonal.
     #[inline]
     pub fn mean_rx_dbm(&self, a: DeviceId, b: DeviceId) -> f64 {
         if a == b {
             return f64::NEG_INFINITY;
         }
-        let d = self.deployment.distance(a, b);
-        (self.tx_power - self.pathloss.loss(d) + self.shadowing.sample(a, b)).get()
+        self.channel.mean_rx_power(a, b).get()
     }
 
-    /// Batched [`World::mean_rx_dbm`]: append the mean link gain
-    /// `sender → r` for every `r` in `receivers` to `out`, in order, in
-    /// one pass over positions. Delegates to the radio layer's
-    /// [`ffd2d_radio::channel::fill_mean_rx_dbm`] kernel, so element
-    /// `j` is bit-identical to `mean_rx_dbm(sender, receivers[j])`,
-    /// including the `NEG_INFINITY` self-pair sentinel.
-    pub fn fill_mean_rx_dbm(&self, sender: DeviceId, receivers: &[DeviceId], out: &mut Vec<f64>) {
-        ffd2d_radio::channel::fill_mean_rx_dbm(
-            &self.deployment,
-            self.tx_power,
-            self.pathloss,
-            &self.shadowing,
-            sender,
-            receivers,
-            out,
-        );
-    }
-
-    /// Instantaneous received power (mean + block fading) in dBm.
+    /// Instantaneous received power (mean + block fading) of link
+    /// `a → b`, `a ≠ b`, in dBm ([`Channel::rx_power`]).
     #[inline]
     pub fn rx_dbm(&self, a: DeviceId, b: DeviceId, slot: Slot) -> f64 {
-        self.mean_rx_dbm(a, b) + self.fading.gain(self.fading_seed, a, b, slot).get()
+        self.channel.rx_power(a, b, slot).get()
     }
 
     /// True distance between two devices.
     pub fn distance(&self, a: DeviceId, b: DeviceId) -> Meters {
-        self.deployment.distance(a, b)
-    }
-
-    /// The channel config in force.
-    pub fn channel_config(&self) -> &ChannelConfig {
-        &self.cfg.channel
-    }
-
-    /// Rebuild the reference channel (borrowing this world's
-    /// deployment) — for tests that cross-check the fast path.
-    pub fn reference_channel(&self) -> Channel<'_> {
-        Channel::new(
-            &self.deployment,
-            self.cfg.channel.clone(),
-            self.cfg.sim.seed,
-        )
+        self.deployment().distance(a, b)
     }
 }
 
@@ -349,7 +306,7 @@ impl World {
 /// `SpatialGrid::cell_items(cell)` so the accumulation inner loop reads
 /// `row[j]` by the receiver's position in its cell — no per-pair hashing
 /// or probing. Rows are filled by the batched kernel
-/// ([`World::fill_mean_rx_dbm`]) the first time a sender's disc touches
+/// ([`Channel::fill_mean_rx_dbm`]) the first time a sender's disc touches
 /// a cell, then reused by every later slot; churn stales only the
 /// churned senders' rows, via `device_gen`. Values are pure functions
 /// of positions, which never change, so a cached read is bit-identical
@@ -437,7 +394,9 @@ impl GainCache {
         let t0 = TELEM.then(Instant::now);
         let row = &mut self.rows[i];
         row.gains.clear();
-        world.fill_mean_rx_dbm(sender, items, &mut row.gains);
+        world
+            .channel
+            .fill_mean_rx_dbm(sender, items, &mut row.gains);
         if let Some(t0) = t0 {
             self.rows_filled += 1;
             self.fill_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -735,30 +694,15 @@ impl FastMedium {
         }
     }
 
-    /// Record that the driving engine applied churn (join/leave) to an
-    /// unknown set of devices: every sender's membership stamp advances,
-    /// so the whole link-state cache is lazily refilled. Prefer
-    /// [`FastMedium::note_churn_of`], which invalidates only the rows
-    /// the event actually touched.
-    pub fn note_churn(&mut self) {
-        self.gains.churn_gen += 1;
-        let gen = self.gains.churn_gen;
-        if self.gains.device_gen.len() < self.n {
-            self.gains.device_gen.resize(self.n, 0);
-        }
-        self.gains.device_gen.iter_mut().for_each(|g| *g = gen);
-    }
-
     /// Record that the driving engine applied churn (join/leave) to
     /// exactly `devices` — called by the protocol engines whenever a
     /// fault plan's churn events take effect. Only those devices'
     /// membership stamps advance, so cached rows of unaffected senders
     /// keep serving; the churned senders' rows are refilled in place on
     /// next use. Positions do not change under churn, so even that
-    /// refill is value-identical — the narrow invalidation keeps the
-    /// honest contract ("a population event invalidates the state of
-    /// the devices it touched") without the full-cache flush the
-    /// coarse generation key used to force.
+    /// refill is value-identical; invalidating the touched devices keeps
+    /// the contract "a population event invalidates the state of the
+    /// devices it touched" without flushing the whole cache.
     pub fn note_churn_of(&mut self, devices: &[DeviceId]) {
         if devices.is_empty() {
             return;
@@ -790,7 +734,7 @@ impl FastMedium {
         let r2 = radius * radius;
         let mut links = 0u64;
         for a in 0..world.n() as DeviceId {
-            let p = world.deployment.position(a);
+            let p = world.deployment().position(a);
             for cell in grid.cells_intersecting_disc(p.x, p.y, radius) {
                 let key = ((a as u64) << 32) | cell as u64;
                 let row = gains
@@ -858,7 +802,9 @@ impl FastMedium {
                     gains.row::<TELEM>(ctx.world, ctx.epoch, sender, cell, items)
                 } else {
                     scratch_row.clear();
-                    ctx.world.fill_mean_rx_dbm(sender, items, scratch_row);
+                    ctx.world
+                        .channel
+                        .fill_mean_rx_dbm(sender, items, scratch_row);
                     scratch_row
                 };
                 let fade = ctx.fade;
@@ -985,7 +931,7 @@ impl FastMedium {
         // covers; cells keep tx indices in transmission order.
         let radius = world.audible_range_m();
         for (ti, tx) in transmissions.iter().enumerate() {
-            let p = world.deployment.position(tx.sender);
+            let p = world.deployment().position(tx.sender);
             for cell in world.grid.cells_intersecting_disc(p.x, p.y, radius) {
                 if self.cell_stamp[cell] != epoch {
                     self.cell_stamp[cell] = epoch;
@@ -1004,13 +950,13 @@ impl FastMedium {
             world,
             transmissions,
             epoch,
-            fade: world.fading.at(world.fading_seed, slot),
+            fade: world.channel.slot_fade(slot),
             threshold,
             mean_floor: threshold - world.fade_headroom_db(),
             active,
             droop: droops.as_deref(),
             cached: world.config().gain_cache == GainCacheMode::Epoch,
-            certify: world.fading != FadingModel::None,
+            certify: world.channel.config().fading != FadingModel::None,
         };
         if ctx.certify && self.acc.best_mean.is_empty() {
             self.acc.best_mean = vec![0.0; self.acc.stamp.len()];
@@ -1172,14 +1118,13 @@ mod tests {
     /// Drive the fast and reference media through the same slot and
     /// assert identical decode pairs and counters.
     fn assert_media_agree(w: &World, fast: &mut FastMedium, slot: u64, txs: &[ProximitySignal]) {
-        let ch = w.reference_channel();
         let reference = Medium::default();
         let receivers: Vec<u32> = (0..w.n() as u32).collect();
         let transmissions: Vec<Transmission> = txs.iter().map(|&s| Transmission::new(s)).collect();
 
         let mut ref_counters = Counters::new();
         let ref_reports = reference.resolve(
-            &ch,
+            w.channel(),
             Slot(slot),
             &transmissions,
             &receivers,
@@ -1237,10 +1182,17 @@ mod tests {
         assert_ne!(a.deployment().positions(), c.deployment().positions());
     }
 
+    /// A channel built apart from `w` from its scenario's radio config
+    /// and seed, to check the one `World::new` built.
+    fn reference_channel(w: &World) -> Channel {
+        let cfg = w.config();
+        Channel::new(w.deployment().clone(), cfg.channel.clone(), cfg.sim.seed)
+    }
+
     #[test]
     fn mean_power_matches_reference_channel() {
         let w = World::new(&small_cfg(15, 3));
-        let ch = w.reference_channel();
+        let ch = reference_channel(&w);
         for a in 0..15u32 {
             for b in 0..15u32 {
                 if a != b {
@@ -1253,7 +1205,7 @@ mod tests {
     #[test]
     fn instantaneous_power_matches_reference_channel() {
         let w = World::new(&small_cfg(10, 4));
-        let ch = w.reference_channel();
+        let ch = reference_channel(&w);
         for slot in [0u64, 7, 35, 1000] {
             for a in 0..10u32 {
                 for b in 0..10u32 {
@@ -1435,29 +1387,19 @@ mod tests {
         assert_eq!(m1, 0, "same senders: no refill");
         assert_eq!(h1, m0, "every filled row is reused");
 
-        // Coarse engine-reported churn stales every row, positions
-        // unchanged.
-        fast.note_churn();
-        let (h2, m2) = resolve(&mut fast, &w, 2);
-        assert_eq!(h2, 0, "churn generation moved: cache must flush");
-        assert_eq!(m2, m0);
-        let (h3, m3) = resolve(&mut fast, &w, 3);
-        assert_eq!(m3, 0, "cache is warm again");
-        assert_eq!(h3, m0);
-
         // Narrow churn: only the churned sender's rows go stale and
         // refill in place; everyone else's keep serving.
         fast.note_churn_of(&[2]);
-        let (h4, m4) = resolve(&mut fast, &w, 4);
-        assert!(m4 > 0, "the churned sender's rows refill");
-        assert!(h4 > 0, "other senders' rows keep serving");
-        assert_eq!(h4 + m4, m0, "per-row staleness, not a full flush");
+        let (h2, m2) = resolve(&mut fast, &w, 2);
+        assert!(m2 > 0, "the churned sender's rows refill");
+        assert!(h2 > 0, "other senders' rows keep serving");
+        assert_eq!(h2 + m2, m0, "per-row staleness, not a full flush");
 
         // Churn of a device that never transmits stales no row at all.
         fast.note_churn_of(&[0]);
-        let (h5, m5) = resolve(&mut fast, &w, 5);
-        assert_eq!(m5, 0, "non-sender churn leaves every row valid");
-        assert_eq!(h5, m0);
+        let (h3, m3) = resolve(&mut fast, &w, 3);
+        assert_eq!(m3, 0, "non-sender churn leaves every row valid");
+        assert_eq!(h3, m0);
     }
 
     #[test]
@@ -1493,8 +1435,6 @@ mod tests {
         check(&w, &fast, "fully warm");
         fast.note_churn_of(&[3, 20, 47]);
         check(&w, &fast, "stale by churn");
-        fast.note_churn();
-        check(&w, &fast, "stale by coarse churn");
 
         // No cache at all.
         let off = World::new(&small_cfg(n as usize, 37).with_gain_cache(GainCacheMode::Off));

@@ -106,7 +106,7 @@ impl Medium {
     /// and tallies transmissions/receptions into `counters`.
     pub fn resolve(
         &self,
-        channel: &Channel<'_>,
+        channel: &Channel,
         slot: Slot,
         transmissions: &[Transmission],
         receivers: &[DeviceId],
@@ -208,7 +208,7 @@ mod tests {
     #[test]
     fn single_transmission_decodes_everywhere_in_range() {
         let dep = line_deployment(&[0.0, 10.0, 50.0, 500.0]);
-        let ch = Channel::new(&dep, ChannelConfig::ideal(), 1);
+        let ch = Channel::new(dep, ChannelConfig::ideal(), 1);
         let medium = Medium::default();
         let mut counters = Counters::new();
         let reports = medium.resolve(&ch, Slot(0), &[fire(0)], &[0, 1, 2, 3], &mut counters);
@@ -225,7 +225,7 @@ mod tests {
     fn equidistant_same_codec_transmitters_collide() {
         // Receiver 1 sits exactly between 0 and 2: equal power, margin 0.
         let dep = line_deployment(&[0.0, 20.0, 40.0]);
-        let ch = Channel::new(&dep, ChannelConfig::ideal(), 1);
+        let ch = Channel::new(dep, ChannelConfig::ideal(), 1);
         let medium = Medium::default();
         let mut counters = Counters::new();
         let reports = medium.resolve(&ch, Slot(0), &[fire(0), fire(2)], &[1], &mut counters);
@@ -239,7 +239,7 @@ mod tests {
         // Receiver at x=10: tx 0 at distance 10, tx 2 at distance 80 —
         // power gap far exceeds 6 dB, so 0 captures.
         let dep = line_deployment(&[0.0, 10.0, 90.0]);
-        let ch = Channel::new(&dep, ChannelConfig::ideal(), 1);
+        let ch = Channel::new(dep, ChannelConfig::ideal(), 1);
         let medium = Medium::default();
         let mut counters = Counters::new();
         let reports = medium.resolve(&ch, Slot(0), &[fire(0), fire(2)], &[1], &mut counters);
@@ -254,7 +254,7 @@ mod tests {
         // Same slot, same receiver: one RACH1 fire and one RACH2
         // handshake both decode.
         let dep = line_deployment(&[0.0, 20.0, 40.0]);
-        let ch = Channel::new(&dep, ChannelConfig::ideal(), 1);
+        let ch = Channel::new(dep, ChannelConfig::ideal(), 1);
         let medium = Medium::default();
         let mut counters = Counters::new();
         let reports = medium.resolve(
@@ -273,7 +273,7 @@ mod tests {
     #[test]
     fn half_duplex_sender_misses_concurrent_signal() {
         let dep = line_deployment(&[0.0, 20.0]);
-        let ch = Channel::new(&dep, ChannelConfig::ideal(), 1);
+        let ch = Channel::new(dep, ChannelConfig::ideal(), 1);
         let medium = Medium::default();
         let mut counters = Counters::new();
         let reports = medium.resolve(&ch, Slot(0), &[fire(0), fire(1)], &[0, 1], &mut counters);
@@ -284,7 +284,7 @@ mod tests {
     #[test]
     fn empty_slot_produces_empty_reports() {
         let dep = line_deployment(&[0.0, 20.0]);
-        let ch = Channel::new(&dep, ChannelConfig::ideal(), 1);
+        let ch = Channel::new(dep, ChannelConfig::ideal(), 1);
         let medium = Medium::default();
         let mut counters = Counters::new();
         let reports = medium.resolve(&ch, Slot(0), &[], &[0, 1], &mut counters);
@@ -296,7 +296,7 @@ mod tests {
     #[test]
     fn reports_align_with_receiver_order() {
         let dep = line_deployment(&[0.0, 20.0, 40.0]);
-        let ch = Channel::new(&dep, ChannelConfig::ideal(), 1);
+        let ch = Channel::new(dep, ChannelConfig::ideal(), 1);
         let medium = Medium::default();
         let mut counters = Counters::new();
         let reports = medium.resolve(&ch, Slot(0), &[fire(1)], &[2, 0], &mut counters);

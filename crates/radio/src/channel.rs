@@ -7,17 +7,21 @@
 //!
 //! * *What power does B receive when A transmits in slot t?*
 //!   ([`Channel::rx_power`], eq. (9): `p*** = p** + x` plus fading)
-//! * *Can B hear A at all?* ([`Channel::is_audible`], Table I's −95 dBm
-//!   detection threshold)
 //! * *What is the long-term proximity-signal strength of the link?*
 //!   ([`Channel::mean_rx_power`] — path loss + shadowing, fading
 //!   averaged out) — this is the **edge weight** of the spanning-tree
 //!   algorithms ("weight of edge is directly proportional to PS
 //!   strength", §IV).
+//!
+//! A receiver hears a signal when that power clears the configured
+//! detection threshold (Table I: −95 dBm). The core crate's `World`
+//! holds one `Channel` per trial, and its fast medium reads the same
+//! model in bulk: [`Channel::fill_mean_rx_dbm`] for a row of mean gains
+//! and [`Channel::slot_fade`] for one slot's fading draws.
 
 use serde::{Deserialize, Serialize};
 
-use crate::fading::FadingModel;
+use crate::fading::{FadingModel, SlotFade};
 use crate::pathloss::PathLoss;
 use crate::shadowing::ShadowingField;
 use crate::units::{Db, Dbm};
@@ -116,64 +120,22 @@ impl ChannelConfig {
     }
 }
 
-/// Batched mean-gain kernel: append to `out` the long-term mean
-/// received power (path loss + shadowing) in dBm from `sender` to each
-/// id in `receivers`, in order — one pass over positions instead of
-/// pair-at-a-time facade calls. Element `j` is bit-identical to
-/// [`Channel::mean_rx_power`]`(sender, receivers[j])` for a channel
-/// built from the same deployment, config and shadowing field: the
-/// expression and evaluation order are exactly the facade's. A
-/// self-pair yields `NEG_INFINITY` — no device hears itself; callers'
-/// half-duplex masking never reads the entry, the sentinel just keeps
-/// threshold pruning conservative if one leaks through.
-///
-/// The core `World`'s batch fill delegates here, so every consumer of
-/// cached mean gains shares one code path.
-pub fn fill_mean_rx_dbm(
-    deployment: &Deployment,
-    tx_power: Dbm,
-    pathloss: PathLoss,
-    shadowing: &ShadowingField,
-    sender: DeviceId,
-    receivers: &[DeviceId],
-    out: &mut Vec<f64>,
-) {
-    out.reserve(receivers.len());
-    for &r in receivers {
-        if r == sender {
-            out.push(f64::NEG_INFINITY);
-            continue;
-        }
-        let d = deployment.distance(sender, r);
-        out.push((tx_power - pathloss.loss(d) + shadowing.sample(sender, r)).get());
-    }
-}
-
-/// One sampled reception.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LinkSample {
-    /// Received power after all impairments.
-    pub rx_power: Dbm,
-    /// Whether it clears the detection threshold.
-    pub detected: bool,
-}
-
 /// The composed channel for one trial.
 ///
-/// Borrows the deployment: positions are fixed for the trial (static
+/// Owns the deployment: positions are fixed for the trial (static
 /// devices, as in the paper's evaluation).
 #[derive(Debug, Clone)]
-pub struct Channel<'a> {
-    deployment: &'a Deployment,
+pub struct Channel {
+    deployment: Deployment,
     config: ChannelConfig,
     shadowing: ShadowingField,
     fading_seed: u64,
 }
 
-impl<'a> Channel<'a> {
+impl Channel {
     /// Build the channel for `deployment` keyed by `seed`.
-    pub fn new(deployment: &'a Deployment, config: ChannelConfig, seed: u64) -> Self {
-        // ffd2d-lint: allow(rng-discipline) — domain-separation tags splitting the channel seed into the shadowing and fading field keys; World::new mirrors these byte for byte (see crates/core/src/world.rs)
+    pub fn new(deployment: Deployment, config: ChannelConfig, seed: u64) -> Self {
+        // ffd2d-lint: allow(rng-discipline) — domain-separation tags splitting the trial seed into the shadowing and fading field keys; this is the one place the split is made
         let shadowing = ShadowingField::new(seed ^ 0x5AD0, config.shadowing_sigma_db);
         Channel {
             deployment,
@@ -190,54 +152,50 @@ impl<'a> Channel<'a> {
 
     /// The deployment this channel is bound to.
     pub fn deployment(&self) -> &Deployment {
-        self.deployment
+        &self.deployment
     }
 
     /// Long-term received power on link `a → b`: path loss plus
     /// shadowing, fast fading averaged out (unit mean). This is the
     /// proximity-signal strength used as spanning-tree edge weight.
+    #[inline]
     pub fn mean_rx_power(&self, a: DeviceId, b: DeviceId) -> Dbm {
         let d = self.deployment.distance(a, b);
         self.config.tx_power - self.config.pathloss.loss(d) + self.shadowing.sample(a, b)
     }
 
-    /// Instantaneous received power on link `a → b` at `slot`
-    /// (eq. (9) plus block fading).
-    pub fn rx_power(&self, a: DeviceId, b: DeviceId, slot: Slot) -> Dbm {
-        self.mean_rx_power(a, b) + self.config.fading.gain(self.fading_seed, a, b, slot)
-    }
-
-    /// Sample a reception attempt on `a → b` at `slot`.
-    pub fn sample(&self, a: DeviceId, b: DeviceId, slot: Slot) -> LinkSample {
-        let rx_power = self.rx_power(a, b, slot);
-        LinkSample {
-            rx_power,
-            detected: rx_power >= self.config.detection_threshold,
+    /// Batched mean-gain kernel: append to `out` the long-term mean
+    /// received power in dBm from `sender` to each id in `receivers`,
+    /// in order. Element `j` is bit-identical to
+    /// [`Channel::mean_rx_power`]`(sender, receivers[j])`: it is the
+    /// same call. A self-pair yields `NEG_INFINITY` — no device hears
+    /// itself; callers' half-duplex masking never reads the entry, the
+    /// sentinel just keeps threshold pruning conservative if one leaks
+    /// through.
+    pub fn fill_mean_rx_dbm(&self, sender: DeviceId, receivers: &[DeviceId], out: &mut Vec<f64>) {
+        out.reserve(receivers.len());
+        for &r in receivers {
+            if r == sender {
+                out.push(f64::NEG_INFINITY);
+                continue;
+            }
+            out.push(self.mean_rx_power(sender, r).get());
         }
     }
 
-    /// True if `b` can decode `a`'s transmission at `slot`.
-    pub fn is_audible(&self, a: DeviceId, b: DeviceId, slot: Slot) -> bool {
-        self.sample(a, b, slot).detected
+    /// The fading draws of every link in `slot` ([`FadingModel::at`]
+    /// under this channel's fading key): hoisted once per slot by
+    /// callers that draw many links.
+    #[inline]
+    pub fn slot_fade(&self, slot: Slot) -> SlotFade {
+        self.config.fading.at(self.fading_seed, slot)
     }
 
-    /// True if the *long-term* link closes (mean power above threshold)
-    /// — the criterion used to define graph edges in §IV.
-    pub fn link_exists(&self, a: DeviceId, b: DeviceId) -> bool {
-        a != b && self.mean_rx_power(a, b) >= self.config.detection_threshold
-    }
-
-    /// All devices with a long-term link to `of`, with their mean PS
-    /// strengths, strongest first.
-    pub fn audible_neighbors(&self, of: DeviceId) -> Vec<(DeviceId, Dbm)> {
-        let n = self.deployment.len() as DeviceId;
-        let mut out: Vec<(DeviceId, Dbm)> = (0..n)
-            .filter(|&b| b != of)
-            .map(|b| (b, self.mean_rx_power(of, b)))
-            .filter(|&(_, p)| p >= self.config.detection_threshold)
-            .collect();
-        out.sort_by(|x, y| y.1.partial_cmp(&x.1).expect("power is never NaN"));
-        out
+    /// Instantaneous received power on link `a → b` at `slot`
+    /// (eq. (9) plus block fading).
+    #[inline]
+    pub fn rx_power(&self, a: DeviceId, b: DeviceId, slot: Slot) -> Dbm {
+        self.mean_rx_power(a, b) + self.config.fading.gain(self.fading_seed, a, b, slot)
     }
 }
 
@@ -256,8 +214,7 @@ mod tests {
 
     #[test]
     fn ideal_channel_is_pure_path_loss() {
-        let dep = two_devices(10.0);
-        let ch = Channel::new(&dep, ChannelConfig::ideal(), 1);
+        let ch = Channel::new(two_devices(10.0), ChannelConfig::ideal(), 1);
         let expected = Dbm(23.0) - PathLoss::PaperPiecewise.loss(Meters(10.0));
         assert_eq!(ch.rx_power(0, 1, Slot(0)), expected);
         assert_eq!(ch.mean_rx_power(0, 1), expected);
@@ -272,29 +229,26 @@ mod tests {
 
     #[test]
     fn close_link_is_audible_far_link_is_not() {
-        let near = two_devices(5.0);
-        let ch = Channel::new(&near, ChannelConfig::ideal(), 1);
-        assert!(ch.is_audible(0, 1, Slot(0)));
-        assert!(ch.link_exists(0, 1));
+        let threshold = ChannelConfig::ideal().detection_threshold;
+        let ch = Channel::new(two_devices(5.0), ChannelConfig::ideal(), 1);
+        assert!(ch.rx_power(0, 1, Slot(0)) >= threshold);
+        assert!(ch.mean_rx_power(0, 1) >= threshold);
 
-        let far = two_devices(150.0);
-        let ch = Channel::new(&far, ChannelConfig::ideal(), 1);
-        assert!(!ch.is_audible(0, 1, Slot(0)));
-        assert!(!ch.link_exists(0, 1));
+        let ch = Channel::new(two_devices(150.0), ChannelConfig::ideal(), 1);
+        assert!(ch.rx_power(0, 1, Slot(0)) < threshold);
+        assert!(ch.mean_rx_power(0, 1) < threshold);
     }
 
     #[test]
     fn channel_is_reciprocal() {
-        let dep = two_devices(42.0);
-        let ch = Channel::new(&dep, ChannelConfig::default(), 7);
+        let ch = Channel::new(two_devices(42.0), ChannelConfig::default(), 7);
         assert_eq!(ch.rx_power(0, 1, Slot(9)), ch.rx_power(1, 0, Slot(9)));
         assert_eq!(ch.mean_rx_power(0, 1), ch.mean_rx_power(1, 0));
     }
 
     #[test]
     fn fading_fluctuates_but_mean_does_not() {
-        let dep = two_devices(30.0);
-        let ch = Channel::new(&dep, ChannelConfig::default(), 7);
+        let ch = Channel::new(two_devices(30.0), ChannelConfig::default(), 7);
         let m0 = ch.mean_rx_power(0, 1);
         let mut distinct = std::collections::HashSet::new();
         for s in (0..2000).step_by(20) {
@@ -305,7 +259,7 @@ mod tests {
     }
 
     #[test]
-    fn audible_neighbors_sorted_strongest_first() {
+    fn mean_power_falls_with_distance() {
         let dep = Deployment::from_positions(
             vec![
                 Position::new(0.0, 0.0),
@@ -317,26 +271,30 @@ mod tests {
             Meters(400.0),
             Meters(400.0),
         );
-        let ch = Channel::new(&dep, ChannelConfig::ideal(), 1);
-        let nbrs = ch.audible_neighbors(0);
-        let ids: Vec<DeviceId> = nbrs.iter().map(|&(id, _)| id).collect();
-        assert_eq!(ids, vec![1, 2, 3]);
-        assert!(nbrs[0].1 > nbrs[1].1 && nbrs[1].1 > nbrs[2].1);
+        let ch = Channel::new(dep, ChannelConfig::ideal(), 1);
+        let threshold = ch.config().detection_threshold;
+        let means: Vec<Dbm> = (1..5).map(|b| ch.mean_rx_power(0, b)).collect();
+        assert!(means[..3].iter().all(|&p| p >= threshold));
+        assert!(means[3] < threshold);
+        assert!(means.windows(2).all(|w| w[0] > w[1]));
     }
 
     #[test]
     fn no_self_links() {
-        let dep = two_devices(5.0);
-        let ch = Channel::new(&dep, ChannelConfig::ideal(), 1);
-        assert!(!ch.link_exists(0, 0));
+        let ch = Channel::new(two_devices(5.0), ChannelConfig::ideal(), 1);
+        let mut means = Vec::new();
+        ch.fill_mean_rx_dbm(0, &[0, 1], &mut means);
+        assert_eq!(means[0], f64::NEG_INFINITY);
+        assert!(means[1] >= ch.config().detection_threshold.get());
     }
 
     #[test]
     fn deterministic_per_seed() {
         let dep = two_devices(25.0);
-        let a = Channel::new(&dep, ChannelConfig::default(), 5).rx_power(0, 1, Slot(3));
-        let b = Channel::new(&dep, ChannelConfig::default(), 5).rx_power(0, 1, Slot(3));
-        let c = Channel::new(&dep, ChannelConfig::default(), 6).rx_power(0, 1, Slot(3));
+        let rx = |seed| {
+            Channel::new(dep.clone(), ChannelConfig::default(), seed).rx_power(0, 1, Slot(3))
+        };
+        let (a, b, c) = (rx(5), rx(5), rx(6));
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
@@ -357,7 +315,7 @@ mod tests {
         assert!(r > cfg.nominal_range().0);
         let dep = two_devices(r + 1.0);
         for seed in 0..50u64 {
-            let ch = Channel::new(&dep, cfg.clone(), seed);
+            let ch = Channel::new(dep.clone(), cfg.clone(), seed);
             for s in 0..40 {
                 assert!(
                     ch.rx_power(0, 1, Slot(s)) < cfg.detection_threshold,
@@ -378,19 +336,11 @@ mod tests {
             Meters(200.0),
         );
         for cfg in [ChannelConfig::default(), ChannelConfig::ideal()] {
-            let ch = Channel::new(&dep, cfg, 42);
+            let ch = Channel::new(dep.clone(), cfg, 42);
             let receivers: Vec<DeviceId> = (0..12).collect();
             for sender in 0..12u32 {
                 let mut batch = Vec::new();
-                fill_mean_rx_dbm(
-                    &dep,
-                    ch.config.tx_power,
-                    ch.config.pathloss,
-                    &ch.shadowing,
-                    sender,
-                    &receivers,
-                    &mut batch,
-                );
+                ch.fill_mean_rx_dbm(sender, &receivers, &mut batch);
                 assert_eq!(batch.len(), receivers.len());
                 for (&r, &m) in receivers.iter().zip(&batch) {
                     if r == sender {
@@ -410,8 +360,8 @@ mod tests {
     #[test]
     fn shadowing_moves_the_mean() {
         let dep = two_devices(25.0);
-        let ideal = Channel::new(&dep, ChannelConfig::ideal(), 5).mean_rx_power(0, 1);
-        let shadowed = Channel::new(&dep, ChannelConfig::default(), 5).mean_rx_power(0, 1);
+        let ideal = Channel::new(dep.clone(), ChannelConfig::ideal(), 5).mean_rx_power(0, 1);
+        let shadowed = Channel::new(dep, ChannelConfig::default(), 5).mean_rx_power(0, 1);
         assert_ne!(ideal, shadowed);
     }
 }

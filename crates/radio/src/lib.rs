@@ -22,9 +22,9 @@
 //!   estimation by path-loss inversion and the closed-form relative
 //!   error `ε = 10^{x/(10·n)} − 1` under shadowing `x`.
 //! * [`channel`] — the per-trial [`channel::Channel`] facade: sample the
-//!   received power of any link at any slot, decide audibility against
-//!   the −95 dBm threshold, compute the expected (fading-free) proximity
-//!   signal strength used as spanning-tree edge weight.
+//!   received power of any link at any slot and compute the expected
+//!   (fading-free) proximity signal strength used as spanning-tree edge
+//!   weight.
 //!
 //! Every sampled quantity is a pure function of
 //! `(seed, link, coherence block)`, so trials replay bit-identically on
@@ -40,7 +40,7 @@ pub mod rssi;
 pub mod shadowing;
 pub mod units;
 
-pub use channel::{Channel, ChannelConfig, LinkSample};
+pub use channel::{Channel, ChannelConfig};
 pub use fading::FadingModel;
 pub use pathloss::PathLoss;
 pub use rssi::{ranging_error_stats, RangingEstimate};
@@ -49,7 +49,7 @@ pub use units::{Db, Dbm, MilliWatt};
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
-    pub use crate::channel::{Channel, ChannelConfig, LinkSample};
+    pub use crate::channel::{Channel, ChannelConfig};
     pub use crate::fading::FadingModel;
     pub use crate::pathloss::PathLoss;
     pub use crate::rssi::RangingEstimate;

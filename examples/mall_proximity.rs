@@ -62,20 +62,17 @@ fn main() {
         })
         .collect();
     let channel =
-        ffd2d::radio::channel::Channel::new(&deployment, cfg.channel.clone(), cfg.sim.seed);
+        ffd2d::radio::channel::Channel::new(deployment.clone(), cfg.channel.clone(), cfg.sim.seed);
     for tx in 0..n as u32 {
         for rx in 0..n as u32 {
             if tx == rx {
                 continue;
             }
-            let sample = channel.sample(tx, rx, Slot(tx as u64));
-            if sample.detected {
-                devices[rx as usize].table.observe_fire(
-                    tx,
-                    Dbm(sample.rx_power.get()),
-                    tx,
-                    Slot(tx as u64),
-                );
+            let rx_power = channel.rx_power(tx, rx, Slot(tx as u64));
+            if rx_power >= channel.config().detection_threshold {
+                devices[rx as usize]
+                    .table
+                    .observe_fire(tx, rx_power, tx, Slot(tx as u64));
             }
         }
     }

@@ -79,7 +79,7 @@ fn schedule(n: u32, seed: u64, slot: u64) -> Vec<ProximitySignal> {
 fn assert_equivalent(cfg: &ScenarioConfig, seed: u64, slots: u64) {
     let world = World::new(cfg);
     let n = world.n() as u32;
-    let channel = world.reference_channel();
+    let channel = world.channel();
     let reference = Medium::default();
     let receivers: Vec<u32> = (0..n).collect();
     let mut fast = FastMedium::new(n as usize);
@@ -94,7 +94,7 @@ fn assert_equivalent(cfg: &ScenarioConfig, seed: u64, slots: u64) {
             .collect();
 
         let reports = reference.resolve(
-            &channel,
+            channel,
             Slot(slot),
             &transmissions,
             &receivers,
@@ -231,7 +231,7 @@ fn empty_slots_are_equivalent_and_move_no_counter() {
     // pins the shortcut both rely on.)
     let cfg = table1_cfg(20, 5);
     let world = World::new(&cfg);
-    let channel = world.reference_channel();
+    let channel = world.channel();
     let reference = Medium::default();
     let receivers: Vec<u32> = (0..20).collect();
     let mut fast = FastMedium::new(20);
@@ -246,7 +246,7 @@ fn empty_slots_are_equivalent_and_move_no_counter() {
         let transmissions: Vec<Transmission> = txs.iter().map(|&s| Transmission::new(s)).collect();
         let before = ref_counters;
         let reports = reference.resolve(
-            &channel,
+            channel,
             Slot(slot),
             &transmissions,
             &receivers,
@@ -290,7 +290,7 @@ fn half_duplex_transmitters_hear_nothing_in_both_media() {
     // Every device transmits: no decodes, identical counters.
     let cfg = table1_cfg(20, 4);
     let world = World::new(&cfg);
-    let channel = world.reference_channel();
+    let channel = world.channel();
     let reference = Medium::default();
     let receivers: Vec<u32> = (0..20).collect();
     let txs: Vec<ProximitySignal> = (0..20)
@@ -307,7 +307,7 @@ fn half_duplex_transmitters_hear_nothing_in_both_media() {
 
     let mut ref_counters = Counters::new();
     let reports = reference.resolve(
-        &channel,
+        channel,
         Slot(0),
         &transmissions,
         &receivers,
@@ -354,7 +354,7 @@ fn certified_fade_lane_matches_reference_where_fades_decide() {
     assert!((world.mean_rx_dbm(0, 1) - threshold).abs() < 1e-9);
     assert_eq!(world.mean_rx_dbm(0, 1), world.mean_rx_dbm(7, 150));
 
-    let channel = world.reference_channel();
+    let channel = world.channel();
     let reference = Medium::default();
     let receivers: Vec<u32> = (0..n).collect();
     let mut fast = FastMedium::new(n as usize);
@@ -387,7 +387,7 @@ fn certified_fade_lane_matches_reference_where_fades_decide() {
             .collect();
         let transmissions: Vec<Transmission> = txs.iter().map(|&s| Transmission::new(s)).collect();
         let reports = reference.resolve(
-            &channel,
+            channel,
             Slot(slot),
             &transmissions,
             &receivers,

@@ -28,10 +28,22 @@
 //!   `2e^(−t)(1 − e^(−t)) + e^(−2t)·e^(−(c−1)t)·2/(c + 1)`, the last
 //!   factor by the same memorylessness argument applied above `t`.
 //!
-//! Every tolerance is five binomial standard errors of the closed form
-//! at the trial count used. If a check fails, re-derive the closed form
-//! before touching the medium; never widen a tolerance.
+//! * **Ground-truth link count.** On the Table-I cell (n devices
+//!   uniform on a square of side L, σ-dB shadowing, link budget B), a
+//!   pair at distance `rL` has a mean link with probability
+//!   `Q((PL(rL) − B) / σ)`, so the expected edge count is
+//!   `C(n,2)·∫ f(r)·Q((PL(rL) − B) / σ) dr`, with the pair-distance
+//!   density of the unit square `f(r) = 2r(π − 4r + r²)` for `r ≤ 1`
+//!   and `f(r) = 2r(4√(r²−1) − (r² + 2 − π) − 4·arcsec r)` for
+//!   `1 < r ≤ √2`. Pairs share positions, so the count is not binomial:
+//!   its tolerance is five sample standard errors over the seeds.
+//!
+//! Every other tolerance is five binomial standard errors of the closed
+//! form at the trial count used. If a check fails, re-derive the closed
+//! form before touching the medium; never widen a tolerance.
 
+use ffd2d_core::scenario::ScenarioConfig;
+use ffd2d_core::world::{FastMedium, World};
 use ffd2d_phy::codec::ServiceClass;
 use ffd2d_phy::frame::{FrameKind, ProximitySignal};
 use ffd2d_phy::medium::{Medium, MediumConfig, Transmission};
@@ -75,7 +87,7 @@ fn ring(cfg: &ChannelConfig, above_db: &[f64]) -> Deployment {
 }
 
 /// The mean power of `sender` at receiver 0, in dB over threshold.
-fn mean_above(channel: &Channel<'_>, sender: DeviceId) -> f64 {
+fn mean_above(channel: &Channel, sender: DeviceId) -> f64 {
     channel.mean_rx_power(sender, 0).get() - channel.config().detection_threshold.get()
 }
 
@@ -91,7 +103,7 @@ fn fire(sender: DeviceId) -> Transmission {
 }
 
 /// A RACH1 fire from every sender of `channel`'s deployment.
-fn every_sender_fires(channel: &Channel<'_>) -> Vec<Transmission> {
+fn every_sender_fires(channel: &Channel) -> Vec<Transmission> {
     (1..channel.deployment().len() as DeviceId)
         .map(fire)
         .collect()
@@ -100,7 +112,7 @@ fn every_sender_fires(channel: &Channel<'_>) -> Vec<Transmission> {
 /// Resolve `TRIALS` consecutive slots in which all of `txs` go on the
 /// air, handing each slot's decodes at receiver 0 to `seen`.
 fn each_slot(
-    channel: &Channel<'_>,
+    channel: &Channel,
     capture_db: f64,
     txs: &[Transmission],
     mut seen: impl FnMut(u64, &[ProximitySignal]),
@@ -125,7 +137,7 @@ fn each_slot(
 
 /// Fraction of `TRIALS` slots in which receiver 0 decodes a signal
 /// while every sender fires on RACH1.
-fn success_rate(channel: &Channel<'_>, capture_db: f64) -> f64 {
+fn success_rate(channel: &Channel, capture_db: f64) -> f64 {
     let mut hits = 0u64;
     each_slot(channel, capture_db, &every_sender_fires(channel), |_, d| {
         hits += d.len() as u64;
@@ -149,7 +161,7 @@ fn single_rayleigh_link_decodes_with_probability_exp_minus_inverse_snr() {
     let cfg = rayleigh(1);
     for (i, m_target) in [-3.0f64, 0.0, 3.0, 10.0].into_iter().enumerate() {
         let dep = ring(&cfg, &[m_target]);
-        let channel = Channel::new(&dep, cfg.clone(), 0xE6_0A00 + i as u64);
+        let channel = Channel::new(dep, cfg.clone(), 0xE6_0A00 + i as u64);
         let m = mean_above(&channel, 1);
         assert!(
             (m - m_target).abs() < 1e-6,
@@ -167,7 +179,7 @@ fn equal_mean_senders_capture_as_renyi_predicts() {
     let c = 10f64.powf(CAPTURE_DB / 10.0);
     for k in [2usize, 3, 5, 10] {
         let dep = ring(&cfg, &vec![FAR_ABOVE_DB; k]);
-        let channel = Channel::new(&dep, cfg.clone(), 0xE6_0B00 + k as u64);
+        let channel = Channel::new(dep, cfg.clone(), 0xE6_0B00 + k as u64);
         for s in 1..=k as DeviceId {
             assert!((mean_above(&channel, s) - FAR_ABOVE_DB).abs() < 1e-6);
         }
@@ -181,7 +193,7 @@ fn equal_mean_senders_capture_as_renyi_predicts() {
 fn two_sender_capture_rate_follows_the_margin() {
     let cfg = rayleigh(1);
     let dep = ring(&cfg, &[FAR_ABOVE_DB; 2]);
-    let channel = Channel::new(&dep, cfg, 0xE6_0C00);
+    let channel = Channel::new(dep, cfg, 0xE6_0C00);
     for z in [1.0f64, 3.0, 10.0] {
         let c = 10f64.powf(z / 10.0);
         let what = format!("K = 2, z = {z} dB");
@@ -195,7 +207,7 @@ fn stronger_of_two_senders_captures_in_proportion_to_its_mean() {
     let c = 10f64.powf(CAPTURE_DB / 10.0);
     for delta in [3.0f64, 10.0] {
         let dep = ring(&cfg, &[FAR_ABOVE_DB, FAR_ABOVE_DB - delta]);
-        let channel = Channel::new(&dep, cfg.clone(), 0xE6_0D00 + delta as u64);
+        let channel = Channel::new(dep, cfg.clone(), 0xE6_0D00 + delta as u64);
         let a = 10f64.powf((mean_above(&channel, 1) - mean_above(&channel, 2)) / 10.0);
         let mut by_sender = [0u64; 3];
         each_slot(
@@ -221,7 +233,7 @@ fn sub_threshold_signals_neither_decode_nor_interfere() {
     let cfg = rayleigh(1);
     let c = 10f64.powf(CAPTURE_DB / 10.0);
     let dep = ring(&cfg, &[0.0, 0.0]);
-    let channel = Channel::new(&dep, cfg, 0xE6_0E00);
+    let channel = Channel::new(dep, cfg, 0xE6_0E00);
     let t = 10f64.powf(-mean_above(&channel, 1) / 10.0);
     let p = (-t).exp();
     let exactly_one = 2.0 * p * (1.0 - p);
@@ -238,7 +250,7 @@ fn the_two_codecs_decode_independently() {
     // joint decode rate the product of the per-codec rates.
     let cfg = rayleigh(1);
     let dep = ring(&cfg, &[0.0, 0.0]);
-    let channel = Channel::new(&dep, cfg, 0xE6_0F00);
+    let channel = Channel::new(dep, cfg, 0xE6_0F00);
     let p = (-(10f64.powf(-mean_above(&channel, 1) / 10.0))).exp();
     let handshake = Transmission::new(ProximitySignal {
         sender: 2,
@@ -270,7 +282,7 @@ fn outcomes_are_fresh_per_slot_and_frozen_per_coherence_block() {
     // independent, so both succeed with probability p².
     let cfg = rayleigh(1);
     let dep = ring(&cfg, &[FAR_ABOVE_DB; 2]);
-    let channel = Channel::new(&dep, cfg, 0xE6_1000);
+    let channel = Channel::new(dep.clone(), cfg, 0xE6_1000);
     let mut last = false;
     let mut pairs = 0u64;
     each_slot(
@@ -289,7 +301,7 @@ fn outcomes_are_fresh_per_slot_and_frozen_per_coherence_block() {
     // outcome exactly, and the per-block rate is p.
     let block = 20;
     let cfg = rayleigh(block);
-    let channel = Channel::new(&dep, cfg, 0xE6_1000);
+    let channel = Channel::new(dep, cfg, 0xE6_1000);
     let mut first: Vec<DeviceId> = Vec::new();
     let mut blocks_decoded = 0u64;
     each_slot(
@@ -309,4 +321,87 @@ fn outcomes_are_fresh_per_slot_and_frozen_per_coherence_block() {
     let blocks = TRIALS / block;
     let what = "per block, coherence 20";
     assert_within_5_sigma(what, blocks_decoded as f64 / blocks as f64, blocks, p);
+}
+
+/// Composite Simpson's rule for `f` over `[a, b]` on `intervals` (even)
+/// equal steps.
+fn simpson(f: impl Fn(f64) -> f64, a: f64, b: f64, intervals: usize) -> f64 {
+    let h = (b - a) / intervals as f64;
+    let inner: f64 = (1..intervals)
+        .map(|i| f(a + i as f64 * h) * if i % 2 == 1 { 4.0 } else { 2.0 })
+        .sum();
+    (f(a) + inner + f(b)) * h / 3.0
+}
+
+/// The standard normal upper tail `Q(x) = P(Z ≥ x)`, integrated from
+/// the density (the tail beyond `|x| + 12` is below 10⁻³³).
+fn normal_tail(x: f64) -> f64 {
+    if x < 0.0 {
+        return 1.0 - normal_tail(-x);
+    }
+    let density = |t: f64| (-t * t / 2.0).exp() / std::f64::consts::TAU.sqrt();
+    simpson(density, x, x + 12.0, 2_000)
+}
+
+/// The density of the distance between two uniform points of the unit
+/// square.
+fn pair_distance_density(r: f64) -> f64 {
+    use std::f64::consts::PI;
+    if r <= 1.0 {
+        2.0 * r * (PI - 4.0 * r + r * r)
+    } else {
+        let arcsec = (1.0 / r).acos();
+        2.0 * r * (4.0 * (r * r - 1.0).sqrt() - (r * r + 2.0 - PI) - 4.0 * arcsec)
+    }
+}
+
+#[test]
+fn ground_truth_link_count_matches_the_pair_distance_integral() {
+    let n = 100;
+    let seeds = 1000..1400u64;
+    let cfg = ScenarioConfig::table1(n);
+    let side = cfg.sim.area_width.get();
+    assert_eq!(
+        side,
+        cfg.sim.area_height.get(),
+        "the density is the square's"
+    );
+    let radio = &cfg.channel;
+    let (budget, sigma) = (radio.budget().get(), radio.shadowing_sigma_db);
+
+    // Piecewise Simpson, split where f changes form (r = 1) and where
+    // Table I's path loss jumps (d = 6 m).
+    let integrand = |r: f64| {
+        let loss = radio.pathloss.loss(Meters(r * side)).get();
+        pair_distance_density(r) * normal_tail((loss - budget) / sigma)
+    };
+    let knots = [0.0, 6.0 / side, 1.0, std::f64::consts::SQRT_2];
+    let piecewise = |f: &dyn Fn(f64) -> f64| -> f64 {
+        knots
+            .windows(2)
+            .map(|k| simpson(f, k[0], k[1], 4_000))
+            .sum()
+    };
+    let mass = piecewise(&pair_distance_density);
+    assert!((mass - 1.0).abs() < 1e-4, "density integrates to {mass}");
+    let pairs = (n * (n - 1) / 2) as f64;
+    let expected = pairs * piecewise(&integrand);
+
+    let counts: Vec<f64> = seeds
+        .map(|seed| {
+            let world = World::new(&cfg.clone().seeded(seed));
+            (FastMedium::new(n).ground_truth_links(&world) / 2) as f64
+        })
+        .collect();
+    let k = counts.len() as f64;
+    let mean = counts.iter().sum::<f64>() / k;
+    let var = counts.iter().map(|c| (c - mean).powi(2)).sum::<f64>() / (k - 1.0);
+    let tol = 5.0 * (var / k).sqrt();
+    eprintln!(
+        "ground-truth links, n = {n}: measured {mean:.1}, closed form {expected:.1}, 5σ = {tol:.1}"
+    );
+    assert!(
+        (mean - expected).abs() <= tol,
+        "ground-truth links: measured {mean:.1} vs closed form {expected:.1} (5σ = {tol:.1})"
+    );
 }
