@@ -391,7 +391,7 @@ impl Protocol for St {
         if self.phase == Phase::Merge {
             let period = rt.world.config().protocol.period_slots as u64;
             for id in self.beacons_at(slot.0 % period) {
-                if rt.churned && !rt.active[id as usize] {
+                if !rt.active[id as usize] {
                     continue;
                 }
                 let d = &rt.devices[id as usize];
@@ -495,13 +495,12 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
     /// only).
     fn fragment_count(&mut self) -> u32 {
         self.st.frag_scratch.clear();
-        let (churned, active) = (self.rt.churned, &self.rt.active);
         self.st.frag_scratch.extend(
             self.rt
                 .devices
                 .iter()
                 .enumerate()
-                .filter(|(i, _)| !churned || active[*i])
+                .filter(|(i, _)| self.rt.active[*i])
                 .map(|(_, d)| d.fragment),
         );
         self.st.frag_scratch.sort_unstable();
@@ -520,7 +519,7 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
         let mut depth = vec![u32::MAX; n];
         let mut queue = std::collections::VecDeque::new();
         for d in &self.rt.devices {
-            if d.is_head() && (!self.rt.churned || self.rt.active[d.id as usize]) {
+            if d.is_head() && self.rt.active[d.id as usize] {
                 depth[d.id as usize] = 0;
                 queue.push_back(d.id);
             }
@@ -576,7 +575,7 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
             if !self.rt.devices[id as usize].is_head() {
                 continue;
             }
-            if self.rt.churned && !self.rt.active[id as usize] {
+            if !self.rt.active[id as usize] {
                 continue; // departed ex-heads stay silent
             }
             let children: Vec<DeviceId> = self.st.tree[id as usize].clone();
@@ -1387,7 +1386,7 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
         for &(from, to, msg) in &batch {
             // In-flight unicasts involving a device that churned between
             // send and delivery are lost with it.
-            if self.rt.churned && (!self.rt.active[from as usize] || !self.rt.active[to as usize]) {
+            if !self.rt.active[from as usize] || !self.rt.active[to as usize] {
                 continue;
             }
             self.handle_msg(from, to, msg, slot);
@@ -1404,7 +1403,7 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
             let mut due = core::mem::take(&mut self.st.hs_scratch);
             self.st.hs_due.pop_due(s, &mut due);
             for &v in &due {
-                if self.rt.churned && !self.rt.active[v as usize] {
+                if !self.rt.active[v as usize] {
                     continue;
                 }
                 let st = &self.st.m[v as usize];

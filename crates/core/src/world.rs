@@ -36,9 +36,9 @@
 //!    (sender, grid cell), aligned with the cell's occupant list — and
 //!    reused across every later slot. Fading remains the only per-slot
 //!    keyed draw, so caching is provably bit-identical: no RNG stream
-//!    is touched. Engine-reported churn ([`FastMedium::note_churn_of`])
-//!    stales only the churned senders' rows via per-row membership
-//!    stamps, which refill in place on next use. Memory is one `f64`
+//!    is touched. Churn moves no device, so it leaves every row valid:
+//!    a departed receiver is masked out in the admit pass, like a
+//!    transmitting one. Memory is one `f64`
 //!    per cached directed (sender, cell-occupant) pair — proportional
 //!    to the audible-pair count actually exercised, not `n²` of the
 //!    whole arena (they coincide only when every device is audible to
@@ -106,10 +106,11 @@ use ffd2d_graph::spatial::SpatialGrid;
 use ffd2d_graph::weight::W;
 use ffd2d_phy::codec::{RachCodec, ServiceClass};
 use ffd2d_phy::frame::ProximitySignal;
+use ffd2d_phy::medium::MediumConfig;
 use ffd2d_radio::channel::Channel;
 use ffd2d_radio::fading::{FadingModel, SlotFade};
 use ffd2d_sim::counters::Counters;
-use ffd2d_sim::deployment::{Deployment, DeviceId, Meters};
+use ffd2d_sim::deployment::{Deployment, DeviceId};
 use ffd2d_sim::rng::{StreamId, StreamRng};
 use ffd2d_sim::time::Slot;
 use ffd2d_telemetry::Recorder;
@@ -136,11 +137,8 @@ pub struct World {
     graph: OnceLock<WeightedGraph>,
     /// Per-device service interests.
     services: Vec<ServiceClass>,
-    threshold_dbm: f64,
+    /// Capture margin in dB: the reference resolver's default.
     capture_margin_db: f64,
-    /// Provable fading headroom: mean below `threshold − headroom` can
-    /// never be detected.
-    fade_headroom_db: f64,
     /// Worst-case audibility radius (any realisation), clamped to the
     /// arena diagonal — the medium's grid-query radius.
     audible_range_m: f64,
@@ -177,9 +175,7 @@ impl World {
             grid,
             graph: OnceLock::new(),
             services,
-            threshold_dbm: cfg.channel.detection_threshold.get(),
-            capture_margin_db: 6.0,
-            fade_headroom_db: cfg.channel.fade_headroom_db(),
+            capture_margin_db: MediumConfig::default().capture_margin.get(),
             audible_range_m,
             mean_link_range_m,
             cfg: cfg.clone(),
@@ -234,7 +230,7 @@ impl World {
             for &b in &candidates {
                 if b > a {
                     let w = self.mean_rx_dbm(a, b);
-                    if w >= self.threshold_dbm {
+                    if w >= self.threshold_dbm() {
                         g.add_edge(a, b, W::new(w));
                     }
                 }
@@ -251,13 +247,13 @@ impl World {
     /// Detection threshold in dBm.
     #[inline]
     pub fn threshold_dbm(&self) -> f64 {
-        self.threshold_dbm
+        self.channel.config().detection_threshold.get()
     }
 
     /// Provable fading headroom in dB (`FadingModel::max_gain_db`).
     #[inline]
     pub fn fade_headroom_db(&self) -> f64 {
-        self.fade_headroom_db
+        self.channel.config().fade_headroom_db()
     }
 
     /// Worst-case audibility radius in meters — the spatial-grid query
@@ -265,17 +261,6 @@ impl World {
     #[inline]
     pub fn audible_range_m(&self) -> f64 {
         self.audible_range_m
-    }
-
-    /// Candidate receivers of `tx`: every device within the worst-case
-    /// audibility radius, ascending, excluding `tx` itself. A device
-    /// outside this set can never detect `tx`, for any seed.
-    pub fn audible_candidates(&self, tx: DeviceId) -> Vec<DeviceId> {
-        let p = self.deployment().position(tx);
-        let mut out = Vec::new();
-        self.grid.within(p.x, p.y, self.audible_range_m, &mut out);
-        out.retain(|&b| b != tx);
-        out
     }
 
     /// Long-term mean received power of link `a → b` in dBm
@@ -287,18 +272,6 @@ impl World {
         }
         self.channel.mean_rx_power(a, b).get()
     }
-
-    /// Instantaneous received power (mean + block fading) of link
-    /// `a → b`, `a ≠ b`, in dBm ([`Channel::rx_power`]).
-    #[inline]
-    pub fn rx_dbm(&self, a: DeviceId, b: DeviceId, slot: Slot) -> f64 {
-        self.channel.rx_power(a, b, slot).get()
-    }
-
-    /// True distance between two devices.
-    pub fn distance(&self, a: DeviceId, b: DeviceId) -> Meters {
-        self.deployment().distance(a, b)
-    }
 }
 
 /// Run-long link-state cache: one row of mean link gains
@@ -307,10 +280,9 @@ impl World {
 /// `row[j]` by the receiver's position in its cell — no per-pair hashing
 /// or probing. Rows are filled by the batched kernel
 /// ([`Channel::fill_mean_rx_dbm`]) the first time a sender's disc touches
-/// a cell, then reused by every later slot; churn stales only the
-/// churned senders' rows, via `device_gen`. Values are pure functions
-/// of positions, which never change, so a cached read is bit-identical
-/// to recomputation by construction.
+/// a cell, then reused by every later slot of the run. Values are pure
+/// functions of positions, which never change, so a cached read is
+/// bit-identical to recomputation by construction.
 #[derive(Debug, Default)]
 struct GainCache {
     /// `(sender << 32) | cell` → index into `rows`. Lookup-only (never
@@ -318,12 +290,6 @@ struct GainCache {
     // ffd2d-lint: allow(ordered-iteration) — lookup-only by construction: the only reads are `get` in `row` and `ground_truth_links`; no iteration exists for hash order to escape through
     index: HashMap<u64, u32>,
     rows: Vec<GainRow>,
-    /// Per-sender churn stamp: bumped by [`FastMedium::note_churn_of`]
-    /// for exactly the devices a join/leave touched, so rows of
-    /// unaffected senders survive churn. Sized lazily to the world.
-    device_gen: Vec<u64>,
-    /// Monotone churn-event counter feeding `device_gen` stamps.
-    churn_gen: u64,
     // --- Per-slot telemetry (written only when the resolving recorder
     // is enabled; the disabled path never touches these) ---
     /// Rows served from the cache this slot.
@@ -334,33 +300,20 @@ struct GainCache {
     fill_ns: u64,
 }
 
-/// One cached `(sender, cell)` row of mean gains and its stamps.
+/// One cached `(sender, cell)` row of mean gains.
 #[derive(Debug)]
 struct GainRow {
     /// Mean gains, aligned with the cell's occupant list.
     gains: Vec<f64>,
-    /// Membership stamp: the sender's `device_gen` at fill time. The row
-    /// is served only while the stamps still agree; otherwise it is
-    /// refilled in place.
-    gen: u64,
-    /// The medium epoch of the slot that last filled the row. A row
-    /// filled earlier in the current slot is served without counting as
-    /// a hit.
+    /// The medium epoch of the slot that filled the row. A row filled
+    /// earlier in the current slot is served without counting as a hit.
     filled: u64,
 }
 
 impl GainCache {
-    /// The membership stamp rows by `sender` must carry to be served.
-    #[inline]
-    fn sender_gen(&self, sender: DeviceId) -> u64 {
-        self.device_gen.get(sender as usize).copied().unwrap_or(0)
-    }
-
     /// The mean gains of `sender` over `items` (the occupants of
-    /// `cell`): the cached row while its membership stamp matches the
-    /// sender's, else one batched-kernel fill kept in the cache. Churn
-    /// stales exactly the churned senders' rows, which are refilled in
-    /// place and re-stamped.
+    /// `cell`): the cached row, else one batched-kernel fill kept in the
+    /// cache for the rest of the run.
     fn row<const TELEM: bool>(
         &mut self,
         world: &World,
@@ -370,30 +323,22 @@ impl GainCache {
         items: &[DeviceId],
     ) -> &[f64] {
         let key = ((sender as u64) << 32) | cell as u64;
-        let gen = self.sender_gen(sender);
-        let i = match self.index.get(&key) {
-            Some(&i) if self.rows[i as usize].gen == gen => {
-                let row = &self.rows[i as usize];
-                if TELEM && row.filled != epoch {
-                    self.rows_hit += 1;
-                }
-                return &row.gains;
+        if let Some(&i) = self.index.get(&key) {
+            let row = &self.rows[i as usize];
+            if TELEM && row.filled != epoch {
+                self.rows_hit += 1;
             }
-            Some(&i) => i as usize,
-            None => {
-                self.index.insert(key, self.rows.len() as u32);
-                self.rows.push(GainRow {
-                    gains: Vec::new(),
-                    gen: 0,
-                    filled: 0,
-                });
-                self.rows.len() - 1
-            }
-        };
+            return &row.gains;
+        }
+        let i = self.rows.len();
+        self.index.insert(key, i as u32);
+        self.rows.push(GainRow {
+            gains: Vec::new(),
+            filled: epoch,
+        });
         // ffd2d-lint: allow(wall-clock) — telemetry-gated fill-kernel timing; compiled out under NullRecorder, feeds metrics only
         let t0 = TELEM.then(Instant::now);
         let row = &mut self.rows[i];
-        row.gains.clear();
         world
             .channel
             .fill_mean_rx_dbm(sender, items, &mut row.gains);
@@ -401,8 +346,6 @@ impl GainCache {
             self.rows_filled += 1;
             self.fill_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
         }
-        row.gen = gen;
-        row.filled = epoch;
         &row.gains
     }
 }
@@ -419,13 +362,10 @@ fn admit_row<const CERTIFIED: bool>(
     faded: &[f64],
 ) {
     for ((&r, &m), &p) in items.iter().zip(mean).zip(faded) {
-        if tx_stamp[r as usize] == ctx.epoch {
-            continue; // half-duplex: transmitting receivers are deaf
-        }
-        if let Some(active) = ctx.active {
-            if !active[r as usize] {
-                continue; // departed devices hear nothing
-            }
+        // Transmitting receivers are deaf (half-duplex); departed ones
+        // hear nothing.
+        if tx_stamp[r as usize] == ctx.epoch || !ctx.active[r as usize] {
+            continue;
         }
         acc.admit::<CERTIFIED>(ctx, ti, r, m, p);
     }
@@ -448,7 +388,6 @@ fn admit_row<const CERTIFIED: bool>(
 /// resolver's order — so traced runs are byte-identical too.
 #[derive(Debug)]
 pub struct FastMedium {
-    n: usize,
     /// Per-`(receiver, codec)` collision accumulators.
     acc: KeyAcc,
     /// The fade lane: `mean[j] + fade` for every occupant `j` of the
@@ -503,9 +442,8 @@ struct SlotCtx<'a> {
     fade: SlotFade,
     threshold: f64,
     mean_floor: f64,
-    /// Receiver liveness under churn; `None` = everyone listens (the
-    /// exact fault-free path).
-    active: Option<&'a [bool]>,
+    /// Receiver liveness: `false` for a device that has left.
+    active: &'a [bool],
     /// Per-transmission power droop in dB (fault injection); `None`
     /// when no droop window is open this slot.
     droop: Option<&'a [f64]>,
@@ -681,7 +619,6 @@ impl FastMedium {
     /// A resolver for `n` devices.
     pub fn new(n: usize) -> FastMedium {
         FastMedium {
-            n,
             acc: KeyAcc::new(n),
             faded: Vec::new(),
             scratch_row: Vec::new(),
@@ -694,38 +631,13 @@ impl FastMedium {
         }
     }
 
-    /// Record that the driving engine applied churn (join/leave) to
-    /// exactly `devices` — called by the protocol engines whenever a
-    /// fault plan's churn events take effect. Only those devices'
-    /// membership stamps advance, so cached rows of unaffected senders
-    /// keep serving; the churned senders' rows are refilled in place on
-    /// next use. Positions do not change under churn, so even that
-    /// refill is value-identical; invalidating the touched devices keeps
-    /// the contract "a population event invalidates the state of the
-    /// devices it touched" without flushing the whole cache.
-    pub fn note_churn_of(&mut self, devices: &[DeviceId]) {
-        if devices.is_empty() {
-            return;
-        }
-        self.gains.churn_gen += 1;
-        let gen = self.gains.churn_gen;
-        for &d in devices {
-            let d = d as usize;
-            if d >= self.gains.device_gen.len() {
-                self.gains.device_gen.resize(self.n.max(d + 1), 0);
-            }
-            self.gains.device_gen[d] = gen;
-        }
-    }
-
     /// `2 ×` the edge count of `world`'s ground-truth proximity graph
     /// ([`World::proximity_graph`]), counted without building it: every
     /// pair `b > a` with `b` in a cell covering `a`'s mean-link disc,
     /// within that radius by the grid's own inclusive test, whose mean
     /// gain clears the threshold — `build_proximity_graph`'s predicate.
     /// Means come from the warm gain-cache row `(a, cell)` when there
-    /// is one; a row stale by churn still holds exact values, since
-    /// churn moves no device. Pairs without a row are computed with
+    /// is one; pairs without a row are computed with
     /// [`World::mean_rx_dbm`].
     pub fn ground_truth_links(&self, world: &World) -> u64 {
         let gains = &self.gains;
@@ -754,7 +666,7 @@ impl FastMedium {
                         Some(row) => row[j],
                         None => world.mean_rx_dbm(a, b),
                     };
-                    if mean >= world.threshold_dbm {
+                    if mean >= world.threshold_dbm() {
                         links += 1;
                     }
                 }
@@ -846,11 +758,11 @@ impl FastMedium {
     /// ranging consumes), and `counters` tallies transmissions and
     /// reception outcomes.
     ///
-    /// * `active` — `None` makes every device a potential receiver, as
-    ///   with the reference resolver over the full receiver set. Under
-    ///   churn, receivers whose entry is `false` hear nothing (they left
-    ///   the arena) and the closed-form below-threshold reconstruction
-    ///   counts only the live population.
+    /// * `active` — per-device liveness: a receiver whose entry is
+    ///   `false` hears nothing (it left the arena), like a transmitting
+    ///   one. `live` is the number of `true` entries, the population the
+    ///   closed-form below-threshold reconstruction counts; an all-true
+    ///   mask is the reference resolver over the full receiver set.
     /// * Transmit-power droops from the world's
     ///   [`ScenarioConfig::faults`] plan are subtracted per transmission
     ///   before the threshold test; an empty droop schedule is the
@@ -876,7 +788,8 @@ impl FastMedium {
         world: &World,
         slot: Slot,
         transmissions: &[ProximitySignal],
-        active: Option<&[bool]>,
+        active: &[bool],
+        live: usize,
         counters: &mut Counters,
         sink: &mut S,
         rec: &mut R,
@@ -980,13 +893,10 @@ impl FastMedium {
         // Exact counter reconstruction: the reference walks every
         // (transmission, non-transmitting receiver) pair and counts it
         // either as detected (rx_ok + rx_collision below) or as below
-        // threshold — so the latter is the complement. Under churn only
-        // the live population counts as receivers.
-        let population = match active {
-            Some(mask) => mask.iter().filter(|&&a| a).count() as u64,
-            None => world.n() as u64,
-        };
-        let receivers = population - distinct_senders;
+        // threshold — so the latter is the complement. Only the live
+        // population counts as receivers.
+        debug_assert_eq!(live, active.iter().filter(|&&a| a).count(), "live count");
+        let receivers = live as u64 - distinct_senders;
         let below_threshold = transmissions.len() as u64 * receivers - self.acc.detected;
         counters.add_rx_below_threshold(below_threshold);
         if S::ENABLED && below_threshold > 0 {
@@ -1094,6 +1004,7 @@ mod tests {
     use super::*;
     use ffd2d_phy::frame::FrameKind;
     use ffd2d_phy::medium::{Medium, Transmission};
+    use ffd2d_sim::deployment::Meters;
     use ffd2d_sim::time::SlotDuration;
     use ffd2d_telemetry::NullRecorder;
     use ffd2d_trace::NullSink;
@@ -1144,7 +1055,8 @@ mod tests {
             w,
             Slot(slot),
             txs,
-            None,
+            &vec![true; w.n()],
+            w.n(),
             &mut fast_counters,
             &mut NullSink,
             &mut NullRecorder,
@@ -1210,7 +1122,7 @@ mod tests {
             for a in 0..10u32 {
                 for b in 0..10u32 {
                     if a != b {
-                        let fast = w.rx_dbm(a, b, Slot(slot));
+                        let fast = w.channel().rx_power(a, b, Slot(slot)).get();
                         let reference = ch.rx_power(a, b, Slot(slot)).get();
                         assert!(
                             (fast - reference).abs() < 1e-9,
@@ -1245,23 +1157,50 @@ mod tests {
     }
 
     #[test]
-    fn audible_candidates_cover_every_possible_receiver() {
-        // Anything the grid prunes must have a mean below the provable
-        // detectability floor — the exactness contract of the index.
-        let w = World::new(&small_cfg(40, 9));
-        let floor = w.threshold_dbm() - w.fade_headroom_db();
-        for a in 0..40u32 {
-            let cands = w.audible_candidates(a);
-            assert!(!cands.contains(&a));
-            assert!(cands.windows(2).all(|p| p[0] < p[1]), "sorted, unique");
-            for b in 0..40u32 {
-                if b != a && !cands.contains(&b) {
+    fn cell_posting_covers_every_possible_receiver() {
+        // The medium posts a transmission only to the cells its
+        // audibility disc covers: any device outside them must have a
+        // mean below the provable detectability floor — the exactness
+        // contract of the pruning. Checked on the Table-I cell and on
+        // ideal-channel arenas of 1 and 2 km, where the grid has many
+        // cells (Table-I shadowing makes the worst-case disc wider than
+        // either arena).
+        let mut arenas = vec![(small_cfg(40, 9), false)];
+        for (side, seed) in [(1000.0, 19), (2000.0, 21)] {
+            let mut cfg = small_cfg(300, seed).ideal_channel();
+            cfg.sim.area_width = Meters(side);
+            cfg.sim.area_height = Meters(side);
+            arenas.push((cfg, true));
+        }
+        for (cfg, multi_cell) in arenas {
+            let w = World::new(&cfg);
+            let grid = w.spatial_grid();
+            assert_eq!(
+                grid.cell_count() > 1,
+                multi_cell,
+                "{} cells",
+                grid.cell_count()
+            );
+            let floor = w.threshold_dbm() - w.fade_headroom_db();
+            let n = w.n() as DeviceId;
+            let mut pruned = 0;
+            for a in 0..n {
+                let p = w.deployment().position(a);
+                let mut posted = vec![false; n as usize];
+                for cell in grid.cells_intersecting_disc(p.x, p.y, w.audible_range_m()) {
+                    for &b in grid.cell_items(cell) {
+                        posted[b as usize] = true;
+                    }
+                }
+                for b in (0..n).filter(|&b| !posted[b as usize]) {
+                    pruned += 1;
                     assert!(
                         w.mean_rx_dbm(a, b) < floor,
                         "pruned pair {a}->{b} is not provably inaudible"
                     );
                 }
             }
+            assert_eq!(pruned > 0, multi_cell, "pruned pairs: {pruned}");
         }
     }
 
@@ -1337,7 +1276,8 @@ mod tests {
                     &w,
                     Slot(slot),
                     &txs,
-                    None,
+                    &[true; 48],
+                    48,
                     &mut counters,
                     &mut NullSink,
                     &mut NullRecorder,
@@ -1354,7 +1294,7 @@ mod tests {
     }
 
     #[test]
-    fn gain_cache_survives_slots_but_not_churn() {
+    fn gain_cache_survives_slots() {
         use ffd2d_telemetry::Telemetry;
         let mut cfg = small_cfg(40, 13).ideal_channel();
         cfg.sim.area_width = Meters(1000.0);
@@ -1369,7 +1309,8 @@ mod tests {
                 w,
                 Slot(slot),
                 &txs,
-                None,
+                &[true; 40],
+                40,
                 &mut counters,
                 &mut NullSink,
                 &mut rec,
@@ -1386,20 +1327,6 @@ mod tests {
         let (h1, m1) = resolve(&mut fast, &w, 1);
         assert_eq!(m1, 0, "same senders: no refill");
         assert_eq!(h1, m0, "every filled row is reused");
-
-        // Narrow churn: only the churned sender's rows go stale and
-        // refill in place; everyone else's keep serving.
-        fast.note_churn_of(&[2]);
-        let (h2, m2) = resolve(&mut fast, &w, 2);
-        assert!(m2 > 0, "the churned sender's rows refill");
-        assert!(h2 > 0, "other senders' rows keep serving");
-        assert_eq!(h2 + m2, m0, "per-row staleness, not a full flush");
-
-        // Churn of a device that never transmits stales no row at all.
-        fast.note_churn_of(&[0]);
-        let (h3, m3) = resolve(&mut fast, &w, 3);
-        assert_eq!(m3, 0, "non-sender churn leaves every row valid");
-        assert_eq!(h3, m0);
     }
 
     #[test]
@@ -1415,7 +1342,8 @@ mod tests {
                 w,
                 Slot(slot),
                 txs,
-                None,
+                &vec![true; w.n()],
+                w.n(),
                 &mut Counters::new(),
                 &mut NullSink,
                 &mut NullRecorder,
@@ -1425,7 +1353,7 @@ mod tests {
         let n = 48u32;
         let every: Vec<ProximitySignal> = (0..n).map(fire).collect();
 
-        // Table-I cell: cold, partly warm, fully warm, then churned.
+        // Table-I cell: cold, partly warm, fully warm.
         let w = World::new(&small_cfg(n as usize, 37));
         let mut fast = FastMedium::new(n as usize);
         check(&w, &fast, "cold");
@@ -1433,8 +1361,6 @@ mod tests {
         check(&w, &fast, "partly warm");
         resolve(&mut fast, &w, 1, &every);
         check(&w, &fast, "fully warm");
-        fast.note_churn_of(&[3, 20, 47]);
-        check(&w, &fast, "stale by churn");
 
         // No cache at all.
         let off = World::new(&small_cfg(n as usize, 37).with_gain_cache(GainCacheMode::Off));
@@ -1463,7 +1389,8 @@ mod tests {
             &w,
             Slot(0),
             &[],
-            None,
+            &[true; 5],
+            5,
             &mut counters,
             &mut NullSink,
             &mut NullRecorder,

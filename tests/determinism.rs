@@ -41,8 +41,8 @@ fn world_construction_is_stable() {
         for b in 0..w1.n() as u32 {
             if a != b {
                 assert_eq!(
-                    w1.rx_dbm(a, b, ffd2d::sim::Slot(123)),
-                    w2.rx_dbm(a, b, ffd2d::sim::Slot(123))
+                    w1.channel().rx_power(a, b, ffd2d::sim::Slot(123)),
+                    w2.channel().rx_power(a, b, ffd2d::sim::Slot(123))
                 );
             }
         }

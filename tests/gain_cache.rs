@@ -3,18 +3,18 @@
 //!
 //! [`FastMedium`] caches mean link gains (path loss + shadowing — every
 //! position-determined term) in rows keyed `(sender, grid cell)`,
-//! valid while the row's membership stamp matches its sender's
-//! (devices never move, so only churn stales a row); the per-slot
+//! filled once per run: devices never move, and churn only masks
+//! departed receivers out, so no row ever goes stale. The per-slot
 //! fading draw stays outside the cache. A cached row is *the same
 //! `f64`s* the direct path computes (same batched kernel, same
 //! iteration order), so `GainCacheMode::Off` versus `Epoch` must agree
-//! **bit for bit** — including under churn, where joins/leaves stale
-//! exactly the churned senders' rows mid-run.
+//! **bit for bit** — under churn too.
 //!
 //! The harness locks that down across the full execution matrix (both
-//! protocols × both engines) under a churn-heavy fault plan, asserting identical [`RunOutcome`]s and
-//! byte-identical JSONL traces; a proptest then drives the medium
-//! directly on random multi-cell worlds, checking a warmed cache
+//! protocols × both engines) under a churn-heavy fault plan, asserting
+//! identical [`RunOutcome`]s and byte-identical JSONL traces, and
+//! bounds the rows a churn-heavy run fills; a proptest then drives the
+//! medium directly on random multi-cell worlds, checking a warmed cache
 //! resolves later slots bit-identically to a cold medium.
 
 use ffd2d::baseline::FstProtocol;
@@ -30,9 +30,9 @@ use ffd2d::telemetry::{NullRecorder, Telemetry};
 use ffd2d::trace::NullSink;
 use proptest::prelude::*;
 
-/// Table-I arena under a churn-heavy plan: joins and leaves force the
-/// mid-run row refill path, power droops exercise the per-transmission
-/// adjustment downstream of the cached mean.
+/// Table-I arena under a churn-heavy plan: joins and leaves mask
+/// receivers in and out mid-run, power droops exercise the
+/// per-transmission adjustment downstream of the cached mean.
 fn churny_cfg(n: usize, seed: u64, horizon: u64) -> ScenarioConfig {
     let faults = FaultPlan::resolve("churn-heavy", n, horizon).expect("preset");
     ScenarioConfig::table1(n)
@@ -82,32 +82,30 @@ fn gain_cache_is_outcome_neutral_across_the_matrix() {
 }
 
 #[test]
-fn narrow_churn_invalidation_keeps_the_cache_hot() {
-    // Churn stales only the churned senders' rows (per-row membership
-    // stamps), so a churn-heavy run must keep serving the untouched
-    // majority of the cache — under the old whole-store flush this
-    // cell's hit rate collapsed every join/leave.
+fn churn_refills_no_row() {
+    // The Table-I cell is one grid cell, so each sender has one row:
+    // a churn-heavy run fills at most one row per device, however
+    // often devices leave and rejoin.
     let cfg = churny_cfg(96, 0xC0FFEE, 8_000);
     let world = World::new(&cfg);
-    let mut rec = ffd2d::telemetry::Telemetry::new();
+    assert_eq!(world.spatial_grid().cell_count(), 1);
+    let mut rec = Telemetry::new();
     StProtocol::run_in_instrumented(&world, &mut NullSink, &mut rec);
     let churn = rec.counter("chaos.churn_events");
     assert!(churn > 0, "the churn-heavy plan must actually churn");
     let hits = rec.counter("medium.gain_cache_hits");
     let misses = rec.counter("medium.gain_cache_misses");
-    assert!(hits + misses > 0, "the cell must exercise the cache");
-    let rate = hits as f64 / (hits + misses) as f64;
+    assert!(hits > 0, "the cell must reuse cached rows");
     assert!(
-        rate > 0.95,
-        "churn-heavy hit rate degraded to {rate:.3} ({hits} hits / {misses} misses, \
-         {churn} churn events) — narrow invalidation regressed"
+        misses <= 96,
+        "{misses} row fills for 96 senders ({hits} hits, {churn} churn events): churn refilled rows"
     );
 }
 
 #[test]
 fn gain_cache_is_outcome_neutral_on_a_larger_churny_cell() {
     // One bigger population on the defaults (event engine): more
-    // senders and more churned rows than the matrix cell.
+    // senders and more churned devices than the matrix cell.
     assert_cache_neutral("n=200 churn-heavy", &churny_cfg(200, 0xD2D, 4_000));
 }
 
@@ -152,7 +150,8 @@ fn resolve_one(
         world,
         Slot(slot),
         &txs,
-        None,
+        &vec![true; world.n()],
+        world.n(),
         &mut counters,
         &mut NullSink,
         &mut NullRecorder,
@@ -198,7 +197,8 @@ fn cache_tallies(
         world,
         Slot(slot),
         txs,
-        None,
+        &vec![true; world.n()],
+        world.n(),
         &mut Counters::new(),
         &mut NullSink,
         &mut rec,

@@ -113,7 +113,8 @@ fn assert_equivalent(cfg: &ScenarioConfig, seed: u64, slots: u64) {
             &world,
             Slot(slot),
             &txs,
-            None,
+            &vec![true; world.n()],
+            world.n(),
             &mut fast_counters,
             &mut NullSink,
             &mut NullRecorder,
@@ -269,7 +270,8 @@ fn empty_slots_are_equivalent_and_move_no_counter() {
             &world,
             Slot(slot),
             &txs,
-            None,
+            &vec![true; world.n()],
+            world.n(),
             &mut fast_counters,
             &mut NullSink,
             &mut NullRecorder,
@@ -321,7 +323,8 @@ fn half_duplex_transmitters_hear_nothing_in_both_media() {
         &world,
         Slot(0),
         &txs,
-        None,
+        &vec![true; world.n()],
+        world.n(),
         &mut fast_counters,
         &mut NullSink,
         &mut NullRecorder,
@@ -419,7 +422,8 @@ fn certified_fade_lane_matches_reference_where_fades_decide() {
             &world,
             Slot(slot),
             &txs,
-            None,
+            &vec![true; world.n()],
+            world.n(),
             &mut fast_counters,
             &mut NullSink,
             &mut rec,
