@@ -47,8 +47,8 @@ impl FstProtocol {
     /// `SlotStats.fragments` stays at `n` (nothing ever merges). Both
     /// observers are strictly observational: the outcome is
     /// bit-identical whatever is attached, and the disabled observers
-    /// compile every emission site out. An enabled sink runs the
-    /// stepped loop (see [`runtime::run`]).
+    /// compile every emission site out. Neither observer changes the
+    /// loop the scenario's engine picks (see [`runtime::run`]).
     pub fn run_in_instrumented<S: TraceSink, R: Recorder>(
         world: &World,
         sink: &mut S,

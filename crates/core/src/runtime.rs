@@ -74,19 +74,19 @@ const FIRE_RING: usize = 16;
 /// [probes](Protocol::probing).
 const SYNC_CHECK_INTERVAL: u64 = 16;
 
-/// Run one trial of protocol `P` in `world`.
-///
-/// An enabled sink consumes per-slot statistics, which requires
-/// materializing every slot — so a traced run always executes the
-/// stepped loop, whatever [`ScenarioConfig::engine`](crate::ScenarioConfig)
-/// says. A recorder does not force it: profiling the event-driven wheel
-/// is what the recorder is for. Outcomes are bit-identical either way.
+/// Run one trial of protocol `P` in `world`, in the loop that
+/// [`ScenarioConfig::engine`](crate::ScenarioConfig) picks. Observers
+/// never change the loop: an enabled sink gets one
+/// [`TraceEvent::SlotStats`] per *materialized* slot, so an event-driven
+/// trace is the stepped trace of the same run minus the `SlotStats` of
+/// the skipped slots, in which nothing else happens. Outcomes are
+/// bit-identical either way.
 pub fn run<P: Protocol, S: TraceSink, R: Recorder>(
     world: &World,
     sink: &mut S,
     rec: &mut R,
 ) -> RunOutcome {
-    if !S::ENABLED && world.config().engine == EngineMode::EventDriven {
+    if world.config().engine == EngineMode::EventDriven {
         SlotRuntime::<S, R, true>::new(world, sink, rec).run::<P>()
     } else {
         SlotRuntime::<S, R, false>::new(world, sink, rec).run::<P>()
@@ -468,7 +468,6 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
         }
         let mut convergence: Option<u64> = None;
         let mut reconvergence: Option<u64> = None;
-        let mut last_slot = 0u64;
         // Fault-free runs stop at the first successful convergence
         // probe (the paper's metric). With scheduled faults the run
         // keeps going until a probe succeeds *after* the last fault, so
@@ -478,33 +477,34 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
         if EV {
             self.schedule_initial(&proto);
         }
-        loop {
+        // The slot whose convergence probe ended the run; `None` when
+        // the horizon did.
+        let stopped = loop {
             // Acquire the next slot: the event-driven loop pops the
             // wheel and skips ahead, the stepped loop materializes every
             // slot.
             let s = if EV {
                 match self.next_wake(max_slots) {
                     Some(s) => s,
-                    None => break,
+                    None => break None,
                 }
             } else if self.synced_next < max_slots {
                 self.synced_next
             } else {
-                break;
+                break None;
             };
             if EV {
                 self.skip_to(s);
             }
-            last_slot = s;
             let probe = self.slot_body(&mut proto, Slot(s));
             self.synced_next = s + 1;
             if let Some(c) = probe {
                 convergence.get_or_insert(c);
                 match last_fault {
-                    None => break,
+                    None => break Some(s),
                     Some(l) if c > l => {
                         reconvergence = Some(c - l);
-                        break;
+                        break Some(s);
                     }
                     _ => {}
                 }
@@ -512,14 +512,25 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
             if EV {
                 self.post_schedule(&mut proto, s);
             }
-        }
+        };
 
         if S::ENABLED {
+            // A run that reaches the horizon ends in its last slot under
+            // both engines, materialized or not.
             self.sink.event(&TraceEvent::RunEnd {
-                slot: last_slot,
+                slot: stopped.unwrap_or(max_slots.saturating_sub(1)),
                 converged: convergence.is_some(),
             });
             self.sink.finish();
+        }
+        // Frame-fault totals live in `Counters`; they reach the recorder
+        // once, here (absent when zero).
+        let c = self.counters;
+        if c.fault_dropped_frames > 0 {
+            self.rec.add("chaos.frames_dropped", c.fault_dropped_frames);
+        }
+        if c.fault_dup_frames > 0 {
+            self.rec.add("chaos.frames_duplicated", c.fault_dup_frames);
         }
         if EV && R::ENABLED {
             self.rec.add("osc.cursor_warps", self.clocks.warps);
@@ -615,7 +626,8 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
     }
 
     /// Bring every live oscillator up to the start of slot `to`, before
-    /// the convergence probe reads all phases.
+    /// the convergence probe or the trace's slot statistics read all
+    /// phases.
     fn sync_all(&mut self, to: u64) {
         for i in 0..self.devices.len() {
             if self.active[i] {
@@ -757,8 +769,13 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
         self.broadcast(proto, slot);
 
         // Per-slot population summary — the "slot tick" of the trace.
-        // O(n log n), gathered only when a sink listens.
+        // O(n log n), gathered only when a sink listens. The event loop
+        // first catches every oscillator up on this slot's tick, the
+        // same split catch-up the convergence probe makes.
         if S::ENABLED {
+            if EV {
+                self.sync_all(s + 1);
+            }
             let fragments = proto.fragments(self);
             let phase_spread = self.phase_spread();
             let discovered_links = self
@@ -1001,12 +1018,6 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
         }
         self.counters.add_fault_dropped_frames(fault_drops);
         self.counters.add_fault_dup_frames(fault_dups);
-        if fault_drops > 0 {
-            self.rec.add("chaos.frames_dropped", fault_drops);
-        }
-        if fault_dups > 0 {
-            self.rec.add("chaos.frames_duplicated", fault_dups);
-        }
         proto.on_frames(self, slot, frames);
         // Absorbed devices fire now; their transmissions stagger into
         // the following slots.

@@ -88,8 +88,8 @@ impl ProtocolConfig {
 ///
 /// Both modes produce **bit-identical** outcomes (locked down by
 /// `tests/engine_equivalence.rs`); the choice is purely about wall
-/// clock. Tracing sinks need per-slot statistics, so a traced run
-/// always materializes every slot regardless of this setting.
+/// clock. A traced run keeps this setting: its per-slot statistics
+/// cover the slots the chosen loop materializes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EngineMode {
     /// Materialize every slot of the horizon (the reference loop).
@@ -116,10 +116,10 @@ impl EngineMode {
 /// Both modes produce **bit-identical** outcomes (locked down by
 /// `tests/gain_cache.rs`): mean link gains are pure functions of device
 /// positions, which never change during a run, fading remains the only
-/// per-slot keyed draw, and a sender's rows are refilled whenever the
-/// engine reports churn of that sender — so the choice is purely about
-/// wall clock (and memory: the cache holds one `f64` per cached
-/// directed (sender, cell-occupant) pair).
+/// per-slot keyed draw, and churn only masks departed devices out of a
+/// slot, so a row filled once stays valid for the whole run — the
+/// choice is purely about wall clock (and memory: the cache holds one
+/// `f64` per cached directed (sender, cell-occupant) pair).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum GainCacheMode {
     /// Memoise mean link gains per (sender, grid cell) row, computed

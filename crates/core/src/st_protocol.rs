@@ -86,9 +86,10 @@ impl StProtocol {
     /// performance telemetry (slot-loop stage timers, calendar-queue
     /// statistics, medium resolution costs, fault-application tallies)
     /// to `rec`. Pass [`NullSink`] / [`NullRecorder`] for the side not
-    /// wanted; with both, this *is* [`StProtocol::run_in`]. An enabled
-    /// sink runs the stepped loop (see [`runtime::run`]); a recorder
-    /// does not change the loop.
+    /// wanted; with both, this *is* [`StProtocol::run_in`]. Neither
+    /// observer changes the loop the scenario's engine picks; under the
+    /// event engine the trace has slot statistics only for the
+    /// materialized slots (see [`runtime::run`]).
     ///
     /// Both observers are strictly observational — they consume no
     /// randomness and feed nothing back into the protocol, so the

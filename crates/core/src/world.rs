@@ -1068,19 +1068,7 @@ mod tests {
         fast_pairs.sort();
 
         assert_eq!(fast_pairs, ref_pairs, "decode pairs, slot {slot}");
-        assert_eq!(
-            fast_counters.rx_ok, ref_counters.rx_ok,
-            "rx_ok, slot {slot}"
-        );
-        assert_eq!(
-            fast_counters.rx_collision, ref_counters.rx_collision,
-            "rx_collision, slot {slot}"
-        );
-        assert_eq!(
-            fast_counters.rx_below_threshold, ref_counters.rx_below_threshold,
-            "rx_below_threshold, slot {slot}"
-        );
-        assert_eq!(fast_counters.total_tx(), ref_counters.total_tx());
+        assert_eq!(fast_counters, ref_counters, "counters, slot {slot}");
     }
 
     #[test]

@@ -10,12 +10,15 @@
 //!   `phase_enter` events as boundaries;
 //! * the merge tree of fragment lineage reconstructed from
 //!   `fragment_commit` events (which fragment head absorbed which);
-//! * time-to-X%-discovery milestones and per-slot collision-rate
-//!   percentiles via `ffd2d-metrics`.
+//! * time-to-X%-discovery milestones, and per-slot collision-rate and
+//!   phase-spread percentiles via `ffd2d-metrics`.
 //!
 //! The per-slot folding reuses [`ffd2d_trace::TimelineSink`] — the
 //! inspector replays the log through the same sink the live run used,
-//! so offline numbers match online ones by construction.
+//! so offline numbers match online ones by construction. The per-slot
+//! statistics and the last-slot line cover only the slots with at
+//! least one transmission, so a trace from either engine prints the
+//! same summary (the event engine skips silent slots).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader};
@@ -23,21 +26,17 @@ use std::process::ExitCode;
 
 use ffd2d_experiments::trace::parse_event;
 use ffd2d_metrics::Percentiles;
+use ffd2d_sim::counters::Counters;
 use ffd2d_trace::{TimelineSink, TraceEvent, TraceSink};
 
 /// Message tallies for one protocol phase.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 struct PhaseTally {
-    rach1_tx: u64,
-    rach2_tx: u64,
-    rx_ok: u64,
-    rx_collision: u64,
-    rx_below_threshold: u64,
+    counters: Counters,
     phase_adjusts: u64,
     merge_requests: u64,
     merge_accepts: u64,
     merge_rejects: u64,
-    commits: u64,
 }
 
 fn main() -> ExitCode {
@@ -82,23 +81,11 @@ fn main() -> ExitCode {
         events += 1;
         timeline.event(&ev);
         let tally = phases.entry(current_phase.clone()).or_default();
+        ev.tally(&mut tally.counters);
         match &ev {
             TraceEvent::PhaseEnter { phase, .. } => {
                 current_phase = phase.name().to_string();
                 phases.entry(current_phase.clone()).or_default();
-            }
-            // Saturating like `Counters`: tallies over an arbitrarily
-            // long trace must clamp rather than wrap.
-            TraceEvent::Tx { codec, .. } => match codec {
-                ffd2d_trace::Codec::Rach1 => tally.rach1_tx = tally.rach1_tx.saturating_add(1),
-                ffd2d_trace::Codec::Rach2 => tally.rach2_tx = tally.rach2_tx.saturating_add(1),
-            },
-            TraceEvent::RxDecode { .. } => tally.rx_ok = tally.rx_ok.saturating_add(1),
-            TraceEvent::RxCollision { signals, .. } => {
-                tally.rx_collision = tally.rx_collision.saturating_add(u64::from(*signals))
-            }
-            TraceEvent::RxBelowThreshold { count, .. } => {
-                tally.rx_below_threshold = tally.rx_below_threshold.saturating_add(*count)
             }
             TraceEvent::PhaseAdjust { .. } => tally.phase_adjusts += 1,
             TraceEvent::MergeRequest { .. } => tally.merge_requests += 1,
@@ -110,7 +97,6 @@ fn main() -> ExitCode {
                 old_head,
                 ..
             } => {
-                tally.commits += 1;
                 survivors.insert(*survivor);
                 if old_head != survivor {
                     absorbed_into.entry(*old_head).or_insert((*survivor, *slot));
@@ -153,14 +139,15 @@ fn main() -> ExitCode {
         if *t == PhaseTally::default() && name == "(pre-phase)" {
             continue;
         }
+        let c = &t.counters;
         println!(
             "  {:<12} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8} {:>7} {:>7} {:>7}",
             name,
-            t.rach1_tx,
-            t.rach2_tx,
-            t.rx_ok,
-            t.rx_collision,
-            t.rx_below_threshold,
+            c.rach1_tx,
+            c.rach2_tx,
+            c.rx_ok,
+            c.rx_collision,
+            c.rx_below_threshold,
             t.phase_adjusts,
             t.merge_requests,
             t.merge_accepts,
@@ -169,7 +156,7 @@ fn main() -> ExitCode {
     }
 
     print_merge_tree(&absorbed_into, &survivors);
-    print_milestones(&mut timeline);
+    print_milestones(&timeline);
     ExitCode::SUCCESS
 }
 
@@ -250,9 +237,10 @@ fn print_subtree(
     }
 }
 
-/// Discovery milestones and per-slot collision-rate percentiles from
-/// the replayed timeline.
-fn print_milestones(timeline: &mut TimelineSink) {
+/// Discovery milestones, and per-slot collision-rate and phase-spread
+/// percentiles over the slots that carried a transmission, from the
+/// replayed timeline.
+fn print_milestones(timeline: &TimelineSink) {
     let rows = timeline.rows();
     if rows.is_empty() {
         println!("\n(no slot_stats events — timeline section unavailable)");
@@ -265,9 +253,13 @@ fn print_milestones(timeline: &mut TimelineSink) {
             None => println!("  {pct:>5.0}% : never reached"),
         }
     }
-    let rows = timeline.rows();
-    let mut coll = Percentiles::from_samples(rows.iter().map(|r| r.collision_rate()));
-    let mut spread = Percentiles::from_samples(rows.iter().map(|r| r.phase_spread));
+    let busy: Vec<_> = rows.iter().filter(|r| r.counters.total_tx() > 0).collect();
+    let Some(last) = busy.last() else {
+        println!("\n(no transmissions — per-slot statistics unavailable)");
+        return;
+    };
+    let mut coll = Percentiles::from_samples(busy.iter().map(|r| r.counters.collision_rate()));
+    let mut spread = Percentiles::from_samples(busy.iter().map(|r| r.phase_spread));
     println!(
         "\nper-slot collision rate: median {:.4}, p95 {:.4}, max {:.4}",
         coll.median().unwrap_or(0.0),
@@ -279,9 +271,8 @@ fn print_milestones(timeline: &mut TimelineSink) {
         spread.median().unwrap_or(0.0),
         spread.p95().unwrap_or(0.0)
     );
-    let last = rows[rows.len() - 1];
     println!(
-        "final slot {}: {} fragment(s), discovery {:.1}%, phase spread {:.4}",
+        "last slot with a transmission {}: {} fragment(s), discovery {:.1}%, phase spread {:.4}",
         last.slot,
         last.fragments,
         100.0 * last.discovery_completeness(),

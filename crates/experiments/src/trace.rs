@@ -11,7 +11,8 @@
 //!   event logs (one JSON object per line; see `trace_inspect`);
 //! * `results/timeline_st_n{n}.csv`, `results/timeline_fst_n{n}.csv` —
 //!   per-slot fragment count, sync error, discovery completeness and
-//!   collision rate, ready for plotting.
+//!   collision rate, ready for plotting: one row per slot the sweep's
+//!   engine materialized (every slot under `--engine stepped`).
 //!
 //! Tracing is observational: the replayed outcomes are bit-identical to
 //! the untraced sweep cells (locked by `tests/trace.rs`).

@@ -25,8 +25,8 @@ const RNG_EXEMPT: &[&str] = &["experiments", "lint"];
 /// The one sanctioned home of seed arithmetic and RNG construction.
 const RNG_HOME: &str = "crates/sim/src/rng.rs";
 
-/// Fields of `ffd2d_sim::counters::Counters` (mirrored in trace
-/// timeline rows): only the saturating helpers may mutate them.
+/// Fields of `ffd2d_sim::counters::Counters`: only the saturating
+/// helpers may mutate them.
 const COUNTER_FIELDS: &[&str] = &[
     "rach1_tx",
     "rach2_tx",

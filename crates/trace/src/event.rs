@@ -11,6 +11,7 @@
 //! plus the ones its figures *hide*: per-phase message mix, per-slot
 //! collision rate, fragment lineage, and the discovery ramp.
 
+use ffd2d_sim::counters::Counters;
 use serde::{Deserialize, Serialize};
 
 /// Device identifier (matches `ffd2d_sim` device ids).
@@ -324,8 +325,9 @@ pub enum TraceEvent {
         /// `absorbed → survivor` when they differ).
         old_head: DeviceId,
     },
-    /// Per-slot population summary (emitted every slot by traced
-    /// engines; the cadence is the "slot tick").
+    /// Per-slot population summary, emitted once per materialized slot:
+    /// every slot under the stepped engine, only the wake-up slots under
+    /// the event engine.
     SlotStats {
         /// The slot summarised.
         slot: u64,
@@ -382,10 +384,29 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
+    /// Add this event's share of the run's [`Counters`]: broadcasts per
+    /// codec, reception outcomes and injected frame faults. Folding a
+    /// whole trace reproduces the run's counters except `unicast_tx`,
+    /// which no event carries.
+    pub fn tally(&self, c: &mut Counters) {
+        match *self {
+            TraceEvent::Tx { codec, .. } => match codec {
+                Codec::Rach1 => c.add_rach1_tx(1),
+                Codec::Rach2 => c.add_rach2_tx(1),
+            },
+            TraceEvent::RxDecode { .. } => c.add_rx_ok(1),
+            TraceEvent::RxCollision { signals, .. } => c.add_rx_collision(u64::from(signals)),
+            TraceEvent::RxBelowThreshold { count, .. } => c.add_rx_below_threshold(count),
+            TraceEvent::FaultInjected { kind, .. } => match kind {
+                FaultKind::FrameDrop => c.add_fault_dropped_frames(1),
+                FaultKind::FrameDup => c.add_fault_dup_frames(1),
+            },
+            _ => {}
+        }
+    }
+
     /// Stable snake_case tag naming the event kind (the `"t"` field of
-    /// the JSONL encoding, and the key of [`CountingSink`] tallies).
-    ///
-    /// [`CountingSink`]: crate::CountingSink
+    /// the JSONL encoding).
     pub fn tag(&self) -> &'static str {
         match self {
             TraceEvent::PhaseEnter { .. } => "phase_enter",

@@ -21,11 +21,10 @@
 //! Provided sinks:
 //!
 //! * [`NullSink`] — compiles to nothing (the default everywhere).
-//! * [`CountingSink`] — per-kind event tallies, for tests and smoke
-//!   checks.
 //! * [`TimelineSink`] — per-slot aggregation (fragment count, sync
-//!   error, discovery completeness, collision rate) with CSV export,
-//!   the raw material of convergence-dynamics plots.
+//!   error, discovery completeness, and the slot's `Counters` folded by
+//!   [`TraceEvent::tally`]) with CSV export, the raw material of
+//!   convergence-dynamics plots.
 //! * [`TeeSink`] — fan one event stream into two sinks.
 //!
 //! The replayable JSONL event log (`JsonlSink`, `encode_event`,
@@ -41,5 +40,5 @@ pub mod sink;
 pub mod timeline;
 
 pub use event::{Codec, FaultKind, FrameLabel, ProtoPhase, RejectReason, TraceEvent};
-pub use sink::{CountingSink, NullSink, TeeSink, TraceSink};
+pub use sink::{NullSink, TeeSink, TraceSink};
 pub use timeline::{TimelineRow, TimelineSink};

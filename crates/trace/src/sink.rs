@@ -15,8 +15,6 @@
 //! That is the crate's zero-cost-off contract: the plain engine entry
 //! points are the `NullSink` instantiation.
 
-use std::collections::BTreeMap;
-
 use crate::event::TraceEvent;
 
 /// A consumer of protocol events.
@@ -64,39 +62,6 @@ impl TraceSink for NullSink {
     fn event(&mut self, _ev: &TraceEvent) {}
 }
 
-/// Tallies events per kind — the cheapest enabled sink, used by tests
-/// and smoke checks.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CountingSink {
-    /// Event tallies keyed by [`TraceEvent::tag`] (BTreeMap for
-    /// deterministic iteration order in reports).
-    pub counts: BTreeMap<&'static str, u64>,
-}
-
-impl CountingSink {
-    /// An empty tally.
-    pub fn new() -> CountingSink {
-        CountingSink::default()
-    }
-
-    /// Events seen for `tag` (0 when never seen).
-    pub fn count(&self, tag: &str) -> u64 {
-        self.counts.get(tag).copied().unwrap_or(0)
-    }
-
-    /// Total events seen.
-    pub fn total(&self) -> u64 {
-        self.counts.values().sum()
-    }
-}
-
-impl TraceSink for CountingSink {
-    #[inline]
-    fn event(&mut self, ev: &TraceEvent) {
-        *self.counts.entry(ev.tag()).or_insert(0) += 1;
-    }
-}
-
 /// Fans one event stream into two sinks (compose for more). Disabled
 /// only if both branches are, so `Tee<Null, Null>` still costs nothing.
 #[derive(Debug, Default)]
@@ -124,49 +89,44 @@ impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TimelineSink;
+
+    fn stats(slot: u64) -> TraceEvent {
+        TraceEvent::SlotStats {
+            slot,
+            fragments: 1,
+            phase_spread: 0.0,
+            discovered_links: 0,
+            ground_truth_links: 0,
+        }
+    }
 
     #[test]
     fn null_sink_is_disabled() {
         const {
             assert!(!NullSink::ENABLED);
             assert!(!<TeeSink<NullSink, NullSink>>::ENABLED);
-            assert!(<TeeSink<NullSink, CountingSink>>::ENABLED);
+            assert!(<TeeSink<NullSink, TimelineSink>>::ENABLED);
             assert!(!<&mut NullSink as TraceSink>::ENABLED);
         }
     }
 
     #[test]
-    fn counting_sink_tallies_by_tag() {
-        let mut s = CountingSink::new();
-        s.event(&TraceEvent::Converged { slot: 1 });
-        s.event(&TraceEvent::Converged { slot: 2 });
-        s.event(&TraceEvent::RunEnd {
-            slot: 2,
-            converged: true,
-        });
-        assert_eq!(s.count("converged"), 2);
-        assert_eq!(s.count("run_end"), 1);
-        assert_eq!(s.count("tx"), 0);
-        assert_eq!(s.total(), 3);
-    }
-
-    #[test]
     fn tee_feeds_both_branches() {
-        let mut tee = TeeSink(CountingSink::new(), CountingSink::new());
-        tee.event(&TraceEvent::Converged { slot: 9 });
+        let mut tee = TeeSink(TimelineSink::new(), TimelineSink::new());
+        tee.event(&stats(9));
         tee.finish();
-        assert_eq!(tee.0.count("converged"), 1);
-        assert_eq!(tee.1.count("converged"), 1);
+        assert_eq!(tee.0.rows()[0].slot, 9);
+        assert_eq!(tee.1.rows()[0].slot, 9);
     }
 
     #[test]
     fn mut_ref_forwards() {
-        let mut s = CountingSink::new();
+        let mut s = TimelineSink::new();
         {
-            let r = &mut s;
-            let mut rr: &mut CountingSink = r;
-            TraceSink::event(&mut rr, &TraceEvent::Converged { slot: 3 });
+            let mut r = &mut s;
+            TraceSink::event(&mut r, &stats(3));
         }
-        assert_eq!(s.count("converged"), 1);
+        assert_eq!(s.rows()[0].slot, 3);
     }
 }

@@ -2,13 +2,15 @@
 //!
 //! [`TimelineSink`] folds the event stream into one row per slot: the
 //! population summary the engine emits ([`TraceEvent::SlotStats`]) plus
-//! tallies of that slot's transmissions and reception outcomes. The
+//! that slot's [`Counters`], folded by [`TraceEvent::tally`]. The
 //! result is the convergence-dynamics view the paper's aggregate
 //! figures cannot show — how fragment count, sync error, discovery
 //! completeness and collision rate evolve over a run — exported as CSV
 //! for `results/`.
 
-use crate::event::{Codec, TraceEvent};
+use ffd2d_sim::counters::Counters;
+
+use crate::event::TraceEvent;
 use crate::sink::TraceSink;
 
 /// One slot's aggregated view.
@@ -24,16 +26,8 @@ pub struct TimelineRow {
     pub discovered_links: u64,
     /// Directed ground-truth audible links.
     pub ground_truth_links: u64,
-    /// RACH1 broadcasts this slot.
-    pub rach1_tx: u64,
-    /// RACH2 broadcasts this slot.
-    pub rach2_tx: u64,
-    /// Successful decodes this slot.
-    pub rx_ok: u64,
-    /// Receptions lost to collision this slot.
-    pub rx_collision: u64,
-    /// Receptions provably below threshold this slot.
-    pub rx_below_threshold: u64,
+    /// This slot's broadcasts, reception outcomes and frame faults.
+    pub counters: Counters,
 }
 
 impl TimelineRow {
@@ -44,11 +38,7 @@ impl TimelineRow {
             phase_spread: f64::NAN,
             discovered_links: 0,
             ground_truth_links: 0,
-            rach1_tx: 0,
-            rach2_tx: 0,
-            rx_ok: 0,
-            rx_collision: 0,
-            rx_below_threshold: 0,
+            counters: Counters::new(),
         }
     }
 
@@ -58,17 +48,6 @@ impl TimelineRow {
             1.0
         } else {
             self.discovered_links as f64 / self.ground_truth_links as f64
-        }
-    }
-
-    /// Fraction of this slot's reception attempts lost to collision
-    /// (0.0 when the slot was silent).
-    pub fn collision_rate(&self) -> f64 {
-        let attempts = self.rx_ok + self.rx_collision + self.rx_below_threshold;
-        if attempts == 0 {
-            0.0
-        } else {
-            self.rx_collision as f64 / attempts as f64
         }
     }
 }
@@ -119,6 +98,7 @@ impl TimelineSink {
              rx_below_threshold,collision_rate\n",
         );
         for r in &self.rows {
+            let c = &r.counters;
             out.push_str(&format!(
                 "{},{},{},{},{},{},{},{},{},{},{},{}\n",
                 r.slot,
@@ -127,12 +107,12 @@ impl TimelineSink {
                 r.discovered_links,
                 r.ground_truth_links,
                 r.discovery_completeness(),
-                r.rach1_tx,
-                r.rach2_tx,
-                r.rx_ok,
-                r.rx_collision,
-                r.rx_below_threshold,
-                r.collision_rate(),
+                c.rach1_tx,
+                c.rach2_tx,
+                c.rx_ok,
+                c.rx_collision,
+                c.rx_below_threshold,
+                c.collision_rate(),
             ));
         }
         out
@@ -155,27 +135,11 @@ impl TraceSink for TimelineSink {
                 row.discovered_links = discovered_links;
                 row.ground_truth_links = ground_truth_links;
             }
-            TraceEvent::Tx { slot, codec, .. } => {
-                let row = self.row_mut(slot);
-                // Saturating like `Counters`: a replayed trace must
-                // never wrap a tally, however long the capture.
-                match codec {
-                    Codec::Rach1 => row.rach1_tx = row.rach1_tx.saturating_add(1),
-                    Codec::Rach2 => row.rach2_tx = row.rach2_tx.saturating_add(1),
-                }
-            }
-            TraceEvent::RxDecode { slot, .. } => {
-                let row = self.row_mut(slot);
-                row.rx_ok = row.rx_ok.saturating_add(1);
-            }
-            TraceEvent::RxCollision { slot, signals, .. } => {
-                let row = self.row_mut(slot);
-                row.rx_collision = row.rx_collision.saturating_add(signals as u64);
-            }
-            TraceEvent::RxBelowThreshold { slot, count } => {
-                let row = self.row_mut(slot);
-                row.rx_below_threshold = row.rx_below_threshold.saturating_add(count);
-            }
+            TraceEvent::Tx { slot, .. }
+            | TraceEvent::RxDecode { slot, .. }
+            | TraceEvent::RxCollision { slot, .. }
+            | TraceEvent::RxBelowThreshold { slot, .. }
+            | TraceEvent::FaultInjected { slot, .. } => ev.tally(&mut self.row_mut(slot).counters),
             _ => {}
         }
     }
@@ -184,6 +148,7 @@ impl TraceSink for TimelineSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Codec, FaultKind, FrameLabel};
 
     #[test]
     fn rows_aggregate_per_slot() {
@@ -192,7 +157,7 @@ mod tests {
             slot: 5,
             sender: 1,
             codec: Codec::Rach1,
-            kind: crate::FrameLabel::Fire,
+            kind: FrameLabel::Fire,
         });
         t.event(&TraceEvent::RxDecode {
             slot: 5,
@@ -206,6 +171,13 @@ mod tests {
             receiver: 3,
             codec: Codec::Rach1,
             signals: 2,
+        });
+        t.event(&TraceEvent::RxBelowThreshold { slot: 5, count: 3 });
+        t.event(&TraceEvent::FaultInjected {
+            slot: 5,
+            device: 2,
+            sender: 1,
+            kind: FaultKind::FrameDup,
         });
         t.event(&TraceEvent::SlotStats {
             slot: 5,
@@ -221,14 +193,22 @@ mod tests {
             discovered_links: 12,
             ground_truth_links: 40,
         });
+        // Events outside the tally open no row.
+        t.event(&TraceEvent::Converged { slot: 7 });
         assert_eq!(t.rows().len(), 2);
         let r = t.rows()[0];
         assert_eq!(r.slot, 5);
         assert_eq!(r.fragments, 7);
-        assert_eq!(r.rach1_tx, 1);
-        assert_eq!(r.rx_ok, 1);
-        assert_eq!(r.rx_collision, 2);
-        assert!((r.collision_rate() - 2.0 / 3.0).abs() < 1e-12);
+        let want = Counters {
+            rach1_tx: 1,
+            rx_ok: 1,
+            rx_collision: 2,
+            rx_below_threshold: 3,
+            fault_dup_frames: 1,
+            ..Counters::new()
+        };
+        assert_eq!(r.counters, want);
+        assert!((r.counters.collision_rate() - 2.0 / 6.0).abs() < 1e-12);
         assert!((r.discovery_completeness() - 0.25).abs() < 1e-12);
         assert_eq!(t.rows()[1].slot, 6);
     }

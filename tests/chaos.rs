@@ -12,38 +12,25 @@
 //!    `(scenario, plan, seed)`: re-running byte-identically reproduces
 //!    it, and like the clean path it is invariant to the engine mode
 //!    (frame fates are stateless keyed draws, so delivery order can't
-//!    leak in).
+//!    leak in): identical outcomes, and an event-driven trace that is
+//!    the stepped one minus the skipped slots' statistics.
 //!
 //! On top of the contract, the re-convergence tests check graceful
 //! degradation: after the last churn event the population must converge
 //! again within the horizon, with the rejoined devices re-attached to
 //! the spanning structure.
 
+mod common;
+
 use ffd2d::baseline::FstProtocol;
 use ffd2d::chaos::{ChurnEvent, ChurnKind, ClockSkew, FaultPlan, PowerDroop};
-use ffd2d::core::{EngineMode, RunOutcome, ScenarioConfig, StProtocol, World};
-use ffd2d::experiments::trace::JsonlSink;
+use ffd2d::core::{EngineMode, ScenarioConfig, StProtocol};
 use ffd2d::sim::time::SlotDuration;
-use ffd2d::telemetry::NullRecorder;
 
 fn cfg(n: usize, seed: u64, horizon: u64) -> ScenarioConfig {
     ScenarioConfig::table1(n)
         .seeded(seed)
         .with_max_slots(SlotDuration(horizon))
-}
-
-fn st_traced(cfg: &ScenarioConfig) -> (RunOutcome, Vec<u8>) {
-    let mut sink = JsonlSink::new(Vec::new());
-    let out = StProtocol::run_in_instrumented(&World::new(cfg), &mut sink, &mut NullRecorder);
-    assert!(sink.io_error().is_none());
-    (out, sink.into_inner())
-}
-
-fn fst_traced(cfg: &ScenarioConfig) -> (RunOutcome, Vec<u8>) {
-    let mut sink = JsonlSink::new(Vec::new());
-    let out = FstProtocol::run_in_instrumented(&World::new(cfg), &mut sink, &mut NullRecorder);
-    assert!(sink.io_error().is_none());
-    (out, sink.into_inner())
 }
 
 /// A plan exercising every fault class at once.
@@ -89,29 +76,20 @@ fn none_plan_is_outcome_and_byte_neutral() {
     for engine in [EngineMode::Stepped, EngineMode::EventDriven] {
         let base = cfg(50, 0xA11CE, 12_000).with_engine(engine);
         let with_none = base.clone().with_faults(FaultPlan::none());
-        let label = format!("{engine:?}");
-
-        let st_base = StProtocol::run(&base);
-        assert_eq!(st_base, StProtocol::run(&with_none), "ST {label}");
-        assert_eq!(st_base.reconvergence_time, None, "ST {label}");
-        assert_eq!(st_base.orphaned_fragments, 0, "ST {label}");
-        assert_eq!(st_base.counters.fault_dropped_frames, 0, "ST {label}");
-        assert_eq!(st_base.counters.fault_dup_frames, 0, "ST {label}");
-        let (st_out_a, st_log_a) = st_traced(&base);
-        let (st_out_b, st_log_b) = st_traced(&with_none);
-        assert_eq!(st_out_a, st_out_b, "ST traced {label}");
-        assert_eq!(st_log_a, st_log_b, "ST JSONL bytes {label}");
-        assert!(!st_log_a.is_empty(), "ST empty trace {label}");
-
-        let fst_base = FstProtocol::run(&base);
-        assert_eq!(fst_base, FstProtocol::run(&with_none), "FST {label}");
-        assert_eq!(fst_base.reconvergence_time, None, "FST {label}");
-        assert_eq!(fst_base.counters.fault_dropped_frames, 0, "FST {label}");
-        let (fst_out_a, fst_log_a) = fst_traced(&base);
-        let (fst_out_b, fst_log_b) = fst_traced(&with_none);
-        assert_eq!(fst_out_a, fst_out_b, "FST traced {label}");
-        assert_eq!(fst_log_a, fst_log_b, "FST JSONL bytes {label}");
-        assert!(!fst_log_a.is_empty(), "FST empty trace {label}");
+        for (name, run, run_observed) in common::PROTOCOLS {
+            let label = format!("{name} {engine:?}");
+            let plain = run(&base);
+            assert_eq!(plain, run(&with_none), "{label}");
+            assert_eq!(plain.reconvergence_time, None, "{label}");
+            assert_eq!(plain.orphaned_fragments, 0, "{label}");
+            assert_eq!(plain.counters.fault_dropped_frames, 0, "{label}");
+            assert_eq!(plain.counters.fault_dup_frames, 0, "{label}");
+            let (out_a, log_a) = common::traced(run_observed, &base);
+            let (out_b, log_b) = common::traced(run_observed, &with_none);
+            assert_eq!(out_a, out_b, "traced {label}");
+            assert_eq!(log_a, log_b, "JSONL bytes {label}");
+            assert!(!log_a.is_empty(), "empty trace {label}");
+        }
     }
 }
 
@@ -127,52 +105,38 @@ fn faulted_runs_are_deterministic_and_engine_invariant() {
             .with_engine(engine)
             .with_faults(plan.clone())
     };
+    let engines = [EngineMode::Stepped, EngineMode::EventDriven];
 
-    // Reference run; every variant must match it bit for bit.
-    let st_ref = StProtocol::run(&mk(EngineMode::Stepped));
-    let fst_ref = FstProtocol::run(&mk(EngineMode::Stepped));
-    // The faults actually fired (the plan is not accidentally inert).
-    assert!(
-        st_ref.counters.fault_dropped_frames > 0,
-        "no drops injected: {st_ref:?}"
-    );
-    assert!(
-        st_ref.counters.fault_dup_frames > 0,
-        "no dups injected: {st_ref:?}"
-    );
-    assert!(fst_ref.counters.fault_dropped_frames > 0);
+    for (name, run, run_observed) in common::PROTOCOLS {
+        // Reference run; every variant must match it bit for bit.
+        let reference = run(&mk(EngineMode::Stepped));
+        // The faults actually fired (the plan is not accidentally inert).
+        let c = reference.counters;
+        assert!(c.fault_dropped_frames > 0, "{name}: no drops: {c:?}");
+        assert!(c.fault_dup_frames > 0, "{name}: no dups: {c:?}");
+        for engine in engines {
+            assert_eq!(run(&mk(engine)), reference, "{name} {engine:?}");
+        }
 
-    for engine in [EngineMode::Stepped, EngineMode::EventDriven] {
-        let c = mk(engine);
-        assert_eq!(StProtocol::run(&c), st_ref, "ST {engine:?}");
-        assert_eq!(FstProtocol::run(&c), fst_ref, "FST {engine:?}");
+        // Same seed ⇒ byte-identical JSONL per engine, including the
+        // FaultInjected / DeviceLeft / DeviceJoined events, and the
+        // event trace keeps the cross-engine contract.
+        let [stepped, event] = engines.map(|engine| {
+            let (out, log) = common::traced(run_observed, &mk(engine));
+            assert_eq!(out, reference, "tracing perturbed {name} {engine:?}");
+            assert_eq!(
+                common::traced(run_observed, &mk(engine)).1,
+                log,
+                "{name} JSONL bytes {engine:?}"
+            );
+            log
+        });
+        common::assert_trace_contract(&format!("faulted {name}"), &stepped, &event);
+        let text = String::from_utf8(event).unwrap();
+        for tag in ["fault_injected", "device_left", "device_joined"] {
+            assert!(text.contains(&format!("\"{tag}\"")), "{name}: no {tag}");
+        }
     }
-
-    // Same seed ⇒ byte-identical JSONL, including the FaultInjected /
-    // DeviceLeft / DeviceJoined events, across engines.
-    let (st_out, st_log) = st_traced(&mk(EngineMode::Stepped));
-    assert_eq!(st_out, st_ref, "tracing perturbed the faulted ST run");
-    for engine in [EngineMode::Stepped, EngineMode::EventDriven] {
-        let (out, log) = st_traced(&mk(engine));
-        assert_eq!(out, st_ref, "ST traced {engine:?}");
-        assert_eq!(log, st_log, "ST JSONL bytes {engine:?}");
-    }
-    let log_text = String::from_utf8(st_log).unwrap();
-    assert!(
-        log_text.contains("\"fault_injected\""),
-        "no FaultInjected events"
-    );
-    assert!(log_text.contains("\"device_left\""), "no DeviceLeft event");
-    assert!(
-        log_text.contains("\"device_joined\""),
-        "no DeviceJoined event"
-    );
-
-    let (fst_out, fst_log) = fst_traced(&mk(EngineMode::Stepped));
-    assert_eq!(fst_out, fst_ref, "tracing perturbed the faulted FST run");
-    let (fst_out2, fst_log2) = fst_traced(&mk(EngineMode::EventDriven));
-    assert_eq!(fst_out2, fst_ref);
-    assert_eq!(fst_log2, fst_log, "FST JSONL bytes diverged");
 }
 
 /// After the last churn event (`churn-light`: a leave wave at a third

@@ -28,18 +28,19 @@
 //! slot costs its events, not the population.
 //!
 //! For each cell it asserts identical [`RunOutcome`]s for both
-//! protocols, and byte-identical same-seed JSONL traces across the two
-//! engine settings (traced runs always materialize every slot — the
-//! configured mode must not leak into the log bytes).
+//! protocols, plain and traced, and that each engine traces the run it
+//! ran: the event-driven JSONL trace is the stepped one with the
+//! `slot_stats` lines of the skipped slots removed (see
+//! [`common::assert_trace_contract`]).
 
-use ffd2d::baseline::FstProtocol;
+mod common;
+
 use ffd2d::chaos::{ChurnEvent, ChurnKind, ClockSkew, FaultPlan};
-use ffd2d::core::{EngineMode, RunOutcome, ScenarioConfig, StProtocol, World};
-use ffd2d::experiments::trace::JsonlSink;
+use ffd2d::core::{EngineMode, ScenarioConfig, StProtocol, World};
 use ffd2d::radio::fading::FadingModel;
 use ffd2d::sim::deployment::Meters;
 use ffd2d::sim::time::SlotDuration;
-use ffd2d::telemetry::{NullRecorder, Telemetry};
+use ffd2d::telemetry::Telemetry;
 use ffd2d::trace::NullSink;
 
 /// Table-I channel in the paper arena (dense, heavy shadowing+fading).
@@ -103,46 +104,27 @@ fn sparse_bench_faulted_cfg(seed: u64) -> ScenarioConfig {
     sparse_bench_cfg(seed).with_faults(plan)
 }
 
-/// A protocol's name, its plain `run`, and its `run_in_instrumented`
-/// fixed to an in-memory JSONL sink.
-type EntryPoints = (
-    &'static str,
-    fn(&ScenarioConfig) -> RunOutcome,
-    fn(&World, &mut JsonlSink<Vec<u8>>, &mut NullRecorder) -> RunOutcome,
-);
-
-const PROTOCOLS: [EntryPoints; 2] = [
-    ("ST", StProtocol::run, StProtocol::run_in_instrumented),
-    ("FST", FstProtocol::run, FstProtocol::run_in_instrumented),
-];
-
 /// Assert stepped ≡ event-driven for both protocols on `cfg`:
-/// bit-identical `RunOutcome`s and byte-identical JSONL traces.
+/// bit-identical `RunOutcome`s and JSONL traces that keep the
+/// cross-engine trace contract.
 fn assert_engines_agree(label: &str, cfg: &ScenarioConfig) {
     let stepped = cfg.clone().with_engine(EngineMode::Stepped);
     let event = cfg.clone().with_engine(EngineMode::EventDriven);
 
-    for (name, run, run_observed) in PROTOCOLS {
-        // Same seed ⇒ byte-identical JSONL logs, whichever mode the
-        // config asks for, and tracing must not perturb the untraced
-        // outcome.
-        let trace = |cfg: &ScenarioConfig| {
-            let mut sink = JsonlSink::new(Vec::new());
-            let out = run_observed(&World::new(cfg), &mut sink, &mut NullRecorder);
-            assert!(sink.io_error().is_none());
-            (out, sink.into_inner())
-        };
+    for (name, run, run_observed) in common::PROTOCOLS {
+        // Tracing must not perturb the untraced outcome, and the event
+        // trace is the stepped one minus the skipped slots' statistics.
         let reference = run(&stepped);
-        let (out_s, log_s) = trace(&stepped);
+        let (out_s, log_s) = common::traced(run_observed, &stepped);
         assert_eq!(out_s, reference, "tracing perturbed {name}: {label}");
         assert!(!log_s.is_empty(), "empty {name} trace: {label}");
         assert_eq!(reference, run(&event), "{name} outcomes diverged: {label}");
-        let (out_e, log_e) = trace(&event);
+        let (out_e, log_e) = common::traced(run_observed, &event);
         assert_eq!(
             out_e, reference,
             "tracing perturbed {name} (event): {label}"
         );
-        assert_eq!(log_s, log_e, "{name} JSONL bytes diverged: {label}");
+        common::assert_trace_contract(&format!("{name} {label}"), &log_s, &log_e);
     }
 }
 
@@ -180,11 +162,6 @@ fn engines_agree_at_n200_sparse_ideal() {
 fn engines_agree_at_n500_sparse_ideal() {
     assert_engines_agree("n=500 sparse-ideal", &sparse_ideal_cfg(500, 3, 2_000));
 }
-
-// `runtime::run` forces every traced run onto the stepped engine, so in
-// the three cells below only the untraced event runs take the
-// lazily synced oscillators, the fire queue and the indexed beacon and
-// handshake scans; the traced comparisons pin the stepped reference.
 
 #[test]
 fn engines_agree_on_the_sparse_bench_cell() {
@@ -268,7 +245,8 @@ fn engines_agree_at_n500_sparse_shadowed() {
 
 /// A dense Table-I cell where some device fires in nearly every slot:
 /// the event engine materializes almost the whole horizon and must
-/// still match the stepped loop bit for bit, plain and traced.
+/// still match the stepped loop bit for bit, and keep the trace
+/// contract when traced.
 #[test]
 fn engines_agree_on_a_dense_cell() {
     assert_engines_agree("n=1000 dense", &table1_cfg(1000, 0xDE45E, 600));

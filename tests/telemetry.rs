@@ -43,6 +43,9 @@ fn assert_outcome_neutral(cfg: &ScenarioConfig) {
             rec.counter("engine.slots_materialized") > 0,
             "ST recorded nothing ({label})"
         );
+        let c = recorded.counters;
+        assert_eq!(rec.counter("chaos.frames_dropped"), c.fault_dropped_frames);
+        assert_eq!(rec.counter("chaos.frames_duplicated"), c.fault_dup_frames);
 
         let plain = FstProtocol::run(&cfg);
         let mut rec = Telemetry::new();
@@ -54,6 +57,9 @@ fn assert_outcome_neutral(cfg: &ScenarioConfig) {
             rec.counter("engine.slots_materialized") > 0,
             "FST recorded nothing ({label})"
         );
+        let c = recorded.counters;
+        assert_eq!(rec.counter("chaos.frames_dropped"), c.fault_dropped_frames);
+        assert_eq!(rec.counter("chaos.frames_duplicated"), c.fault_dup_frames);
     }
 }
 
@@ -64,9 +70,10 @@ fn telemetry_is_outcome_neutral_across_the_matrix() {
 
 #[test]
 fn telemetry_is_outcome_neutral_under_faults() {
-    let cfg = scenario(40, 3);
-    let faults = ffd2d::core::FaultPlan::resolve("churn-light", 40, 30_000).expect("preset");
-    assert_outcome_neutral(&cfg.with_faults(faults));
+    for preset in ["churn-light", "lossy"] {
+        let faults = ffd2d::core::FaultPlan::resolve(preset, 40, 30_000).expect("preset");
+        assert_outcome_neutral(&scenario(40, 3).with_faults(faults));
+    }
 }
 
 proptest! {

@@ -6,15 +6,17 @@
 //! * Same `(scenario, seed)` ⇒ byte-identical JSONL logs.
 //! * Every emitted line parses back, and re-encoding reproduces the
 //!   exact bytes (the log is a lossless wire format).
-//! * The per-slot timeline tallies agree with the run's [`Counters`] —
-//!   the events are a complete account of the medium's bookkeeping.
+//! * The per-slot timeline tallies agree with the run's [`Counters`]
+//!   under both engines — the events are a complete account of the
+//!   medium's bookkeeping.
 
 use ffd2d::baseline::FstProtocol;
-use ffd2d::core::{ScenarioConfig, StProtocol, World};
+use ffd2d::core::{EngineMode, ScenarioConfig, StProtocol, World};
 use ffd2d::experiments::trace::{encode_event, parse_event, JsonlSink};
+use ffd2d::sim::counters::Counters;
 use ffd2d::sim::time::SlotDuration;
 use ffd2d::telemetry::NullRecorder;
-use ffd2d::trace::{CountingSink, NullSink, TeeSink, TimelineSink};
+use ffd2d::trace::{NullSink, TeeSink, TimelineSink};
 
 fn scenario(n: usize, seed: u64) -> ScenarioConfig {
     ScenarioConfig::table1(n)
@@ -36,20 +38,19 @@ fn tracing_does_not_perturb_the_run() {
         let world = World::new(&cfg);
         let untraced = StProtocol::run(&cfg);
         let null = StProtocol::run_in_instrumented(&world, &mut NullSink, &mut NullRecorder);
-        let mut counting = CountingSink::new();
-        let counted = StProtocol::run_in_instrumented(&world, &mut counting, &mut NullRecorder);
+        let mut timeline = TimelineSink::new();
+        let traced = StProtocol::run_in_instrumented(&world, &mut timeline, &mut NullRecorder);
         assert_eq!(untraced, null, "NullSink perturbed the ST run at n={n}");
         assert_eq!(
-            untraced, counted,
-            "CountingSink perturbed the ST run at n={n}"
+            untraced, traced,
+            "TimelineSink perturbed the ST run at n={n}"
         );
-        assert!(counting.total() > 0, "no events at n={n}");
+        assert!(!timeline.rows().is_empty(), "no rows at n={n}");
 
         let fst_untraced = FstProtocol::run(&cfg);
-        let mut counting = CountingSink::new();
-        let fst_counted =
-            FstProtocol::run_in_instrumented(&world, &mut counting, &mut NullRecorder);
-        assert_eq!(fst_untraced, fst_counted, "tracing perturbed FST at n={n}");
+        let fst_traced =
+            FstProtocol::run_in_instrumented(&world, &mut TimelineSink::new(), &mut NullRecorder);
+        assert_eq!(fst_untraced, fst_traced, "tracing perturbed FST at n={n}");
     }
 }
 
@@ -84,43 +85,53 @@ fn jsonl_log_round_trips_losslessly() {
 
 #[test]
 fn timeline_tallies_match_run_counters() {
-    let cfg = scenario(40, 9);
-    let mut timeline = TimelineSink::new();
-    let out = StProtocol::run_in_instrumented(&World::new(&cfg), &mut timeline, &mut NullRecorder);
-    let rows = timeline.rows();
-    assert!(!rows.is_empty());
+    for engine in [EngineMode::Stepped, EngineMode::EventDriven] {
+        let cfg = scenario(40, 9).with_engine(engine);
+        let mut timeline = TimelineSink::new();
+        let out =
+            StProtocol::run_in_instrumented(&World::new(&cfg), &mut timeline, &mut NullRecorder);
+        let rows = timeline.rows();
+        assert!(!rows.is_empty());
 
-    let sum = |f: fn(&ffd2d::trace::TimelineRow) -> u64| rows.iter().map(f).sum::<u64>();
-    assert_eq!(sum(|r| r.rach1_tx), out.counters.rach1_tx);
-    assert_eq!(sum(|r| r.rach2_tx), out.counters.rach2_tx);
-    assert_eq!(sum(|r| r.rx_ok), out.counters.rx_ok);
-    assert_eq!(sum(|r| r.rx_collision), out.counters.rx_collision);
-    assert_eq!(
-        sum(|r| r.rx_below_threshold),
-        out.counters.rx_below_threshold
-    );
+        let mut sum = Counters::new();
+        for r in rows {
+            sum += r.counters;
+        }
+        // Unicast sends are the one tally no trace event carries.
+        assert!(out.counters.unicast_tx > 0);
+        let traced = Counters {
+            unicast_tx: 0,
+            ..out.counters
+        };
+        assert_eq!(sum, traced, "{engine:?}");
 
-    // The final row reflects the converged population.
-    let last = rows[rows.len() - 1];
-    assert!(out.converged());
-    assert_eq!(last.fragments, 1);
-    assert_eq!(last.ground_truth_links, out.ground_truth_links);
+        // The final row reflects the converged population.
+        let last = rows[rows.len() - 1];
+        assert!(out.converged());
+        assert_eq!(last.fragments, 1);
+        assert_eq!(last.ground_truth_links, out.ground_truth_links);
+    }
 }
 
 #[test]
 fn tee_preserves_both_branches() {
     let cfg = scenario(25, 3);
     let mut jsonl = JsonlSink::new(Vec::new());
-    let mut counting = CountingSink::new();
+    let mut timeline = TimelineSink::new();
     StProtocol::run_in_instrumented(
         &World::new(&cfg),
-        &mut TeeSink(&mut jsonl, &mut counting),
+        &mut TeeSink(&mut jsonl, &mut timeline),
         &mut NullRecorder,
     );
-    assert_eq!(jsonl.events(), counting.total());
+    let mut alone = TimelineSink::new();
+    StProtocol::run_in_instrumented(&World::new(&cfg), &mut alone, &mut NullRecorder);
     assert_eq!(
-        st_jsonl(&cfg),
-        jsonl.into_inner(),
-        "tee changed the JSONL bytes"
+        timeline.to_csv(),
+        alone.to_csv(),
+        "tee changed the timeline"
     );
+    let events = jsonl.events();
+    let bytes = jsonl.into_inner();
+    assert_eq!(events, bytes.iter().filter(|&&b| b == b'\n').count() as u64);
+    assert_eq!(st_jsonl(&cfg), bytes, "tee changed the JSONL bytes");
 }
