@@ -113,11 +113,6 @@ impl Device {
             }
         }
     }
-
-    /// Apply a decoded same-slot fire from `sender` (zero age).
-    pub fn hear_fire(&mut self, sender: DeviceId, prc: &Prc) -> bool {
-        self.hear_fire_delayed(sender, prc, 0)
-    }
 }
 
 #[cfg(test)]
@@ -144,7 +139,7 @@ mod tests {
 
         d.coupling = CouplingMode::Isolated;
         let p0 = d.osc.phase();
-        assert!(!d.hear_fire(1, &prc));
+        assert!(!d.hear_fire_delayed(1, &prc, 0));
         assert_eq!(d.osc.phase(), p0);
 
         d.coupling = CouplingMode::TreeOnly;

@@ -532,7 +532,11 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
         if c.fault_dup_frames > 0 {
             self.rec.add("chaos.frames_duplicated", c.fault_dup_frames);
         }
-        if EV && R::ENABLED {
+        // A trace's per-slot statistics catch every live clock up on
+        // each materialized slot, which splits the catch-ups these two
+        // keys count: their totals would measure the sink, not the run,
+        // so a traced run leaves both out.
+        if EV && R::ENABLED && !S::ENABLED {
             self.rec.add("osc.cursor_warps", self.clocks.warps);
             self.rec.add("osc.literal_advances", self.clocks.literal);
         }

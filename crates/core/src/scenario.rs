@@ -202,12 +202,6 @@ impl ScenarioConfig {
         self
     }
 
-    /// Builder: override coupling strength ε (ablation A2).
-    pub fn with_coupling(mut self, epsilon: f64) -> Self {
-        self.protocol.coupling = epsilon;
-        self
-    }
-
     /// Builder: select the engine execution strategy.
     pub fn with_engine(mut self, engine: EngineMode) -> Self {
         self.engine = engine;
@@ -273,11 +267,9 @@ mod tests {
         let c = ScenarioConfig::table1(100)
             .seeded(9)
             .ideal_channel()
-            .with_coupling(0.1)
             .with_max_slots(SlotDuration(5));
         assert_eq!(c.sim.seed, 9);
         assert_eq!(c.channel.shadowing_sigma_db, 0.0);
-        assert_eq!(c.protocol.coupling, 0.1);
         assert_eq!(c.sim.max_slots, SlotDuration(5));
     }
 

@@ -509,8 +509,15 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
         self.st.frag_scratch.len() as u32
     }
 
-    fn send(&mut self, from: DeviceId, to: DeviceId, msg: Msg) {
+    fn send(&mut self, from: DeviceId, to: DeviceId, msg: Msg, slot: Slot) {
         self.rt.counters.add_unicast_tx(1);
+        if S::ENABLED {
+            self.rt.sink.event(&TraceEvent::Unicast {
+                slot: slot.0,
+                sender: from,
+                receiver: to,
+            });
+        }
         self.st.outbox.push((from, to, msg));
     }
 
@@ -591,6 +598,7 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
                         fragment: id,
                         head: id,
                     },
+                    slot,
                 );
             }
             if self.st.m[id as usize].pending_children == 0 {
@@ -652,6 +660,7 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
                         round,
                         frag_size: size,
                     },
+                    slot,
                 );
             }
         } else {
@@ -670,6 +679,7 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
                     best_frag,
                     size,
                 },
+                slot,
             );
         }
     }
@@ -726,6 +736,7 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
                             fragment,
                             head,
                         },
+                        slot,
                     );
                 }
                 if self.st.m[v as usize].pending_children == 0 {
@@ -776,6 +787,7 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
                         v,
                         self.st.m[v as usize].best_provider,
                         Msg::MergeCmd { round, frag_size },
+                        slot,
                     );
                 }
             }
@@ -837,6 +849,7 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
                                 my_size,
                                 ttl: GRANT_TTL,
                             },
+                            slot,
                         );
                     }
                     let _ = req_size;
@@ -856,6 +869,7 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
                                 req_size,
                                 ttl: ttl - 1,
                             },
+                            slot,
                         );
                     }
                 }
@@ -890,6 +904,7 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
                                 my_size,
                                 ttl: ttl - 1,
                             },
+                            slot,
                         );
                     }
                 }
@@ -923,7 +938,7 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
                         if self.rt.devices[v as usize].is_head() {
                             self.st.m[v as usize].own_target = NONE;
                         } else if let Some(parent) = self.rt.devices[v as usize].parent {
-                            self.send(v, parent, Msg::HsFailed { round });
+                            self.send(v, parent, Msg::HsFailed { round }, slot);
                         }
                     } else {
                         // Decide the surviving head once, from the two
@@ -963,7 +978,7 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
                 if self.rt.devices[v as usize].is_head() {
                     self.st.m[v as usize].own_target = NONE;
                 } else if let Some(parent) = self.rt.devices[v as usize].parent {
-                    self.send(v, parent, Msg::HsFailed { round });
+                    self.send(v, parent, Msg::HsFailed { round }, slot);
                 }
             }
             Msg::NewFragment { head } => {
@@ -984,7 +999,7 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
                     .filter(|&u| u != from)
                     .collect();
                 for c in fwd {
-                    self.send(v, c, Msg::NewFragment { head });
+                    self.send(v, c, Msg::NewFragment { head }, slot);
                 }
             }
         }
@@ -1094,7 +1109,7 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
                 .filter(|&u| u != y)
                 .collect();
             for c in fwd {
-                self.send(x, c, Msg::NewFragment { head: survivor });
+                self.send(x, c, Msg::NewFragment { head: survivor }, slot);
             }
         }
     }
@@ -1188,6 +1203,7 @@ impl<S: TraceSink, R: Recorder, const EV: bool> Engine<'_, '_, S, R, EV> {
                         req_size: fragment_size,
                         ttl: GRANT_TTL,
                     },
+                    slot,
                 );
             }
         }

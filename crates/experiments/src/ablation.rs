@@ -11,7 +11,7 @@
 //!   population (the paper's core design decision, without any radio).
 
 use ffd2d_core::{EngineMode, GainCacheMode, ScenarioConfig, StProtocol};
-use ffd2d_metrics::{Series, Summary};
+use ffd2d_metrics::Summary;
 use ffd2d_osc::network::CoupledNetwork;
 use ffd2d_osc::prc::Prc;
 use ffd2d_parallel::{run_trials, SweepConfig};
@@ -188,15 +188,6 @@ pub fn topology_comparison(params: &AblationParams) -> (Summary, Summary) {
     )
 }
 
-/// Convert points to a time series for CSV export.
-pub fn to_series(label: &str, points: &[Point]) -> Series {
-    let mut s = Series::new(label);
-    for p in points {
-        s.push_with_error(p.x, p.time_ms.mean(), p.time_ms.ci95_half_width());
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,6 +246,5 @@ mod tests {
     fn density_sweep_runs() {
         let pts = density_sweep(&tiny(), &[60.0, 100.0]);
         assert_eq!(pts.len(), 2);
-        assert!(to_series("d", &pts).points.len() == 2);
     }
 }

@@ -5,9 +5,9 @@
 //!
 //! Prints:
 //! * run verdict (converged / censored at slot N);
-//! * a per-phase message breakdown (tx per RACH codec, rx outcomes,
-//!   oscillator adjustments, merge handshake traffic) using the
-//!   `phase_enter` events as boundaries;
+//! * a per-phase message breakdown (tx per RACH codec, unicast sends,
+//!   rx outcomes, oscillator adjustments, merge handshake traffic)
+//!   using the `phase_enter` events as boundaries;
 //! * the merge tree of fragment lineage reconstructed from
 //!   `fragment_commit` events (which fragment head absorbed which);
 //! * time-to-X%-discovery milestones, and per-slot collision-rate and
@@ -17,8 +17,8 @@
 //! inspector replays the log through the same sink the live run used,
 //! so offline numbers match online ones by construction. The per-slot
 //! statistics and the last-slot line cover only the slots with at
-//! least one transmission, so a trace from either engine prints the
-//! same summary (the event engine skips silent slots).
+//! least one broadcast, so a trace from either engine prints the same
+//! summary (the event engine skips silent slots).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader};
@@ -123,10 +123,11 @@ fn main() -> ExitCode {
 
     println!("\nper-phase message breakdown:");
     println!(
-        "  {:<12} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8} {:>7} {:>7} {:>7}",
+        "  {:<12} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8} {:>7} {:>7} {:>7}",
         "phase",
         "rach1_tx",
         "rach2_tx",
+        "unicast",
         "rx_ok",
         "rx_coll",
         "rx_fade",
@@ -141,10 +142,11 @@ fn main() -> ExitCode {
         }
         let c = &t.counters;
         println!(
-            "  {:<12} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8} {:>7} {:>7} {:>7}",
+            "  {:<12} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8} {:>7} {:>7} {:>7}",
             name,
             c.rach1_tx,
             c.rach2_tx,
+            c.unicast_tx,
             c.rx_ok,
             c.rx_collision,
             c.rx_below_threshold,
@@ -253,7 +255,12 @@ fn print_milestones(timeline: &TimelineSink) {
             None => println!("  {pct:>5.0}% : never reached"),
         }
     }
-    let busy: Vec<_> = rows.iter().filter(|r| r.counters.total_tx() > 0).collect();
+    // Unicasts travel off the shared medium, so a slot that only sent
+    // unicasts has no collision rate to report.
+    let busy: Vec<_> = rows
+        .iter()
+        .filter(|r| r.counters.rach1_tx + r.counters.rach2_tx > 0)
+        .collect();
     let Some(last) = busy.last() else {
         println!("\n(no transmissions — per-slot statistics unavailable)");
         return;

@@ -168,6 +168,15 @@ pub fn encode_event(ev: &TraceEvent) -> String {
             field_s(&mut s, "codec", codec.name());
             field_s(&mut s, "kind", kind.name());
         }
+        TraceEvent::Unicast {
+            slot,
+            sender,
+            receiver,
+        } => {
+            field_u(&mut s, "slot", slot);
+            field_u(&mut s, "sender", sender as u64);
+            field_u(&mut s, "receiver", receiver as u64);
+        }
         TraceEvent::RxDecode {
             slot,
             receiver,
@@ -341,6 +350,11 @@ pub fn parse_event(line: &str) -> Option<TraceEvent> {
             codec: Codec::from_name(str("codec")?)?,
             kind: FrameLabel::from_name(str("kind")?)?,
         },
+        "unicast" => TraceEvent::Unicast {
+            slot: u64("slot")?,
+            sender: u32("sender")?,
+            receiver: u32("receiver")?,
+        },
         "rx_decode" => TraceEvent::RxDecode {
             slot: u64("slot")?,
             receiver: u32("receiver")?,
@@ -510,6 +524,11 @@ mod tests {
                 sender: 3,
                 codec: Codec::Rach2,
                 kind: FrameLabel::HConnect,
+            },
+            TraceEvent::Unicast {
+                slot: 301,
+                sender: 9,
+                receiver: 0,
             },
             TraceEvent::RxDecode {
                 slot: 301,

@@ -103,22 +103,6 @@ impl FragmentForest {
         self.members[r as usize].len()
     }
 
-    /// Re-seat the head of `v`'s fragment (Algorithm 1's
-    /// `Change_head(S_v)` step when a head has no outgoing edge).
-    ///
-    /// # Panics
-    ///
-    /// If `new_head` is not a member of `v`'s fragment.
-    pub fn change_head(&mut self, v: VertexId, new_head: VertexId) {
-        let r = self.uf.find(v);
-        assert_eq!(
-            self.uf.find(new_head),
-            r,
-            "new head must belong to the same fragment"
-        );
-        self.head[r as usize] = new_head;
-    }
-
     /// Merge the fragments joined by `edge` (Algorithm 1's
     /// `Merge_Sub_Tree`). The surviving head is the head of the *larger*
     /// fragment ("choose S_v.head from highest number of node's tree");
@@ -234,22 +218,6 @@ mod tests {
         f.merge(e(0, 1, 1.0)); // head 0
         f.merge(e(1, 2, 1.0)); // sizes 2 vs 2 → head min(0, 2) = 0
         assert_eq!(f.head_of(3), 0);
-    }
-
-    #[test]
-    fn change_head_within_fragment() {
-        let mut f = FragmentForest::new(3);
-        f.merge(e(0, 1, 1.0));
-        f.change_head(0, 1);
-        assert_eq!(f.head_of(0), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "same fragment")]
-    fn change_head_rejects_outsider() {
-        let mut f = FragmentForest::new(3);
-        f.merge(e(0, 1, 1.0));
-        f.change_head(0, 2);
     }
 
     #[test]

@@ -115,27 +115,6 @@ impl RootedTree {
     pub fn bfs_order(&self) -> &[VertexId] {
         &self.bfs_order
     }
-
-    /// The path from `v` up to the root, inclusive.
-    pub fn path_to_root(&self, mut v: VertexId) -> Vec<VertexId> {
-        let mut path = vec![v];
-        while let Some(p) = self.parent[v as usize] {
-            path.push(p);
-            v = p;
-        }
-        path
-    }
-
-    /// Subtree sizes, indexed by vertex (computed in reverse BFS order).
-    pub fn subtree_sizes(&self) -> Vec<u32> {
-        let mut size = vec![1u32; self.len()];
-        for &v in self.bfs_order.iter().rev() {
-            if let Some(p) = self.parent[v as usize] {
-                size[p as usize] += size[v as usize];
-            }
-        }
-        size
-    }
 }
 
 /// Validate that `edges` form a spanning tree over `n` vertices.
@@ -190,24 +169,6 @@ mod tests {
     }
 
     #[test]
-    fn path_to_root() {
-        let t = sample();
-        assert_eq!(t.path_to_root(3), vec![3, 2, 1, 0]);
-        assert_eq!(t.path_to_root(0), vec![0]);
-    }
-
-    #[test]
-    fn subtree_sizes_sum_correctly() {
-        let t = sample();
-        let s = t.subtree_sizes();
-        assert_eq!(s[0], 5);
-        assert_eq!(s[1], 4);
-        assert_eq!(s[2], 2);
-        assert_eq!(s[3], 1);
-        assert_eq!(s[4], 1);
-    }
-
-    #[test]
     fn rejects_wrong_edge_count() {
         assert!(RootedTree::from_edges(4, 0, &[e(0, 1), e(1, 2)]).is_none());
     }
@@ -238,7 +199,6 @@ mod tests {
             let t = RootedTree::from_edges(5, root, &edges).unwrap();
             assert_eq!(t.root(), root);
             assert_eq!(t.bfs_order().len(), 5);
-            assert_eq!(t.subtree_sizes()[root as usize], 5);
         }
     }
 }

@@ -93,7 +93,7 @@ proptest! {
     }
 
     /// A tree built from any connected graph's MST is a valid rooted
-    /// tree from every root, with consistent depths and subtree sizes.
+    /// tree from every root, with consistent depths and parent links.
     #[test]
     fn rooted_tree_invariants(g in graphs(16)) {
         prop_assume!(is_connected(&g) && g.n() >= 2);
@@ -101,13 +101,15 @@ proptest! {
         prop_assert!(is_spanning_tree(g.n(), &f.edges));
         for root in 0..g.n() as u32 {
             let t = RootedTree::from_edges(g.n(), root, &f.edges).unwrap();
-            let sizes = t.subtree_sizes();
-            prop_assert_eq!(sizes[root as usize] as usize, g.n());
             for v in 0..g.n() as u32 {
-                // Path to root has length depth+1 and ends at the root.
-                let path = t.path_to_root(v);
-                prop_assert_eq!(path.len() as u32, t.depth(v) + 1);
-                prop_assert_eq!(*path.last().unwrap(), root);
+                // The parent chain has `depth` links and ends at the root.
+                let (mut top, mut links) = (v, 0);
+                while let Some(p) = t.parent(top) {
+                    top = p;
+                    links += 1;
+                }
+                prop_assert_eq!(links, t.depth(v));
+                prop_assert_eq!(top, root);
                 // Parent/child relations are mutually consistent.
                 if let Some(p) = t.parent(v) {
                     prop_assert!(t.children(p).contains(&v));

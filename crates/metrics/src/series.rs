@@ -48,11 +48,6 @@ impl Series {
             .map(|&(_, y)| y)
     }
 
-    /// True if y never decreases as x grows (assumes points sorted by x).
-    pub fn is_non_decreasing(&self) -> bool {
-        self.points.windows(2).all(|w| w[1].1 >= w[0].1)
-    }
-
     /// The first x (of `self`) at which `self` drops strictly below
     /// `other`, comparing common x-values in order — the "crossover"
     /// the paper's Figs. 3–4 are about.
@@ -148,12 +143,6 @@ mod tests {
         let s = make("a", &[1.0, 2.0, 3.0]);
         assert_eq!(s.y_at(100.0), Some(2.0));
         assert_eq!(s.y_at(50.0), None);
-    }
-
-    #[test]
-    fn monotonicity_check() {
-        assert!(make("up", &[1.0, 1.0, 2.0]).is_non_decreasing());
-        assert!(!make("down", &[2.0, 1.0]).is_non_decreasing());
     }
 
     #[test]

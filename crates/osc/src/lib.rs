@@ -26,8 +26,8 @@
 //! * [`predict`] — memoized phase trajectories: the exact-by-
 //!   construction fast-forward machinery behind the engines'
 //!   event-driven (slot-skipping) execution mode.
-//! * [`sync`] — synchrony metrics: Kuramoto order parameter, circular
-//!   phase spread, firing-group counting.
+//! * [`sync`] — synchrony metrics: circular phase spread and the
+//!   convergence test built on it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,4 +42,4 @@ pub use network::{CoupledNetwork, SyncOutcome};
 pub use oscillator::PhaseOscillator;
 pub use prc::Prc;
 pub use predict::{Cursor, TrajectoryCache};
-pub use sync::{firing_groups, kuramoto_order, phase_spread};
+pub use sync::phase_spread;

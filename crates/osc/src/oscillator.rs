@@ -160,13 +160,6 @@ impl PhaseOscillator {
         k
     }
 
-    /// Absolute slot of the next fire, given that this oscillator's
-    /// state already reflects every tick up to and including
-    /// `current_slot`.
-    pub fn next_fire_slot(&self, current_slot: u64) -> u64 {
-        current_slot + self.ticks_to_next_fire() as u64
-    }
-
     /// Fast-forward by `slots` ticks, returning how many of them fired.
     /// This is literally `slots` repeated [`tick`](Self::tick) calls —
     /// the only implementation that reproduces the stepped phase
@@ -395,7 +388,6 @@ mod tests {
                 assert!(!probe.tick(), "fired early (phase {phase})");
             }
             assert!(probe.tick(), "missed the predicted fire (phase {phase})");
-            assert_eq!(osc.next_fire_slot(41), 41 + k as u64);
         }
     }
 

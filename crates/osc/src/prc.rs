@@ -65,18 +65,6 @@ impl Prc {
         debug_assert!((0.0..=1.0).contains(&theta), "phase {theta} out of range");
         (self.alpha * theta + self.beta).min(1.0)
     }
-
-    /// True if a pulse received at phase `theta` fires the receiver
-    /// immediately (absorption).
-    #[inline]
-    pub fn absorbs(&self, theta: f64) -> bool {
-        self.alpha * theta + self.beta >= 1.0
-    }
-
-    /// The phase above which any pulse causes immediate firing.
-    pub fn absorption_threshold(&self) -> f64 {
-        ((1.0 - self.beta) / self.alpha).max(0.0)
-    }
 }
 
 #[cfg(test)]
@@ -108,21 +96,12 @@ mod tests {
     }
 
     #[test]
-    fn absorption_threshold_consistent_with_absorbs() {
-        let prc = Prc::standard();
-        let t = prc.absorption_threshold();
-        assert!(prc.absorbs(t + 1e-9));
-        assert!(!prc.absorbs(t - 1e-9));
-    }
-
-    #[test]
     fn stronger_coupling_advances_more() {
         let weak = Prc::from_dissipation(3.0, 0.01);
         let strong = Prc::from_dissipation(3.0, 0.2);
         for theta in [0.1, 0.5, 0.9] {
             assert!(strong.apply(theta) >= weak.apply(theta));
         }
-        assert!(strong.absorption_threshold() < weak.absorption_threshold());
     }
 
     #[test]

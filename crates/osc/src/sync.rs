@@ -1,31 +1,10 @@
 //! Synchrony metrics.
 //!
 //! Convergence detection in the experiments needs a quantitative notion
-//! of "all devices are synchronized". Three complementary metrics:
-//!
-//! * [`kuramoto_order`] — the magnitude of the circular mean
-//!   `r = |1/N · Σ e^{2πiθ_k}|`; `r = 1` iff all phases coincide.
-//! * [`phase_spread`] — the smallest arc of the unit circle containing
-//!   every phase; robust near the wrap-around point where naive
-//!   max−min fails.
-//! * [`firing_groups`] — the number of distinct clusters of phases under
-//!   a tolerance; the protocols declare convergence when one group
-//!   remains (every device fires in the same slot).
-
-/// Kuramoto order parameter `r ∈ [0, 1]` of phases in `[0, 1)` turns.
-pub fn kuramoto_order(phases: &[f64]) -> f64 {
-    if phases.is_empty() {
-        return 1.0;
-    }
-    let (mut re, mut im) = (0.0f64, 0.0f64);
-    for &p in phases {
-        let ang = 2.0 * core::f64::consts::PI * p;
-        re += ang.cos();
-        im += ang.sin();
-    }
-    let n = phases.len() as f64;
-    (re * re + im * im).sqrt() / n
-}
+//! of "all devices are synchronized": [`phase_spread`], the smallest arc
+//! of the unit circle containing every phase, robust near the
+//! wrap-around point where naive max−min fails, and
+//! [`is_synchronized`], the spread held against a tolerance.
 
 /// Length (in turns, `[0, 1)`) of the smallest arc containing all
 /// phases. 0 when all phases coincide.
@@ -44,33 +23,6 @@ pub fn phase_spread(phases: &[f64]) -> f64 {
     1.0 - max_gap
 }
 
-/// Number of phase clusters under circular tolerance `tol` (in turns).
-///
-/// Two phases belong to the same cluster when their circular distance is
-/// at most `tol`; clusters are chains of such links.
-pub fn firing_groups(phases: &[f64], tol: f64) -> usize {
-    assert!((0.0..0.5).contains(&tol), "tolerance must be in [0, 0.5)");
-    if phases.is_empty() {
-        return 0;
-    }
-    let mut sorted: Vec<f64> = phases.iter().map(|p| p.rem_euclid(1.0)).collect();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let n = sorted.len();
-    if n == 1 {
-        return 1;
-    }
-    // Count gaps > tol between circularly-consecutive phases.
-    let mut breaks = 0;
-    for i in 0..n {
-        let next = sorted[(i + 1) % n] + if i + 1 == n { 1.0 } else { 0.0 };
-        if next - sorted[i] > tol {
-            breaks += 1;
-        }
-    }
-    // With no break the whole circle is one chain.
-    breaks.max(1)
-}
-
 /// True when every phase lies within `tol` turns of every other —
 /// the convergence criterion of the protocol engines.
 pub fn is_synchronized(phases: &[f64], tol: f64) -> bool {
@@ -80,21 +32,6 @@ pub fn is_synchronized(phases: &[f64], tol: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn order_parameter_extremes() {
-        assert!((kuramoto_order(&[0.3, 0.3, 0.3]) - 1.0).abs() < 1e-12);
-        // Evenly spread phases: r = 0.
-        assert!(kuramoto_order(&[0.0, 0.25, 0.5, 0.75]) < 1e-12);
-        assert_eq!(kuramoto_order(&[]), 1.0);
-    }
-
-    #[test]
-    fn order_parameter_monotone_in_concentration() {
-        let tight = kuramoto_order(&[0.1, 0.12, 0.14]);
-        let loose = kuramoto_order(&[0.0, 0.2, 0.4]);
-        assert!(tight > loose);
-    }
 
     #[test]
     fn spread_basic() {
@@ -111,30 +48,9 @@ mod tests {
     }
 
     #[test]
-    fn groups_counting() {
-        assert_eq!(firing_groups(&[0.1, 0.11, 0.5, 0.51], 0.05), 2);
-        assert_eq!(firing_groups(&[0.1, 0.2, 0.3], 0.15), 1);
-        assert_eq!(firing_groups(&[0.0, 0.33, 0.66], 0.01), 3);
-        assert_eq!(firing_groups(&[], 0.1), 0);
-        assert_eq!(firing_groups(&[0.7], 0.1), 1);
-    }
-
-    #[test]
-    fn groups_handle_wraparound() {
-        // 0.98 and 0.02 cluster together across zero.
-        assert_eq!(firing_groups(&[0.98, 0.02, 0.5], 0.1), 2);
-    }
-
-    #[test]
     fn is_synchronized_thresholds() {
         assert!(is_synchronized(&[0.5, 0.5001], 0.001));
         assert!(!is_synchronized(&[0.1, 0.4], 0.01));
         assert!(is_synchronized(&[0.99, 0.01], 0.05)); // wraparound
-    }
-
-    #[test]
-    #[should_panic(expected = "tolerance")]
-    fn absurd_tolerance_rejected() {
-        let _ = firing_groups(&[0.0], 0.5);
     }
 }

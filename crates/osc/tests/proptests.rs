@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use ffd2d_osc::oscillator::PhaseOscillator;
 use ffd2d_osc::prc::Prc;
-use ffd2d_osc::sync::{firing_groups, is_synchronized, kuramoto_order, phase_spread};
+use ffd2d_osc::sync::{is_synchronized, phase_spread};
 
 proptest! {
     /// Eq. (5): for any a > 0, ε > 0 the PRC satisfies the
@@ -56,40 +56,28 @@ proptest! {
         prop_assert!((now.phase() - (then.phase() + age_phase)).abs() < 1e-12);
     }
 
-    /// Kuramoto order and spread are consistent: r = 1 ⟺ spread = 0
-    /// (within float tolerance); both are shift-invariant on the circle.
+    /// The spread is an arc length in `[0, 1)` and is shift-invariant
+    /// on the circle.
     #[test]
     fn sync_metrics_consistency(phases in proptest::collection::vec(0.0f64..1.0, 1..30), shift in 0.0f64..1.0) {
         let spread = phase_spread(&phases);
-        let r = kuramoto_order(&phases);
-        prop_assert!((0.0..=1.0 + 1e-9).contains(&r));
         prop_assert!((0.0..1.0).contains(&spread) || spread == 0.0);
-        if spread < 1e-12 {
-            prop_assert!(r > 1.0 - 1e-9);
-        }
         // Rotation invariance.
         let shifted: Vec<f64> = phases.iter().map(|p| (p + shift).rem_euclid(1.0)).collect();
         prop_assert!((phase_spread(&shifted) - spread).abs() < 1e-9);
-        prop_assert!((kuramoto_order(&shifted) - r).abs() < 1e-9);
     }
 
-    /// Group counting: between 1 and n groups; tolerance monotone
-    /// (larger tolerance → no more groups).
+    /// `is_synchronized` is the spread held against the tolerance.
     #[test]
-    fn group_count_bounds(phases in proptest::collection::vec(0.0f64..1.0, 1..25), t1 in 0.0f64..0.2, t2 in 0.2f64..0.45) {
-        let g_tight = firing_groups(&phases, t1);
-        let g_loose = firing_groups(&phases, t2);
-        prop_assert!(g_tight >= 1 && g_tight <= phases.len());
-        prop_assert!(g_loose <= g_tight);
-        // is_synchronized agrees with spread.
-        prop_assert_eq!(is_synchronized(&phases, t2), phase_spread(&phases) <= t2);
+    fn is_synchronized_agrees_with_spread(phases in proptest::collection::vec(0.0f64..1.0, 1..25), tol in 0.2f64..0.45) {
+        prop_assert_eq!(is_synchronized(&phases, tol), phase_spread(&phases) <= tol);
     }
 
-    /// Event-engine contract: `next_fire_slot` names exactly the slot
-    /// where repeated ticking fires, for arbitrary starting state —
-    /// including phases a hair under the `1 - 1e-12` threshold and
-    /// refractory windows longer than the remaining ramp (the
-    /// countdown must not delay the fire).
+    /// Event-engine contract: `now + ticks_to_next_fire()` names
+    /// exactly the slot where repeated ticking fires, for arbitrary
+    /// starting state — including phases a hair under the `1 - 1e-12`
+    /// threshold and refractory windows longer than the remaining ramp
+    /// (the countdown must not delay the fire).
     #[test]
     fn next_fire_slot_matches_ticking(
         phase in 0.0f64..0.999,
@@ -100,7 +88,7 @@ proptest! {
         // Keep the refractory legal (shorter than the period).
         let refractory = (refractory_frac * (period - 1) as f64) as u32;
         let osc = PhaseOscillator::new(phase, period, refractory);
-        let predicted = osc.next_fire_slot(now);
+        let predicted = now + osc.ticks_to_next_fire() as u64;
         prop_assert!(predicted > now, "a fire must be strictly in the future");
         let mut probe = osc;
         let mut slot = now;
@@ -150,7 +138,6 @@ proptest! {
         let start = (period - 1) as f64 / period as f64;
         let osc = PhaseOscillator::new(start, period, refractory);
         prop_assert_eq!(osc.ticks_to_next_fire(), 1, "one tick from the brink");
-        prop_assert_eq!(osc.next_fire_slot(41), 42);
         let mut fast = osc;
         prop_assert_eq!(fast.advance_by(1), 1);
         let mut slow = osc;

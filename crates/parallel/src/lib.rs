@@ -14,8 +14,8 @@
 //!   ([`pool::parallel_map_with_workers`] pins the count for the
 //!   determinism suite).
 //! * [`sweep`] — the experiment-shaped layer: a parameter grid × trial
-//!   count, each cell reduced with `ffd2d-metrics`-style mergeable
-//!   accumulators, with deterministic per-trial seeds derived from
+//!   count, each cell's raw result grouped by parameter in trial order,
+//!   with deterministic per-trial seeds derived from
 //!   `(master seed, param index, trial index)` — thread schedule cannot
 //!   perturb any random draw.
 //! * [`parallelism`] — the [`Parallelism`] stub: a single `Off` value
@@ -30,6 +30,4 @@ pub mod sweep;
 
 pub use parallelism::Parallelism;
 pub use pool::{available_workers, parallel_map, parallel_map_with_workers};
-pub use sweep::{
-    run_sweep, run_trials, run_trials_with_workers, SweepConfig, SweepResult, TrialCtx,
-};
+pub use sweep::{run_trials, run_trials_with_workers, SweepConfig, TrialCtx};

@@ -4,8 +4,7 @@
 //! counts, shadowing sigmas, coupling strengths …) × a number of
 //! independent trials per point. [`run_trials`] executes every
 //! `(param, trial)` cell in parallel and groups raw results by
-//! parameter; [`run_sweep`] is the common special case where each trial
-//! yields one `f64` and the caller wants a [`Summary`] per parameter.
+//! parameter.
 //!
 //! ## Determinism
 //!
@@ -15,7 +14,6 @@
 //! for any worker count — run it on 1 core or 128 and EXPERIMENTS.md
 //! does not change.
 
-use ffd2d_metrics::Summary;
 use ffd2d_sim::rng::sweep_cell_seed;
 use serde::{Deserialize, Serialize};
 
@@ -64,13 +62,6 @@ impl TrialCtx {
     }
 }
 
-/// The mean ± CI of one sweep point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SweepResult {
-    /// Summary over the trials at this parameter point.
-    pub summary: Summary,
-}
-
 /// Run `f` on every `(param, trial)` cell; return raw per-param results
 /// in trial order.
 pub fn run_trials<P, R, F>(params: &[P], cfg: &SweepConfig, f: F) -> Vec<Vec<R>>
@@ -113,20 +104,6 @@ where
         grouped[p].push(r);
     }
     grouped
-}
-
-/// Run a single-metric sweep: one [`Summary`] per parameter point.
-pub fn run_sweep<P, F>(params: &[P], cfg: &SweepConfig, f: F) -> Vec<SweepResult>
-where
-    P: Sync,
-    F: Fn(&P, TrialCtx) -> f64 + Sync,
-{
-    run_trials(params, cfg, f)
-        .into_iter()
-        .map(|samples| SweepResult {
-            summary: Summary::from_samples(samples),
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -188,24 +165,9 @@ mod tests {
     }
 
     #[test]
-    fn sweep_summaries() {
-        let cfg = SweepConfig {
-            master_seed: 3,
-            trials: 10,
-        };
-        // Metric = param value exactly → zero variance summaries.
-        let res = run_sweep(&[5.0f64, 9.0], &cfg, |&p, _| p);
-        assert_eq!(res.len(), 2);
-        assert_eq!(res[0].summary.mean(), 5.0);
-        assert_eq!(res[1].summary.mean(), 9.0);
-        assert_eq!(res[0].summary.std_dev(), 0.0);
-        assert_eq!(res[0].summary.count(), 10);
-    }
-
-    #[test]
     fn empty_params_is_fine() {
         let cfg = SweepConfig::default();
-        let res = run_sweep(&[] as &[u32], &cfg, |_, _| 0.0);
+        let res = run_trials(&[] as &[u32], &cfg, |_, _| 0.0);
         assert!(res.is_empty());
     }
 
@@ -216,6 +178,6 @@ mod tests {
             master_seed: 0,
             trials: 0,
         };
-        let _ = run_sweep(&[1u32], &cfg, |_, _| 0.0);
+        let _ = run_trials(&[1u32], &cfg, |_, _| 0.0);
     }
 }

@@ -120,19 +120,6 @@ impl FrameKind {
             FrameKind::NewFragment { .. } => ffd2d_trace::FrameLabel::NewFragment,
         }
     }
-
-    /// Unicast destination, if this kind is addressed.
-    pub fn unicast_to(&self) -> Option<DeviceId> {
-        match *self {
-            FrameKind::Fire { .. } => None,
-            FrameKind::DiscoveryReply { to }
-            | FrameKind::Report { to, .. }
-            | FrameKind::MergeCmd { to, .. }
-            | FrameKind::HConnect { to, .. }
-            | FrameKind::HAccept { to, .. }
-            | FrameKind::NewFragment { to, .. } => Some(to),
-        }
-    }
 }
 
 /// A complete on-air proximity signal.
@@ -197,22 +184,5 @@ mod tests {
             let expect = matches!(kind, FrameKind::HConnect { .. } | FrameKind::HAccept { .. });
             assert_eq!(kind.codec() == RachCodec::Rach2, expect, "{kind:?}");
         }
-    }
-
-    #[test]
-    fn unicast_targets() {
-        assert_eq!(
-            FrameKind::Fire {
-                fragment: 1,
-                age: 0
-            }
-            .unicast_to(),
-            None
-        );
-        assert_eq!(FrameKind::DiscoveryReply { to: 5 }.unicast_to(), Some(5));
-        assert_eq!(
-            FrameKind::MergeCmd { to: 9, u: 1, v: 2 }.unicast_to(),
-            Some(9)
-        );
     }
 }

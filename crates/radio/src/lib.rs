@@ -3,7 +3,7 @@
 //! Implements the complete propagation model of the paper's Table I and
 //! §III, from scratch:
 //!
-//! * [`units`] — strongly-typed dB/dBm/milliwatt algebra. The paper's
+//! * [`units`] — strongly-typed dB/dBm algebra. The paper's
 //!   eq. (8) (`p_l = 10·log10(p_l / p_l')`) is the dBm definition; the
 //!   types here make it impossible to add two absolute powers or take a
 //!   ratio of two gains by accident.
@@ -45,14 +45,4 @@ pub use fading::FadingModel;
 pub use pathloss::PathLoss;
 pub use rssi::{ranging_error_stats, RangingEstimate};
 pub use shadowing::ShadowingField;
-pub use units::{Db, Dbm, MilliWatt};
-
-/// Convenience re-exports for downstream crates.
-pub mod prelude {
-    pub use crate::channel::{Channel, ChannelConfig};
-    pub use crate::fading::FadingModel;
-    pub use crate::pathloss::PathLoss;
-    pub use crate::rssi::RangingEstimate;
-    pub use crate::shadowing::ShadowingField;
-    pub use crate::units::{Db, Dbm, MilliWatt};
-}
+pub use units::{Db, Dbm};

@@ -3,14 +3,14 @@
 //! Radio link budgets mix two kinds of decibel quantities that must not
 //! be confused:
 //!
-//! * **Absolute power** ([`Dbm`], [`MilliWatt`]) — "23 dBm transmit
-//!   power", "−95 dBm detection threshold" (Table I).
+//! * **Absolute power** ([`Dbm`]) — "23 dBm transmit power",
+//!   "−95 dBm detection threshold" (Table I).
 //! * **Relative gain/loss** ([`Db`]) — path loss, shadowing, fading.
 //!
 //! The algebra is deliberately restricted: `Dbm ± Db → Dbm` (applying a
 //! gain), `Dbm − Dbm → Db` (a link budget), `Db ± Db → Db`, but
 //! `Dbm + Dbm` does not exist (adding absolute powers requires going
-//! through linear [`MilliWatt`] first, eq. (8) of the paper).
+//! through linear milliwatts first, eq. (8) of the paper).
 
 use serde::{Deserialize, Serialize};
 
@@ -21,10 +21,6 @@ pub struct Db(pub f64);
 /// An absolute power level in dB-milliwatts.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
 pub struct Dbm(pub f64);
-
-/// An absolute power in linear milliwatts.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-pub struct MilliWatt(pub f64);
 
 impl Db {
     /// The zero gain.
@@ -41,13 +37,6 @@ impl Db {
     pub fn as_linear(self) -> f64 {
         10f64.powf(self.0 / 10.0)
     }
-
-    /// Build from a linear power ratio.
-    #[inline]
-    pub fn from_linear(ratio: f64) -> Db {
-        assert!(ratio > 0.0, "power ratio must be positive, got {ratio}");
-        Db(10.0 * ratio.log10())
-    }
 }
 
 impl Dbm {
@@ -55,27 +44,6 @@ impl Dbm {
     #[inline]
     pub fn get(self) -> f64 {
         self.0
-    }
-
-    /// Convert to linear milliwatts: `p[mW] = 10^(dBm/10)`.
-    #[inline]
-    pub fn to_milliwatt(self) -> MilliWatt {
-        MilliWatt(10f64.powf(self.0 / 10.0))
-    }
-}
-
-impl MilliWatt {
-    /// Raw milliwatt value.
-    #[inline]
-    pub fn get(self) -> f64 {
-        self.0
-    }
-
-    /// Convert to dBm (the paper's eq. (8) with a 1 mW reference).
-    #[inline]
-    pub fn to_dbm(self) -> Dbm {
-        assert!(self.0 > 0.0, "power must be positive to express in dBm");
-        Dbm(10.0 * self.0.log10())
     }
 }
 
@@ -129,14 +97,6 @@ impl core::ops::Neg for Db {
     }
 }
 
-impl core::ops::Add for MilliWatt {
-    type Output = MilliWatt;
-    #[inline]
-    fn add(self, rhs: MilliWatt) -> MilliWatt {
-        MilliWatt(self.0 + rhs.0)
-    }
-}
-
 impl core::fmt::Display for Db {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(f, "{:.2} dB", self.0)
@@ -149,31 +109,9 @@ impl core::fmt::Display for Dbm {
     }
 }
 
-impl core::fmt::Display for MilliWatt {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "{:.4} mW", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dbm_milliwatt_round_trip() {
-        for v in [-95.0, -30.0, 0.0, 23.0] {
-            let back = Dbm(v).to_milliwatt().to_dbm();
-            assert!((back.0 - v).abs() < 1e-9, "{v} -> {back:?}");
-        }
-    }
-
-    #[test]
-    fn known_conversions() {
-        // 0 dBm = 1 mW, 23 dBm ≈ 199.5 mW (Table I device power).
-        assert!((Dbm(0.0).to_milliwatt().0 - 1.0).abs() < 1e-12);
-        assert!((Dbm(23.0).to_milliwatt().0 - 199.526).abs() < 1e-3);
-        assert!((Dbm(10.0).to_milliwatt().0 - 10.0).abs() < 1e-9);
-    }
 
     #[test]
     fn link_budget_algebra() {
@@ -187,11 +125,7 @@ mod tests {
     }
 
     #[test]
-    fn db_linear_round_trip() {
-        for v in [-20.0, -3.0, 0.0, 3.0, 20.0] {
-            let back = Db::from_linear(Db(v).as_linear());
-            assert!((back.0 - v).abs() < 1e-9);
-        }
+    fn db_as_linear() {
         assert!((Db(3.0103).as_linear() - 2.0).abs() < 1e-3);
     }
 
@@ -200,18 +134,6 @@ mod tests {
         let g = Db(10.0) + Db(-4.0) - Db(6.0);
         assert!((g.0 - 0.0).abs() < 1e-12);
         assert_eq!(-Db(5.0), Db(-5.0));
-    }
-
-    #[test]
-    fn linear_power_sum() {
-        let total = Dbm(0.0).to_milliwatt() + Dbm(0.0).to_milliwatt();
-        assert!((total.to_dbm().0 - 3.0103).abs() < 1e-3);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be positive")]
-    fn zero_milliwatt_has_no_dbm() {
-        let _ = MilliWatt(0.0).to_dbm();
     }
 
     #[test]

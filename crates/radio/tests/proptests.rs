@@ -6,7 +6,7 @@ use ffd2d_radio::fading::FadingModel;
 use ffd2d_radio::pathloss::PathLoss;
 use ffd2d_radio::rssi::{ranging_error_stats, relative_error_from_shadowing, RangingEstimate};
 use ffd2d_radio::shadowing::ShadowingField;
-use ffd2d_radio::units::{Db, Dbm, MilliWatt};
+use ffd2d_radio::units::{Db, Dbm};
 use ffd2d_sim::deployment::Meters;
 use ffd2d_sim::time::Slot;
 
@@ -22,23 +22,6 @@ fn models() -> impl Strategy<Value = PathLoss> {
 }
 
 proptest! {
-    /// dBm ↔ mW conversion round-trips over the full realistic range.
-    #[test]
-    fn power_conversion_round_trip(dbm in -150.0f64..50.0) {
-        let back = Dbm(dbm).to_milliwatt().to_dbm();
-        prop_assert!((back.get() - dbm).abs() < 1e-9);
-    }
-
-    /// Linear power addition is order-independent and ≥ max component.
-    #[test]
-    fn milliwatt_sum(a in -100.0f64..30.0, b in -100.0f64..30.0) {
-        let s1 = Dbm(a).to_milliwatt() + Dbm(b).to_milliwatt();
-        let s2 = Dbm(b).to_milliwatt() + Dbm(a).to_milliwatt();
-        prop_assert!((s1.get() - s2.get()).abs() < 1e-15);
-        prop_assert!(s1.to_dbm().get() >= a.max(b) - 1e-9);
-        let _ = MilliWatt(s1.get());
-    }
-
     /// Every path-loss model is monotone non-decreasing in distance and
     /// inverts exactly outside the piecewise seam.
     #[test]

@@ -56,12 +56,6 @@ impl Position {
     pub fn distance(&self, other: &Position) -> Meters {
         Meters(((self.x - other.x).powi(2) + (self.y - other.y).powi(2)).sqrt())
     }
-
-    /// Squared distance (avoids the square root on hot paths).
-    #[inline]
-    pub fn distance_sq(&self, other: &Position) -> f64 {
-        (self.x - other.x).powi(2) + (self.y - other.y).powi(2)
-    }
 }
 
 /// Identifier of a device within a deployment (dense `0..n`).
@@ -213,19 +207,6 @@ impl Deployment {
         self.positions[a as usize].distance(&self.positions[b as usize])
     }
 
-    /// Ids of every device strictly within `range` of `of` (excluding
-    /// `of` itself).
-    pub fn neighbors_within(&self, of: DeviceId, range: Meters) -> Vec<DeviceId> {
-        let p = self.positions[of as usize];
-        let r2 = range.0 * range.0;
-        self.positions
-            .iter()
-            .enumerate()
-            .filter(|&(i, q)| i as DeviceId != of && p.distance_sq(q) < r2)
-            .map(|(i, _)| i as DeviceId)
-            .collect()
-    }
-
     /// Iterate over all unordered device pairs `(a, b)` with `a < b`.
     pub fn pairs(&self) -> impl Iterator<Item = (DeviceId, DeviceId)> + '_ {
         let n = self.len() as DeviceId;
@@ -298,14 +279,6 @@ mod tests {
         }
         let p = d.position(3);
         assert_eq!(p.distance(&p).0, 0.0);
-    }
-
-    #[test]
-    fn neighbors_within_excludes_self_and_respects_range() {
-        let d = Deployment::grid(9, Meters(90.0), Meters(90.0)); // 3x3, 30 m pitch
-        let nbrs = d.neighbors_within(4, Meters(31.0)); // centre cell
-        assert_eq!(nbrs.len(), 4); // von Neumann neighbours only
-        assert!(!nbrs.contains(&4));
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! ## Example
 //!
 //! ```
-//! use ffd2d_sim::prelude::*;
+//! use ffd2d_sim::{Deployment, Meters, StreamRng};
 //!
 //! // Deterministic RNG stream for trial 7 of master seed 42.
 //! let mut rng = StreamRng::for_trial(42, 7);
@@ -55,13 +55,3 @@ pub use deployment::{Deployment, Meters, Position};
 pub use event::SlotWheel;
 pub use rng::StreamRng;
 pub use time::{Slot, SlotDuration, SLOT_MILLIS};
-
-/// Convenience re-exports for downstream crates.
-pub mod prelude {
-    pub use crate::config::SimConfig;
-    pub use crate::counters::Counters;
-    pub use crate::deployment::{Deployment, Meters, Position};
-    pub use crate::event::SlotWheel;
-    pub use crate::rng::{SplitMix64, StreamRng, Xoshiro256StarStar};
-    pub use crate::time::{Slot, SlotDuration, SLOT_MILLIS};
-}

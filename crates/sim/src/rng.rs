@@ -266,15 +266,6 @@ impl StreamRng {
     pub fn for_trial(master_seed: u64, trial: u64) -> Self {
         Self::new(master_seed, trial, StreamId::Experiment)
     }
-
-    /// Derive a per-device sub-stream from this stream's identity.
-    ///
-    /// Device sub-streams are used for per-device protocol randomness
-    /// (initial phase jitter, backoff) without letting device count
-    /// perturb the draws of other subsystems.
-    pub fn device_stream(master_seed: u64, trial: u64, device: u32) -> Self {
-        Self::with_raw_stream(master_seed, trial, 0x1000_0000 + device as u64)
-    }
 }
 
 impl RngCore for StreamRng {
@@ -369,13 +360,6 @@ mod tests {
         for _ in 0..32 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
-    }
-
-    #[test]
-    fn device_streams_differ() {
-        let mut d0 = StreamRng::device_stream(5, 0, 0);
-        let mut d1 = StreamRng::device_stream(5, 0, 1);
-        assert_ne!(d0.next_u64(), d1.next_u64());
     }
 
     #[test]

@@ -57,24 +57,11 @@ impl Slot {
     pub fn next(self) -> Slot {
         Slot(self.0 + 1)
     }
-
-    /// Duration elapsed since `earlier`, saturating to zero if `earlier`
-    /// is in the future.
-    #[inline]
-    pub fn saturating_since(self, earlier: Slot) -> SlotDuration {
-        SlotDuration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl SlotDuration {
     /// The empty duration.
     pub const ZERO: SlotDuration = SlotDuration(0);
-
-    /// Duration from a millisecond count (1 slot = 1 ms).
-    #[inline]
-    pub fn from_millis(ms: u64) -> SlotDuration {
-        SlotDuration(ms / SLOT_MILLIS)
-    }
 
     /// Wall-clock milliseconds spanned.
     #[inline]
@@ -181,15 +168,9 @@ mod tests {
     }
 
     #[test]
-    fn saturating_since_clamps() {
-        assert_eq!(Slot(1).saturating_since(Slot(5)), SlotDuration::ZERO);
-        assert_eq!(Slot(5).saturating_since(Slot(1)), SlotDuration(4));
-    }
-
-    #[test]
     fn millis_round_trip() {
         assert_eq!(Slot(250).as_millis(), 250);
-        assert_eq!(SlotDuration::from_millis(250).as_millis(), 250);
+        assert_eq!(SlotDuration(250).as_millis(), 250);
         assert!((Slot(1500).as_secs_f64() - 1.5).abs() < 1e-12);
     }
 

@@ -14,7 +14,6 @@ proptest! {
         let t = Slot(a) + SlotDuration(d);
         prop_assert_eq!(t - Slot(a), SlotDuration(d));
         prop_assert_eq!(t - SlotDuration(d), Slot(a));
-        prop_assert_eq!(t.saturating_since(Slot(a)), SlotDuration(d));
     }
 
     /// SplitMix64's stateless mix is a bijection-quality avalanche:
@@ -82,6 +81,5 @@ proptest! {
         prop_assert!((p.distance(&q).0 - q.distance(&p).0).abs() < 1e-12);
         prop_assert!(p.distance(&q).0 >= 0.0);
         prop_assert!((p.distance(&p).0).abs() < 1e-12);
-        prop_assert!((p.distance(&q).0.powi(2) - p.distance_sq(&q)).abs() < 1e-6);
     }
 }

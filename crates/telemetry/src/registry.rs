@@ -32,11 +32,6 @@ impl Telemetry {
         self.counters.get(key).copied().unwrap_or(0)
     }
 
-    /// Current value of gauge `key`.
-    pub fn gauge_value(&self, key: &str) -> Option<f64> {
-        self.gauges.get(key).copied()
-    }
-
     /// Timer histogram `key`, if any duration was recorded.
     pub fn timer(&self, key: &str) -> Option<&LogHistogram> {
         self.timers.get(key)
@@ -139,7 +134,7 @@ mod tests {
         let mut t = Telemetry::new();
         t.gauge("load", 0.25);
         t.gauge("load", 0.75);
-        assert_eq!(t.gauge_value("load"), Some(0.75));
+        assert_eq!(t.gauges().collect::<Vec<_>>(), [("load", 0.75)]);
     }
 
     #[test]

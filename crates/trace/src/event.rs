@@ -222,6 +222,16 @@ pub enum TraceEvent {
         /// Frame kind on the air.
         kind: FrameLabel,
     },
+    /// A device sent a tree-routed unicast (ST's convergecast and merge
+    /// control messages, delivered next slot off the shared medium).
+    Unicast {
+        /// Send slot.
+        slot: u64,
+        /// Sending device.
+        sender: DeviceId,
+        /// Addressed device.
+        receiver: DeviceId,
+    },
     /// A receiver decoded a signal.
     RxDecode {
         /// Reception slot.
@@ -385,15 +395,15 @@ pub enum TraceEvent {
 
 impl TraceEvent {
     /// Add this event's share of the run's [`Counters`]: broadcasts per
-    /// codec, reception outcomes and injected frame faults. Folding a
-    /// whole trace reproduces the run's counters except `unicast_tx`,
-    /// which no event carries.
+    /// codec, unicast sends, reception outcomes and injected frame
+    /// faults. Folding a whole trace reproduces the run's counters.
     pub fn tally(&self, c: &mut Counters) {
         match *self {
             TraceEvent::Tx { codec, .. } => match codec {
                 Codec::Rach1 => c.add_rach1_tx(1),
                 Codec::Rach2 => c.add_rach2_tx(1),
             },
+            TraceEvent::Unicast { .. } => c.add_unicast_tx(1),
             TraceEvent::RxDecode { .. } => c.add_rx_ok(1),
             TraceEvent::RxCollision { signals, .. } => c.add_rx_collision(u64::from(signals)),
             TraceEvent::RxBelowThreshold { count, .. } => c.add_rx_below_threshold(count),
@@ -412,6 +422,7 @@ impl TraceEvent {
             TraceEvent::PhaseEnter { .. } => "phase_enter",
             TraceEvent::RoundStart { .. } => "round_start",
             TraceEvent::Tx { .. } => "tx",
+            TraceEvent::Unicast { .. } => "unicast",
             TraceEvent::RxDecode { .. } => "rx_decode",
             TraceEvent::RxCollision { .. } => "rx_collision",
             TraceEvent::RxBelowThreshold { .. } => "rx_below_threshold",
@@ -435,6 +446,7 @@ impl TraceEvent {
             TraceEvent::PhaseEnter { slot, .. }
             | TraceEvent::RoundStart { slot, .. }
             | TraceEvent::Tx { slot, .. }
+            | TraceEvent::Unicast { slot, .. }
             | TraceEvent::RxDecode { slot, .. }
             | TraceEvent::RxCollision { slot, .. }
             | TraceEvent::RxBelowThreshold { slot, .. }
@@ -492,6 +504,11 @@ mod tests {
         let evs = [
             TraceEvent::Converged { slot: 7 },
             TraceEvent::RxBelowThreshold { slot: 7, count: 3 },
+            TraceEvent::Unicast {
+                slot: 7,
+                sender: 1,
+                receiver: 2,
+            },
             TraceEvent::FaultInjected {
                 slot: 7,
                 device: 1,

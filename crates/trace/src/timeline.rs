@@ -26,7 +26,7 @@ pub struct TimelineRow {
     pub discovered_links: u64,
     /// Directed ground-truth audible links.
     pub ground_truth_links: u64,
-    /// This slot's broadcasts, reception outcomes and frame faults.
+    /// This slot's sends, reception outcomes and frame faults.
     pub counters: Counters,
 }
 
@@ -136,6 +136,7 @@ impl TraceSink for TimelineSink {
                 row.ground_truth_links = ground_truth_links;
             }
             TraceEvent::Tx { slot, .. }
+            | TraceEvent::Unicast { slot, .. }
             | TraceEvent::RxDecode { slot, .. }
             | TraceEvent::RxCollision { slot, .. }
             | TraceEvent::RxBelowThreshold { slot, .. }
@@ -173,6 +174,11 @@ mod tests {
             signals: 2,
         });
         t.event(&TraceEvent::RxBelowThreshold { slot: 5, count: 3 });
+        t.event(&TraceEvent::Unicast {
+            slot: 5,
+            sender: 2,
+            receiver: 1,
+        });
         t.event(&TraceEvent::FaultInjected {
             slot: 5,
             device: 2,
@@ -201,6 +207,7 @@ mod tests {
         assert_eq!(r.fragments, 7);
         let want = Counters {
             rach1_tx: 1,
+            unicast_tx: 1,
             rx_ok: 1,
             rx_collision: 2,
             rx_below_threshold: 3,

@@ -4,7 +4,8 @@
 //!   one — for both protocols and both engine modes (telemetry reads
 //!   the clock but never an RNG stream or any protocol state).
 //! * With a trace sink attached as well, the JSONL bytes are identical
-//!   whether or not a recorder is listening.
+//!   whether or not a recorder is listening, and every counter the
+//!   recorder reports matches an untraced recording.
 //! * Same `(scenario, seed)` ⇒ identical telemetry *structure*: every
 //!   counter and every timer/observation call count matches across
 //!   re-runs (durations differ — they are wall clock — but
@@ -137,6 +138,28 @@ fn trace_jsonl_is_byte_identical_with_recorder_attached() {
         sink.into_inner()
     };
     assert_eq!(fst(false), fst(true), "recorder changed FST trace bytes");
+}
+
+/// Tracing does not change what a recording reports: at the Table-I
+/// cell ST n = 50, seed 23, every counter a traced and recorded event
+/// run reports equals the one the recorded run alone reports. (The
+/// trace's per-slot statistics split the lazy clocks' catch-ups, so a
+/// traced run leaves the two `osc.` catch-up keys out.)
+#[test]
+fn tracing_leaves_recorded_counters_unchanged() {
+    let cfg = scenario(50, 23);
+    assert_eq!(cfg.engine, EngineMode::EventDriven);
+    let world = World::new(&cfg);
+    let mut alone = Telemetry::new();
+    let out = StProtocol::run_in_instrumented(&world, &mut NullSink, &mut alone);
+    assert!(alone.counter("osc.cursor_warps") > 0);
+    let mut sink = JsonlSink::new(Vec::new());
+    let mut traced = Telemetry::new();
+    let traced_out = StProtocol::run_in_instrumented(&world, &mut sink, &mut traced);
+    assert_eq!(out, traced_out);
+    for (k, v) in traced.counters() {
+        assert_eq!(v, alone.counter(k), "{k}");
+    }
 }
 
 /// Structure (counters + histogram call counts), durations dropped.

@@ -8,7 +8,7 @@
 //!   exact bytes (the log is a lossless wire format).
 //! * The per-slot timeline tallies agree with the run's [`Counters`]
 //!   under both engines — the events are a complete account of the
-//!   medium's bookkeeping.
+//!   run's sends and reception outcomes.
 
 use ffd2d::baseline::FstProtocol;
 use ffd2d::core::{EngineMode, ScenarioConfig, StProtocol, World};
@@ -97,13 +97,8 @@ fn timeline_tallies_match_run_counters() {
         for r in rows {
             sum += r.counters;
         }
-        // Unicast sends are the one tally no trace event carries.
         assert!(out.counters.unicast_tx > 0);
-        let traced = Counters {
-            unicast_tx: 0,
-            ..out.counters
-        };
-        assert_eq!(sum, traced, "{engine:?}");
+        assert_eq!(sum, out.counters, "{engine:?}");
 
         // The final row reflects the converged population.
         let last = rows[rows.len() - 1];
