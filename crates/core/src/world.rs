@@ -32,17 +32,24 @@
 //! 2. **Run-long link-state cache.** There is no up-front `n × n`
 //!    gain matrix: mean link powers (path loss + shadowing) are pure
 //!    functions of device positions, and devices never move, so they
-//!    are computed **once per run** by a batched kernel — one row per
-//!    (sender, grid cell), aligned with the cell's occupant list — and
-//!    reused across every later slot. Fading remains the only per-slot
-//!    keyed draw, so caching is provably bit-identical: no RNG stream
-//!    is touched. Churn moves no device, so it leaves every row valid:
-//!    a departed receiver is masked out in the admit pass, like a
-//!    transmitting one. Memory is one `f64`
-//!    per cached directed (sender, cell-occupant) pair — proportional
-//!    to the audible-pair count actually exercised, not `n²` of the
-//!    whole arena (they coincide only when every device is audible to
-//!    every other and every device transmits).
+//!    are computed **once per run** — one row per (sender, grid cell),
+//!    aligned with the cell's occupant list — and reused across every
+//!    later slot. The channel is reciprocal, so in-cell links are
+//!    computed once per unordered pair: a device's first fire into its
+//!    own cell fills every in-cell row of that cell in one symmetric
+//!    pass. A sender's row of another cell its disc reaches
+//!    is filled alone by the batched kernel. Fading remains the only
+//!    per-slot keyed draw, so caching is provably bit-identical: no RNG
+//!    stream is touched. Churn moves no device, so it leaves every row
+//!    valid: a departed receiver is masked out in the admit pass, like
+//!    a transmitting one. Memory is one `f64` per cached directed
+//!    (sender, cell-occupant) pair. A cell's in-cell rows are allocated
+//!    together at its first in-cell fire, not one at a time as its
+//!    occupants fire, so a cell that hears any in-cell fire holds
+//!    `occupants²` of them; the rest is proportional to the cross-cell
+//!    pairs actually exercised — not `n²` of the whole arena (they
+//!    coincide only when every device is audible to every other and
+//!    some device transmits).
 //! 3. **Epoch-stamped accumulators.** Per-(receiver, codec) collision
 //!    state is slot-stamped, so a slot costs O(candidates) with zero
 //!    allocation, and delivery order is fixed by sorting touched keys.
@@ -274,14 +281,26 @@ impl World {
     }
 }
 
+/// `GainRow::filled` of a row that the block fill wrote ahead of its
+/// first request.
+const UNREQUESTED: u64 = u64::MAX;
+
 /// Run-long link-state cache: one row of mean link gains
 /// (dBm) per `(sender, grid cell)`, aligned element-for-element with
 /// `SpatialGrid::cell_items(cell)` so the accumulation inner loop reads
 /// `row[j]` by the receiver's position in its cell — no per-pair hashing
-/// or probing. Rows are filled by the batched kernel
-/// ([`Channel::fill_mean_rx_dbm`]) the first time a sender's disc touches
-/// a cell, then reused by every later slot of the run. Values are pure
-/// functions of positions, which never change, so a cached read is
+/// or probing. Rows are kept for the rest of the run once filled.
+///
+/// The first request for a sender's row of its *own* cell fills every
+/// in-cell row of that cell at once ([`GainCache::fill_cell`]): the
+/// mean gain is reciprocal, so each unordered in-cell pair is computed
+/// once and written to both endpoints' rows. The price is that a cell's
+/// in-cell rows are allocated together at its first in-cell fire, not
+/// one at a time as its occupants fire. A row for a sender outside the
+/// cell (its disc reaches across the cell border) has no guaranteed
+/// mirror, so it is filled alone by the batched kernel
+/// ([`Channel::fill_mean_rx_dbm`]) when first requested. Values are
+/// pure functions of positions, which never change, so a cached read is
 /// bit-identical to recomputation by construction.
 #[derive(Debug, Default)]
 struct GainCache {
@@ -294,9 +313,11 @@ struct GainCache {
     // is enabled; the disabled path never touches these) ---
     /// Rows served from the cache this slot.
     rows_hit: u64,
-    /// Rows filled by the batched kernel this slot.
+    /// Rows requested for the first time this slot. This counts first
+    /// requests, not rows built: a block fill builds rows no slot may
+    /// ever request, and those are never counted.
     rows_filled: u64,
-    /// Wall-clock nanoseconds spent inside the fill kernel this slot.
+    /// Wall-clock nanoseconds spent inside the fill kernels this slot.
     fill_ns: u64,
 }
 
@@ -305,15 +326,25 @@ struct GainCache {
 struct GainRow {
     /// Mean gains, aligned with the cell's occupant list.
     gains: Vec<f64>,
-    /// The medium epoch of the slot that filled the row. A row filled
-    /// earlier in the current slot is served without counting as a hit.
+    /// The medium epoch of the slot that first requested the row, or
+    /// [`UNREQUESTED`] while no slot has. The first request is tallied
+    /// in `rows_filled`, later slots' requests in `rows_hit`; a row
+    /// requested earlier in the current slot is served without counting
+    /// as a hit.
     filled: u64,
 }
 
 impl GainCache {
+    #[inline]
+    fn key(sender: DeviceId, cell: usize) -> u64 {
+        ((sender as u64) << 32) | cell as u64
+    }
+
     /// The mean gains of `sender` over `items` (the occupants of
-    /// `cell`): the cached row, else one batched-kernel fill kept in the
-    /// cache for the rest of the run.
+    /// `cell`): the cached row, else a fill kept in the cache for the
+    /// rest of the run — the block fill of every in-cell row when
+    /// `sender` sits in `cell`, else the batched kernel for this row
+    /// alone.
     fn row<const TELEM: bool>(
         &mut self,
         world: &World,
@@ -322,31 +353,76 @@ impl GainCache {
         cell: usize,
         items: &[DeviceId],
     ) -> &[f64] {
-        let key = ((sender as u64) << 32) | cell as u64;
-        if let Some(&i) = self.index.get(&key) {
-            let row = &self.rows[i as usize];
-            if TELEM && row.filled != epoch {
-                self.rows_hit += 1;
+        let key = Self::key(sender, cell);
+        let i = match self.index.get(&key) {
+            Some(&i) => i as usize,
+            None => {
+                // ffd2d-lint: allow(wall-clock) — telemetry-gated fill-kernel timing; compiled out under NullRecorder, feeds metrics only
+                let t0 = TELEM.then(Instant::now);
+                if items.binary_search(&sender).is_ok() {
+                    self.fill_cell(&world.channel, cell, items);
+                } else {
+                    let mut gains = Vec::new();
+                    world.channel.fill_mean_rx_dbm(sender, items, &mut gains);
+                    self.insert(key, gains);
+                }
+                if let Some(t0) = t0 {
+                    self.fill_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                }
+                self.index[&key] as usize
             }
-            return &row.gains;
-        }
-        let i = self.rows.len();
-        self.index.insert(key, i as u32);
-        self.rows.push(GainRow {
-            gains: Vec::new(),
-            filled: epoch,
-        });
-        // ffd2d-lint: allow(wall-clock) — telemetry-gated fill-kernel timing; compiled out under NullRecorder, feeds metrics only
-        let t0 = TELEM.then(Instant::now);
+        };
         let row = &mut self.rows[i];
-        world
-            .channel
-            .fill_mean_rx_dbm(sender, items, &mut row.gains);
-        if let Some(t0) = t0 {
-            self.rows_filled += 1;
-            self.fill_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        if row.filled == UNREQUESTED {
+            row.filled = epoch;
+            if TELEM {
+                self.rows_filled += 1;
+            }
+        } else if TELEM && row.filled != epoch {
+            self.rows_hit += 1;
         }
         &row.gains
+    }
+
+    /// Cache `gains` as the not yet requested row `key`.
+    fn insert(&mut self, key: u64, gains: Vec<f64>) {
+        self.index.insert(key, self.rows.len() as u32);
+        self.rows.push(GainRow {
+            gains,
+            filled: UNREQUESTED,
+        });
+    }
+
+    /// Fill the row of every occupant of `cell` over `items` (the
+    /// cell's occupant list) at once. Each unordered pair `{a, b}` is
+    /// computed once by [`Channel::mean_rx_power`] and written to both
+    /// `row(a)[j_b]` and `row(b)[j_a]`. The channel is reciprocal bit
+    /// for bit (the distance is symmetric and the shadowing draw is
+    /// keyed by the unordered link), so every row is the one
+    /// [`Channel::fill_mean_rx_dbm`] would compute, its `NEG_INFINITY`
+    /// diagonal included.
+    fn fill_cell(&mut self, channel: &Channel, cell: usize, items: &[DeviceId]) {
+        let m = items.len();
+        let base = self.rows.len();
+        for &a in items {
+            debug_assert!(
+                !self.index.contains_key(&Self::key(a, cell)),
+                "cell {cell} is block-filled once"
+            );
+            self.insert(Self::key(a, cell), vec![f64::NEG_INFINITY; m]);
+        }
+        let rows = &mut self.rows[base..];
+        for i in 0..m {
+            // Row `i` and the rows after it, so the pair's two rows can
+            // be written together.
+            let (head, tail) = rows.split_at_mut(i + 1);
+            let row_i = &mut head[i].gains;
+            for j in i + 1..m {
+                let g = channel.mean_rx_power(items[i], items[j]).get();
+                row_i[j] = g;
+                tail[j - i - 1].gains[i] = g;
+            }
+        }
     }
 }
 
@@ -648,10 +724,9 @@ impl FastMedium {
         for a in 0..world.n() as DeviceId {
             let p = world.deployment().position(a);
             for cell in grid.cells_intersecting_disc(p.x, p.y, radius) {
-                let key = ((a as u64) << 32) | cell as u64;
                 let row = gains
                     .index
-                    .get(&key)
+                    .get(&GainCache::key(a, cell))
                     .map(|&i| &gains.rows[i as usize].gains);
                 for (j, &b) in grid.cell_items(cell).iter().enumerate() {
                     if b <= a {
@@ -1315,6 +1390,99 @@ mod tests {
         let (h1, m1) = resolve(&mut fast, &w, 1);
         assert_eq!(m1, 0, "same senders: no refill");
         assert_eq!(h1, m0, "every filled row is reused");
+    }
+
+    #[test]
+    fn block_fill_rows_match_the_batched_kernel() {
+        // Every in-cell row of a block fill is the batched kernel's row,
+        // bit for bit, on the Table-I channel, the ideal channel and a
+        // log-distance channel, from the smallest cells up to one of
+        // 130 occupants.
+        use ffd2d_radio::pathloss::PathLoss;
+        let bits = |v: &[f64]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+        let n = 260;
+        let mut log_distance = small_cfg(n, 41);
+        log_distance.channel.pathloss = PathLoss::outdoor_log_distance();
+        for cfg in [
+            small_cfg(n, 41),
+            small_cfg(n, 41).ideal_channel(),
+            log_distance,
+        ] {
+            let w = World::new(&cfg);
+            for m in [1, 2, 63, 64, 65, 130] {
+                // Every other device, so an occupant's index is not its id.
+                let items: Vec<DeviceId> = (0..m as DeviceId).map(|j| 2 * j + 1).collect();
+                let mut cache = GainCache::default();
+                cache.fill_cell(w.channel(), 3, &items);
+                assert_eq!(cache.rows.len(), m);
+                for &a in &items {
+                    let row = &cache.rows[cache.index[&GainCache::key(a, 3)] as usize];
+                    assert_eq!(row.filled, UNREQUESTED);
+                    let mut expected = Vec::new();
+                    w.channel().fill_mean_rx_dbm(a, &items, &mut expected);
+                    assert_eq!(bits(&row.gains), bits(&expected), "row {a} of {m}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_fill_stays_in_the_senders_cell() {
+        // On a multi-cell arena, one transmission caches the rows of
+        // every occupant of the sender's own cell, plus the sender's
+        // row of each other cell its audibility disc covers, and no
+        // other row.
+        let mut cfg = small_cfg(300, 21).ideal_channel();
+        cfg.sim.area_width = Meters(2000.0);
+        cfg.sim.area_height = Meters(2000.0);
+        let w = World::new(&cfg);
+        let grid = w.spatial_grid();
+        let cell_of = |d: DeviceId| {
+            let (x, y) = grid.point(d);
+            grid.cell_index(x, y)
+        };
+        // A sender that shares its cell and whose disc reaches others.
+        let sender = (0..w.n() as DeviceId)
+            .find(|&d| {
+                let p = w.deployment().position(d);
+                grid.cell_items(cell_of(d)).len() > 1
+                    && grid
+                        .cells_intersecting_disc(p.x, p.y, w.audible_range_m())
+                        .count()
+                        > 1
+            })
+            .expect("a sender with cell mates and neighbour cells");
+        let own = cell_of(sender);
+        let p = w.deployment().position(sender);
+        let expected: Vec<u64> = grid
+            .cells_intersecting_disc(p.x, p.y, w.audible_range_m())
+            .filter(|&c| c != own)
+            .map(|c| GainCache::key(sender, c))
+            .chain(grid.cell_items(own).iter().map(|&a| GainCache::key(a, own)))
+            .collect();
+
+        let mut fast = FastMedium::new(w.n());
+        fast.resolve(
+            &w,
+            Slot(0),
+            &[fire(sender)],
+            &vec![true; w.n()],
+            w.n(),
+            &mut Counters::new(),
+            &mut NullSink,
+            &mut NullRecorder,
+            |_, _, _, _| {},
+        );
+        let gains = &fast.gains;
+        for key in &expected {
+            assert!(gains.index.contains_key(key), "row {key:#x} not cached");
+        }
+        assert_eq!(
+            gains.index.len(),
+            expected.len(),
+            "rows beyond the expected set"
+        );
+        assert_eq!(gains.rows.len(), expected.len());
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! filled once per run: devices never move, and churn only masks
 //! departed receivers out, so no row ever goes stale. The per-slot
 //! fading draw stays outside the cache. A cached row is *the same
-//! `f64`s* the direct path computes (same batched kernel, same
-//! iteration order), so `GainCacheMode::Off` versus `Epoch` must agree
+//! `f64`s* the direct path computes (the same per-pair expression; an
+//! in-cell row's mirror half comes from the reciprocal link, which is
+//! bit-identical), so `GainCacheMode::Off` versus `Epoch` must agree
 //! **bit for bit** — under churn too.
 //!
 //! The harness locks that down across the full execution matrix (both
@@ -15,7 +16,9 @@
 //! identical [`RunOutcome`]s and byte-identical JSONL traces, and
 //! bounds the rows a churn-heavy run fills; a proptest then drives the
 //! medium directly on random multi-cell worlds, checking a warmed cache
-//! resolves later slots bit-identically to a cold medium.
+//! resolves later slots bit-identically to a cold medium. Two tests pin
+//! the row tallies, including those of rows the in-cell block fill
+//! wrote ahead of their first request.
 
 use ffd2d::baseline::FstProtocol;
 use ffd2d::core::world::FastMedium;
@@ -246,4 +249,42 @@ fn a_row_reused_in_the_slot_that_filled_it_is_neither_hit_nor_miss() {
     let (hits, misses) = cache_tallies(&mut medium, &world, 2, &mixed);
     assert_eq!(hits, rows, "sender 7's rows hit once each");
     assert!(misses > 0, "sender 21 fills its rows");
+}
+
+/// The first in-cell request fills every in-cell row of the cell at
+/// once, but the tallies still count rows as they are requested: a row
+/// the block fill wrote ahead is a miss on its first request, a hit in
+/// any later slot, and neither when read again in the slot that first
+/// requested it.
+#[test]
+fn a_block_filled_row_tallies_as_filled_on_its_first_request() {
+    let world = World::new(&ScenarioConfig::table1(40).seeded(5));
+    assert_eq!(world.spatial_grid().cell_count(), 1);
+    let both_codecs = |sender: u32| {
+        batch(world.n(), 0)
+            .into_iter()
+            .take(2)
+            .map(|sig| ProximitySignal { sender, ..sig })
+            .collect::<Vec<_>>()
+    };
+    let mut medium = FastMedium::new(world.n());
+    // Sender 7's first fire fills the cell; its one row is requested
+    // twice in that slot.
+    assert_eq!(
+        cache_tallies(&mut medium, &world, 0, &both_codecs(7)),
+        (0, 1)
+    );
+    // Sender 21's row was written by that fill but never requested.
+    let mut mixed = both_codecs(21);
+    mixed.extend(both_codecs(7));
+    assert_eq!(
+        cache_tallies(&mut medium, &world, 1, &mixed),
+        (2, 1),
+        "sender 21's first request is a miss, read again it is neither; sender 7 hits twice"
+    );
+    assert_eq!(
+        cache_tallies(&mut medium, &world, 2, &both_codecs(21)),
+        (2, 0),
+        "a later slot hits sender 21's row"
+    );
 }
