@@ -11,7 +11,7 @@
 //! the paper's Figs. 3–4 report for FST.
 //!
 //! Everything else — the fire stagger, frame faults, churn, the wake
-//! wheel and both execution strategies of [`EngineMode`](ffd2d_core::EngineMode)
+//! set and both execution strategies of [`EngineMode`](ffd2d_core::EngineMode)
 //! — is the slot runtime the ST engine runs on
 //! ([`ffd2d_core::runtime`]), so every difference between the two
 //! protocols in Figs. 3–4 is protocol, not plumbing.

@@ -2,7 +2,7 @@
 //!
 //! ST and the FST baseline differ only in protocol logic; everything
 //! else about a trial — the devices and their oscillators, the medium,
-//! the fire ring, churn, frame faults, the wake wheel and the run loop —
+//! the fire ring, churn, frame faults, the wake set and the run loop —
 //! is the same machinery, written once here. A protocol plugs in
 //! through the small [`Protocol`] hook trait; [`run`] drives it.
 //!
@@ -12,8 +12,8 @@
 //!
 //! * `EV = false` — the **stepped** reference loop: every slot of the
 //!   horizon is materialized.
-//! * `EV = true` — the **event-driven** loop: a wheel of wake-up slots
-//!   (next oscillator fires, staggered transmissions, churn slots, plus
+//! * `EV = true` — the **event-driven** loop: an ordered set of wake-up
+//!   slots (next oscillator fires, staggered transmissions, churn slots, plus
 //!   whatever the protocol schedules — phase boundaries, unicast
 //!   deliveries, handshake deadlines, beacon offsets, convergence
 //!   probes) decides which slots to materialize, and a materialized
@@ -53,7 +53,7 @@ use ffd2d_phy::frame::{FrameKind, ProximitySignal};
 use ffd2d_radio::units::Dbm;
 use ffd2d_sim::counters::Counters;
 use ffd2d_sim::deployment::DeviceId;
-use ffd2d_sim::event::SlotWheel;
+use ffd2d_sim::event::WakeSet;
 use ffd2d_sim::rng::{StreamId, StreamRng};
 use ffd2d_sim::time::{Slot, SlotDuration};
 use ffd2d_telemetry::Recorder;
@@ -250,11 +250,11 @@ pub struct SlotRuntime<'w, S: TraceSink, R: Recorder, const EV: bool> {
     /// the run until a probe succeeds *after* this slot.
     last_fault_slot: Option<u64>,
     // --- Event-driven machinery (dormant when `EV` is false) ---
-    /// Candidate wake-up slots. Bare slot numbers, no payloads: the
-    /// two-tier wheel coalesces everything landing on one slot, and a
-    /// spurious wake just materializes a slot in which nothing happens,
-    /// so entries need no invalidation.
-    wake: SlotWheel,
+    /// Candidate wake-up slots. Bare slot numbers, no payloads: the set
+    /// coalesces everything landing on one slot, and a spurious wake
+    /// just materializes a slot in which nothing happens, so entries
+    /// need no invalidation.
+    wake: WakeSet,
     /// All slots `< synced_next` are fully processed. The stepped loop
     /// ticks every live oscillator through each of them; in the
     /// event-driven loop each device's own stamp in `clocks` says how
@@ -419,7 +419,7 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
             next_churn: 0,
             chaos_key: FaultPlan::chaos_key(seed),
             last_fault_slot: faults.last_fault_slot(),
-            wake: SlotWheel::new(),
+            wake: WakeSet::new(),
             synced_next: 0,
             touched: Vec::new(),
             clocks: LazyClocks::new(n, period),
@@ -435,15 +435,15 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
 
     /// Schedule a wake-up slot, tallying scheduler pressure for an
     /// enabled recorder (a no-op push otherwise). Wake-ups landing on
-    /// an already-scheduled slot coalesce inside the wheel.
+    /// an already-scheduled slot coalesce inside the set.
     #[inline]
     pub(crate) fn push_wake(&mut self, s: u64) {
         self.rec.add("engine.wakeups_scheduled", 1);
         self.wake.push(s);
     }
 
-    /// Flush the wheel's coalesce/stale tallies into the recorder.
-    fn flush_wheel_stats(&mut self) {
+    /// Flush the wake set's coalesce/stale tallies into the recorder.
+    fn flush_wake_stats(&mut self) {
         let (coalesced, stale) = self.wake.take_stats();
         if coalesced > 0 {
             self.rec.add("engine.coalesced_wakeups", coalesced);
@@ -481,8 +481,8 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
         // the horizon did.
         let stopped = loop {
             // Acquire the next slot: the event-driven loop pops the
-            // wheel and skips ahead, the stepped loop materializes every
-            // slot.
+            // wake set and skips ahead, the stepped loop materializes
+            // every slot.
             let s = if EV {
                 match self.next_wake(max_slots) {
                     Some(s) => s,
@@ -587,17 +587,17 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
         }
     }
 
-    /// Pop the next slot to materialize. The wheel already coalesced
+    /// Pop the next slot to materialize. The set already coalesced
     /// duplicates and dropped stale pushes, so every pop is a distinct,
     /// strictly increasing slot; `None` ends the run (pops are ordered,
     /// so once one reaches the horizon every remaining candidate is
     /// past it too).
     fn next_wake(&mut self, max_slots: u64) -> Option<u64> {
         if R::ENABLED {
-            self.flush_wheel_stats();
+            self.flush_wake_stats();
         }
         let s = self.wake.pop()?;
-        debug_assert!(s >= self.synced_next, "wheel popped a processed slot");
+        debug_assert!(s >= self.synced_next, "wake set popped a processed slot");
         if s >= max_slots {
             return None;
         }
@@ -605,8 +605,6 @@ impl<'w, S: TraceSink, R: Recorder, const EV: bool> SlotRuntime<'w, S, R, EV> {
         if R::ENABLED {
             self.rec
                 .observe("engine.wake_heap_depth", self.wake.pending() as u64);
-            self.rec
-                .observe("engine.wheel_occupancy", self.wake.in_window() as u64);
         }
         Some(s)
     }

@@ -95,7 +95,7 @@ pub enum EngineMode {
     /// Materialize every slot of the horizon (the reference loop).
     Stepped,
     /// Jump between wake-up slots (fires, deadlines, deliveries) via a
-    /// coalescing slot wheel, fast-forwarding the idle stretches.
+    /// coalescing ordered set, fast-forwarding the idle stretches.
     #[default]
     EventDriven,
 }

@@ -253,7 +253,7 @@ enum Phase {
 }
 
 /// ST's protocol state. The slot machinery it runs on — devices,
-/// medium, fire ring, churn, wake wheel and run loop — is the shared
+/// medium, fire ring, churn, wake set and run loop — is the shared
 /// [`SlotRuntime`]; see `runtime.rs` for the engine design.
 #[derive(Default)]
 struct St {

@@ -17,8 +17,8 @@
 //! the fragment split and re-convergence after each fault.
 //!
 //! With `--telemetry DIR`, runs one self-profiled ST trial of the same
-//! baseline scenario: a run manifest at DIR/ablation_st.json (+ .prom),
-//! readable with `perf_inspect`.
+//! baseline scenario: a run manifest at DIR/ablation_st.json, readable
+//! with `perf_inspect`.
 
 use std::path::PathBuf;
 

@@ -1,11 +1,10 @@
 //! §V complexity claim: O(n²) basic FFA vs. O(n log n) ordered FFA.
 
 use ffd2d_experiments::complexity::{run, ComplexityParams};
+use ffd2d_experiments::write_results_or_exit;
 
 fn main() {
     let report = run(&ComplexityParams::default());
     println!("{}", report.to_table().to_markdown());
-    let _ = std::fs::create_dir_all("results");
-    let _ = std::fs::write("results/complexity.csv", report.to_figure().to_csv());
-    eprintln!("wrote results/complexity.csv");
+    write_results_or_exit(&[("complexity.csv", &report.to_figure().to_csv())]);
 }

@@ -177,10 +177,11 @@ fn print_manifest(path: &str, m: &ManifestSummary) {
         }
     }
     // Wake-up scheduler health. Stale = pushed behind the clock and
-    // dropped; coalesced = merged into an already-pending slot (with
-    // the slot wheel, the old ~98% dense-cell stale rate shows up as
-    // coalescing instead). A stepped run schedules no wakes, so the
-    // family is absent and both lines render `n/a`.
+    // dropped; coalesced = merged into an already-pending slot (the
+    // wake set keeps each pending slot once, so repeat deadlines on
+    // one slot show up as coalescing, not as stale pops). A stepped
+    // run schedules no wakes, so the family is absent and both lines
+    // render `n/a`.
     let scheduled = m.counter("engine.wakeups_scheduled");
     print!("stale-wakeup rate: ");
     if scheduled > 0 {

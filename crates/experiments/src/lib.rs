@@ -33,7 +33,8 @@ pub use sweep::{run_paper_sweep, SweepParams, SweepReport};
 pub use telemetry::write_sweep_telemetry;
 pub use trace::write_sweep_traces;
 
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 
 use ffd2d_core::{EngineMode, GainCacheMode};
 
@@ -63,6 +64,32 @@ pub fn or_usage_exit<T>(parsed: Result<T, String>, usage: &str) -> T {
         eprintln!("{e}\nusage: {usage}");
         std::process::exit(2);
     })
+}
+
+/// Create `dir` and write each `(file name, contents)` pair into it.
+/// An error names the path that could not be created or written.
+fn write_results(dir: &Path, files: &[(&str, &str)]) -> io::Result<()> {
+    let named =
+        |path: &Path, e: io::Error| io::Error::new(e.kind(), format!("{}: {e}", path.display()));
+    std::fs::create_dir_all(dir).map_err(|e| named(dir, e))?;
+    for (name, contents) in files {
+        let path = dir.join(name);
+        std::fs::write(&path, contents).map_err(|e| named(&path, e))?;
+    }
+    Ok(())
+}
+
+/// Write a figure binary's CSVs under `results/`: report the files
+/// written, or print the failing path and exit with status 1.
+pub fn write_results_or_exit(files: &[(&str, &str)]) {
+    let dir = Path::new("results");
+    if let Err(e) = write_results(dir, files) {
+        eprintln!("writing results failed: {e}");
+        std::process::exit(1);
+    }
+    for (name, _) in files {
+        eprintln!("wrote {}", dir.join(name).display());
+    }
 }
 
 /// The value that follows flag `name` in `args`: `Ok(None)` when the
@@ -189,10 +216,10 @@ pub fn sweep_main(bin: &str, messages: bool) {
         let what = if messages { "message" } else { "time" };
         println!("{what} crossover (ST below FST) at n = {x}");
     }
-    let _ = std::fs::create_dir_all("results");
-    let _ = std::fs::write("results/fig3.csv", report.fig3_csv());
-    let _ = std::fs::write("results/fig4.csv", report.fig4_csv());
-    eprintln!("wrote results/fig3.csv and results/fig4.csv (shared sweep)");
+    write_results_or_exit(&[
+        ("fig3.csv", &report.fig3_csv()),
+        ("fig4.csv", &report.fig4_csv()),
+    ]);
     if let Some(dir) = trace_dir {
         match write_sweep_traces(&params, &dir) {
             Ok(paths) => eprintln!(
@@ -328,6 +355,21 @@ mod tests {
         assert_eq!(flag_value(&args, "--trace"), Ok(Some("dir")));
         assert_eq!(flag_value(&args, "--faults"), Ok(None));
         assert!(flag_value(&args, "--telemetry").is_err());
+    }
+
+    #[test]
+    fn unwritable_results_dir_is_an_error_naming_it() {
+        let dir = std::env::temp_dir().join(format!("results_blocked_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let blocked = dir.join("results");
+        std::fs::write(&blocked, "a regular file").unwrap();
+        let err = write_results(&blocked, &[("fig3.csv", "n,st\n")]).unwrap_err();
+        assert!(
+            err.to_string().contains(&blocked.display().to_string()),
+            "{err}"
+        );
+        assert!(!blocked.join("fig3.csv").exists());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

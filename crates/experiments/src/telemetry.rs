@@ -11,8 +11,6 @@
 //! * `<dir>/st_n{n}.json`, `<dir>/fst_n{n}.json` — run manifests
 //!   (config echo, seed, wall clock, counters, timer quantiles; the
 //!   input of `perf_inspect`);
-//! * `<dir>/st_n{n}.prom`, `<dir>/fst_n{n}.prom` — the same registry
-//!   as a Prometheus text exposition;
 //! * `<dir>/sweep.json` — a sweep-level rollup (per-cell wall clock,
 //!   materialized-slot throughput, manifest paths).
 //!
@@ -102,7 +100,7 @@ pub fn parse_rollup(text: &str) -> Result<Option<Vec<CellRecord>>, String> {
 }
 
 /// Replay trial 0 of every sweep cell with telemetry enabled, writing
-/// run manifests (`.json` + `.prom`) and a sweep rollup under `dir`.
+/// JSON run manifests and a sweep rollup under `dir`.
 /// Progress (per-cell wall clock, slot throughput, ETA) goes to stderr.
 /// Returns the manifest JSON paths written (ST and FST interleaved per
 /// node count).
@@ -145,8 +143,8 @@ pub fn write_sweep_telemetry(params: &SweepParams, dir: &Path) -> io::Result<Vec
 }
 
 /// Profile a single ST trial of an arbitrary scenario (the ablation
-/// binary's `--telemetry` path): manifest to `<dir>/{stem}.json` +
-/// `<dir>/{stem}.prom`. Returns the JSON path.
+/// binary's `--telemetry` path): manifest to `<dir>/{stem}.json`.
+/// Returns the JSON path.
 pub fn write_st_telemetry(
     scenario: &ScenarioConfig,
     dir: &Path,
@@ -224,12 +222,10 @@ fn scenario_config_echo(proto: &str, scenario: &ScenarioConfig) -> Vec<(String, 
     ]
 }
 
-/// Write `<dir>/{stem}.json` and `<dir>/{stem}.prom`; returns the JSON
-/// path.
+/// Write `<dir>/{stem}.json`; returns its path.
 fn write_manifest(dir: &Path, stem: &str, manifest: &RunManifest) -> io::Result<PathBuf> {
     let json_path = dir.join(format!("{stem}.json"));
     fs::write(&json_path, manifest.to_json())?;
-    fs::write(dir.join(format!("{stem}.prom")), manifest.to_prometheus())?;
     Ok(json_path)
 }
 

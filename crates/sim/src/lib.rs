@@ -14,8 +14,9 @@
 //!   so that every Monte-Carlo trial is exactly reproducible from a
 //!   `(seed, trial)` pair and independent streams can be handed to the
 //!   channel, the deployment and each device without correlation.
-//! * [`event`] — the coalescing two-tier wake-up scheduler
-//!   ([`event::SlotWheel`]) that drives the event-driven engine.
+//! * [`event`] — the coalescing wake-up scheduler, an ordered set of
+//!   pending slots ([`event::WakeSet`]) that drives the event-driven
+//!   engine.
 //! * [`deployment`] — placement of devices on the plane (uniform random,
 //!   grid, clustered) in a configurable area.
 //! * [`config`] — the base simulation configuration shared by every
@@ -25,7 +26,7 @@
 //!
 //! The kernel is deliberately protocol-agnostic: protocol crates
 //! (`ffd2d-core`, `ffd2d-baseline`) drive a slot loop and use the wake
-//! wheel for timers, while the PHY crate (`ffd2d-phy`) models the shared
+//! set for timers, while the PHY crate (`ffd2d-phy`) models the shared
 //! medium.
 //!
 //! ## Example
@@ -52,6 +53,6 @@ pub mod time;
 pub use config::SimConfig;
 pub use counters::Counters;
 pub use deployment::{Deployment, Meters, Position};
-pub use event::SlotWheel;
+pub use event::WakeSet;
 pub use rng::StreamRng;
 pub use time::{Slot, SlotDuration, SLOT_MILLIS};

@@ -10,7 +10,7 @@
 //!                    ┌──────────────────────────────┐
 //!   protocol events  │  ffd2d-trace   (TraceSink)   │  → JSONL, timelines
 //!                    ├──────────────────────────────┤
-//!   simulator perf   │  ffd2d-telemetry (Recorder)  │  → manifests, .prom
+//!   simulator perf   │  ffd2d-telemetry (Recorder)  │  → JSON manifests
 //!                    └──────────────────────────────┘
 //! ```
 //!
@@ -36,8 +36,8 @@
 //!   gauges, timer histograms and value observations keyed by
 //!   `&'static str`.
 //! * [`RunManifest`] — one run's exportable record (config echo, wall
-//!   clock, the registry) with a JSON writer, a Prometheus-style text
-//!   exposition, and a parser for `perf_inspect`-style consumers.
+//!   clock, the registry) with a JSON writer and a parser for
+//!   `perf_inspect`-style consumers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -4,16 +4,10 @@
 //! number: the configuration that produced the run (echoed as ordered
 //! key/value strings — protocol, population, seed, engine, workers,
 //! faults), the total wall clock, and the full [`Telemetry`] registry.
-//! Two text formats are emitted per run:
-//!
-//! * **JSON** ([`RunManifest::to_json`]) — the machine-readable record
-//!   `perf_inspect` consumes; [`ManifestSummary::parse`] reads it back
-//!   without needing the original histograms.
-//! * **Prometheus text exposition** ([`RunManifest::to_prometheus`]) —
-//!   counters as `counter`, gauges as `gauge`, histograms as `summary`
-//!   with p50/p95/p99 quantile rows, every sample labelled with
-//!   `run="<label>"` so multiple cells can be concatenated or scraped
-//!   side by side.
+//! It is emitted as JSON ([`RunManifest::to_json`]), the
+//! machine-readable record `perf_inspect` consumes;
+//! [`ManifestSummary::parse`] reads it back without needing the
+//! original histograms.
 //!
 //! Quantiles are materialized at export time (p50/p95/p99 plus
 //! min/max), so the JSON stays small and the reader never re-derives
@@ -26,8 +20,7 @@ use crate::registry::Telemetry;
 /// One run's exportable telemetry record.
 #[derive(Debug, Clone)]
 pub struct RunManifest {
-    /// Short run identifier (e.g. `st_n200`), used as the Prometheus
-    /// `run` label and echoed into the JSON.
+    /// Short run identifier (e.g. `st_n200`), echoed into the JSON.
     pub label: String,
     /// Ordered configuration echo (key, rendered value).
     pub config: Vec<(String, String)>,
@@ -56,20 +49,6 @@ fn histogram_json(h: &LogHistogram) -> String {
         h.quantile(0.95).unwrap_or(0),
         h.quantile(0.99).unwrap_or(0),
     )
-}
-
-/// Sanitize a dotted metric key into a Prometheus metric name.
-fn prom_name(key: &str) -> String {
-    let mut name = String::with_capacity(key.len() + 6);
-    name.push_str("ffd2d_");
-    for c in key.chars() {
-        if c.is_ascii_alphanumeric() {
-            name.push(c);
-        } else {
-            name.push('_');
-        }
-    }
-    name
 }
 
 impl RunManifest {
@@ -120,42 +99,6 @@ impl RunManifest {
             out.push_str(&format!("\n    \"{}\": {}", escape(k), histogram_json(h)));
         }
         out.push_str("\n  }\n}\n");
-        out
-    }
-
-    /// Serialize to a Prometheus-style text exposition.
-    pub fn to_prometheus(&self) -> String {
-        let run = escape(&self.label);
-        let mut out = String::with_capacity(4096);
-        out.push_str(&format!("# ffd2d run manifest: {run}\n"));
-        out.push_str("# TYPE ffd2d_wall_clock_ns gauge\n");
-        out.push_str(&format!(
-            "ffd2d_wall_clock_ns{{run=\"{run}\"}} {}\n",
-            self.wall_clock_ns
-        ));
-        for (k, v) in self.telemetry.counters() {
-            let name = prom_name(k);
-            out.push_str(&format!("# TYPE {name} counter\n"));
-            out.push_str(&format!("{name}{{run=\"{run}\"}} {v}\n"));
-        }
-        for (k, v) in self.telemetry.gauges() {
-            let name = prom_name(k);
-            out.push_str(&format!("# TYPE {name} gauge\n"));
-            out.push_str(&format!("{name}{{run=\"{run}\"}} {}\n", fmt_f64(v)));
-        }
-        let summaries = self.telemetry.timers().chain(self.telemetry.observations());
-        for (k, h) in summaries {
-            let name = prom_name(k);
-            out.push_str(&format!("# TYPE {name} summary\n"));
-            for (q, label) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
-                out.push_str(&format!(
-                    "{name}{{run=\"{run}\",quantile=\"{label}\"}} {}\n",
-                    h.quantile(q).unwrap_or(0)
-                ));
-            }
-            out.push_str(&format!("{name}_sum{{run=\"{run}\"}} {}\n", h.sum()));
-            out.push_str(&format!("{name}_count{{run=\"{run}\"}} {}\n", h.count()));
-        }
         out
     }
 }
@@ -363,24 +306,6 @@ mod tests {
         );
         assert_eq!(parsed.observations.len(), 1);
         assert_eq!(parsed.observations[0].max, 99);
-    }
-
-    #[test]
-    fn prometheus_exposition_has_typed_samples() {
-        let text = sample_manifest().to_prometheus();
-        assert!(text.contains("# TYPE ffd2d_engine_slots_materialized counter"));
-        assert!(text.contains("ffd2d_engine_slots_materialized{run=\"st_n50\"} 1234"));
-        assert!(text.contains("# TYPE ffd2d_medium_last_workers gauge"));
-        assert!(text.contains("# TYPE ffd2d_engine_slot_sync summary"));
-        assert!(text.contains("ffd2d_engine_slot_sync{run=\"st_n50\",quantile=\"0.5\"}"));
-        assert!(text.contains("ffd2d_engine_slot_sync_count{run=\"st_n50\"} 100"));
-        // Every non-comment line is `name{labels} value`.
-        for line in text.lines().filter(|l| !l.starts_with('#')) {
-            assert!(
-                line.contains("{run=\"st_n50\""),
-                "unlabelled sample: {line}"
-            );
-        }
     }
 
     #[test]
